@@ -182,6 +182,9 @@ def cmd_batch(
     if reps < 1:
         print("error: --reps must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    if jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
     tasks = []
     for config_path in configs:
         stem = os.path.splitext(os.path.basename(config_path))[0]
@@ -190,11 +193,13 @@ def cmd_batch(
             outdir = os.path.join(out, f"{stem}-seed{seed}")
             tasks.append((config_path, seed, outdir))
 
+    # More workers than runs or cores only costs forks.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     results = []
-    if jobs > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one_batch_child, tasks))
     else:
         results = [_run_one_batch_child(task) for task in tasks]

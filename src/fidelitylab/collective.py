@@ -17,7 +17,10 @@ Three dispositions:
 
 All pool quantities are exact rationals so the conservation invariant
 (allocations + reserve == total) holds bit-for-bit over any action
-sequence, and rejected actions leave the pool untouched.
+sequence, and rejected actions leave the pool untouched. The pool caches
+its reserve and total slack as exact sums that each mutation adjusts by
+the allocations it changes, so every view is O(1); ``conserved()`` re-sums
+the allocations from scratch and checks the caches against that recompute.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional, Sequence, Union
 
 from .errors import ConfigurationError, MembershipError
@@ -82,7 +86,9 @@ class ResourcePool:
     """Finite per-tick correction budget shared by member nodes.
 
     Mutating operations are atomic: an infeasible action raises (or is
-    rejected by apply_social_action) with the pool bit-identical.
+    rejected by apply_social_action) with the pool bit-identical. Every
+    allocation change goes through ``_set``, which keeps the cached reserve,
+    total slack and set of members with slack exact.
     """
 
     def __init__(
@@ -96,51 +102,76 @@ class ResourcePool:
         self.join_allocation = Fraction(join_allocation)
         if self.total < 0 or self.floor < 0 or self.join_allocation < 0:
             raise ConfigurationError("pool quantities must be >= 0")
-        self.allocations: dict[str, Fraction] = {}
+        self._allocations: dict[str, Fraction] = {}
+        self.allocations = MappingProxyType(self._allocations)
+        self._reserve = self.total
+        self._slack_total = Fraction(0)
+        self._slack_members: set[str] = set()  # members with allocation > floor
 
     # -- views ------------------------------------------------------------
 
     @property
     def reserve(self) -> Fraction:
-        return self.total - sum(self.allocations.values(), Fraction(0))
+        return self._reserve
 
     def is_member(self, node: str) -> bool:
-        return node in self.allocations
+        return node in self._allocations
 
     def allocation(self, node: str) -> Fraction:
-        return self.allocations.get(node, Fraction(0))
+        return self._allocations.get(node, Fraction(0))
 
     def slack(self, node: str) -> Fraction:
         return max(Fraction(0), self.allocation(node) - self.floor)
 
     def free_capacity(self, node: str) -> Fraction:
         """Largest allocation increment the node could acquire right now."""
-        others = sum(
-            (self.slack(n) for n in self.allocations if n != node), Fraction(0)
-        )
-        return self.reserve + others
+        return self._reserve + self._slack_total - self.slack(node)
 
     def conserved(self) -> bool:
+        """Re-sum the allocations from scratch: they and the reserve add up
+        to the total, none is negative, and the cached reserve and slack
+        agree with the recompute."""
+        allocated = sum(self._allocations.values(), Fraction(0))
+        slack = {n: a - self.floor for n, a in self._allocations.items() if a > self.floor}
         return (
-            sum(self.allocations.values(), Fraction(0)) + self.reserve == self.total
-            and all(a >= 0 for a in self.allocations.values())
+            allocated + self._reserve == self.total
+            and all(a >= 0 for a in self._allocations.values())
+            and self._slack_total == sum(slack.values(), Fraction(0))
+            and self._slack_members == slack.keys()
         )
 
     def snapshot(self) -> dict[str, Fraction]:
-        return dict(self.allocations)
+        return dict(self._allocations)
 
     # -- mutations --------------------------------------------------------
+
+    def _set(self, node: str, value: Optional[Fraction]) -> None:
+        """Set one allocation (None removes the member), adjusting the caches
+        by its old and new values."""
+        old = self._allocations.get(node)
+        if old is not None:
+            self._reserve += old
+            if old > self.floor:
+                self._slack_total -= old - self.floor
+        self._slack_members.discard(node)
+        if value is None:
+            del self._allocations[node]
+            return
+        self._allocations[node] = value
+        self._reserve -= value
+        if value > self.floor:
+            self._slack_total += value - self.floor
+            self._slack_members.add(node)
 
     def join(self, node: str) -> None:
         if self.is_member(node):
             raise MembershipError(f"{node} is already a member")
-        grant = min(self.join_allocation, self.reserve)
-        self.allocations[node] = grant
+        self._set(node, min(self.join_allocation, self._reserve))
 
     def leave(self, node: str) -> None:
         if not self.is_member(node):
             raise MembershipError(f"{node} is not a member")
-        del self.allocations[node]
+        self._set(node, None)
 
     def grab(self, node: str, amount: Fraction) -> None:
         """Take from the reserve first, then pro rata from others' slack."""
@@ -148,19 +179,18 @@ class ResourcePool:
             raise MembershipError(f"{node} must be a member to grab")
         if amount <= 0:
             raise ConfigurationError("grab amount must be > 0")
-        if amount > self.free_capacity(node):
+        available = self.free_capacity(node)
+        if amount > available:
             raise MembershipError(
-                f"grab of {amount} exceeds available capacity {self.free_capacity(node)}"
+                f"grab of {amount} exceeds available capacity {available}"
             )
-        from_reserve = min(amount, self.reserve)
-        remainder = amount - from_reserve
+        remainder = amount - min(amount, self._reserve)
         if remainder > 0:
-            donors = [(n, self.slack(n)) for n in self.allocations if n != node]
-            total_slack = sum((s for _, s in donors), Fraction(0))
+            donors = [(n, self.slack(n)) for n in self._slack_members if n != node]
+            total_slack = self._slack_total - self.slack(node)
             for donor, slack in donors:
-                if slack > 0:
-                    self.allocations[donor] -= remainder * slack / total_slack
-        self.allocations[node] += amount
+                self._set(donor, self._allocations[donor] - remainder * slack / total_slack)
+        self._set(node, self._allocations[node] + amount)
 
     def assist(self, donor: str, recipient: str, amount: Fraction) -> None:
         if not self.is_member(donor) or not self.is_member(recipient):
@@ -173,8 +203,8 @@ class ResourcePool:
             raise MembershipError(
                 f"{donor} cannot donate {amount} from {self.allocation(donor)}"
             )
-        self.allocations[donor] -= amount
-        self.allocations[recipient] += amount
+        self._set(donor, self._allocations[donor] - amount)
+        self._set(recipient, self._allocations[recipient] + amount)
 
 
 @dataclass

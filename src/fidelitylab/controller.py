@@ -86,7 +86,7 @@ class MonitorState:
         return self.ewma - self._past[0]
 
 
-def monitor_step(state: MonitorState, sample: DeltaSample, regime=None) -> MonitorState:
+def monitor_step(state: MonitorState, sample: DeltaSample) -> MonitorState:
     """Fold one sample into the monitor. Samples must arrive in time order."""
     if state.last_time is not None and sample.time <= state.last_time:
         raise SequencingError(

@@ -250,7 +250,6 @@ class RunResult:
     node_modes: dict[str, list[Optional[Mode]]] = field(default_factory=dict)
     node_verdicts: dict[str, list[Safety]] = field(default_factory=dict)
     identity_rows: list[tuple[float, str, str]] = field(default_factory=list)
-    regime_rows: list[tuple[float, str]] = field(default_factory=list)
     failure_events: list[tuple[str, IdentityFailureEvent]] = field(default_factory=list)
     changes: list[ChangeRecord] = field(default_factory=list)
     pool_log: list[tuple[float, str, float, float]] = field(default_factory=list)
@@ -786,6 +785,8 @@ def _execute(
         for node in nodes:
             if node.spec.member:
                 pool.join(node.name)
+        social_states = {node.name: node.social_state for node in nodes}
+        assist_quantum = Fraction(str(pool_spec.assist_quantum))
 
     episodes = list(enumerate(scenario.shocks))
     applied_shocks = [False] * len(scenario.shocks)
@@ -821,7 +822,6 @@ def _execute(
         regime = label_regime(list(env_history), scenario.turbulence_threshold)
         env = replace(env, regime=regime)
         env_history[-1] = env
-        result.regime_rows.append((t, regime.value))
         for index in opened_now:
             # A strategy already in force when the shock lands owns the episode.
             for node in nodes:
@@ -881,7 +881,7 @@ def _execute(
             stage("controller")
             mode: Optional[Mode] = None
             if node.monitor is not None:
-                monitor_step(node.monitor, sample, regime.value)
+                monitor_step(node.monitor, sample)
                 verdict = assess_safety(
                     node.monitor, node.controller_spec.safety, node.status
                 )
@@ -935,8 +935,7 @@ def _execute(
         if pool is not None:
             for node, social_action, episode_index in pending_social:
                 ok = apply_social_action(
-                    pool, node.name, social_action,
-                    states={m.name: m.social_state for m in nodes},
+                    pool, node.name, social_action, states=social_states
                 )
                 if not ok:
                     result.changes.append(
@@ -966,14 +965,11 @@ def _execute(
                     node.name, node.status, node.social, pool, neighbors,
                     node.social_state, utilization=node.utilization,
                     calm_window=pool_spec.calm_window,
-                    assist_quantum=Fraction(str(pool_spec.assist_quantum)),
+                    assist_quantum=assist_quantum,
                     reciprocation_weight=pool_spec.reciprocation_weight,
                 )
                 if decision is not None:
-                    apply_social_action(
-                        pool, node.name, decision,
-                        states={m.name: m.social_state for m in nodes},
-                    )
+                    apply_social_action(pool, node.name, decision, states=social_states)
             if not pool.conserved():
                 result.pool_violations += 1
             reserve = float(pool.reserve)

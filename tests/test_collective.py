@@ -27,6 +27,30 @@ def make_pool(total=4, join_allocation=1, floor=0, members=()):
     return pool
 
 
+def pool_views(pool, names):
+    """Reserve, and each name's slack and free capacity, as the pool reports them."""
+    return (
+        pool.reserve,
+        [pool.slack(n) for n in names],
+        [pool.free_capacity(n) for n in names],
+    )
+
+
+def summed_views(allocations, total, floor, names):
+    """The same views re-summed from an allocation snapshot, with no cache."""
+    reserve = total - sum(allocations.values(), Fraction(0))
+
+    def slack(n):
+        return max(Fraction(0), allocations.get(n, Fraction(0)) - floor)
+
+    return (
+        reserve,
+        [slack(n) for n in names],
+        [reserve + sum((slack(m) for m in allocations if m != n), Fraction(0))
+         for n in names],
+    )
+
+
 class TestPoolMechanics:
     def test_join_then_leave_restores_pool(self):
         pool = make_pool()
@@ -55,11 +79,9 @@ class TestPoolMechanics:
 
     def test_grab_proportional_slack_reduction(self):
         # oracle in exact rationals: grab 1 against slacks {2, 1, 1}
-        pool = make_pool(total=4, join_allocation=0,
+        pool = make_pool(total=4, join_allocation=1,
                          members=["victim1", "victim2", "victim3", "grabber"])
-        pool.allocations["victim1"] = Fraction(2)
-        pool.allocations["victim2"] = Fraction(1)
-        pool.allocations["victim3"] = Fraction(1)
+        pool.assist("grabber", "victim1", Fraction(1))  # victims 2/1/1, grabber 0
         assert pool.reserve == 0
         pool.grab("grabber", Fraction(1))
         assert pool.allocations["victim1"] == Fraction(2) - Fraction(1, 2)
@@ -88,6 +110,28 @@ class TestPoolMechanics:
         with pytest.raises(MembershipError):
             pool.grab("a", Fraction(10))
         assert pool.snapshot() == before
+
+    def test_allocations_are_read_only(self):
+        pool = make_pool(members=["a"])
+        with pytest.raises(TypeError):
+            pool.allocations["a"] = Fraction(3)
+        assert pool.allocation("a") == 1 and pool.conserved()
+
+    def test_stale_cache_breaks_conservation_check(self):
+        pool = ResourcePool(total=2, floor=Fraction(1, 2), join_allocation=1)
+        pool.join("a")
+        pool.join("b")
+        assert pool.conserved()
+        pool._reserve += Fraction(1, 7)
+        assert not pool.conserved()
+        pool._reserve -= Fraction(1, 7)
+        pool._slack_total += Fraction(1, 7)
+        assert not pool.conserved()
+        pool._slack_total -= Fraction(1, 7)
+        pool._slack_members.discard("a")
+        assert not pool.conserved()
+        pool._slack_members.add("a")
+        assert pool.conserved()
 
     def test_assist_needs_balance(self):
         pool = make_pool(members=["a", "b"])
@@ -123,13 +167,15 @@ class TestApplySocialAction:
         pool = make_pool(members=["a"])
         assert not apply_social_action(pool, "a", SocialAction.assist("a", Fraction(1)))
 
-    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
+    @given(st.sampled_from([Fraction(0), Fraction(1, 3)]),
+           st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
                               st.sampled_from(["join", "leave", "grab", "assist"]),
                               st.integers(1, 3)),
                     max_size=40))
     @settings(max_examples=60)
-    def test_conservation_over_any_action_sequence(self, script):
-        pool = make_pool(total=6, join_allocation=2)
+    def test_conservation_over_any_action_sequence(self, floor, script):
+        names = ["a", "b", "c"]
+        pool = make_pool(total=6, join_allocation=2, floor=floor)
         for actor, verb, amount in script:
             if verb == "join":
                 action = SocialAction.join()
@@ -140,8 +186,14 @@ class TestApplySocialAction:
             else:
                 target = {"a": "b", "b": "c", "c": "a"}[actor]
                 action = SocialAction.assist(target, Fraction(amount, 3))
-            apply_social_action(pool, actor, action)
+            before = (pool.snapshot(), pool_views(pool, names))
+            ok = apply_social_action(pool, actor, action)
             assert pool.conserved()
+            if not ok:
+                assert (pool.snapshot(), pool_views(pool, names)) == before
+            assert pool_views(pool, names) == summed_views(
+                pool.snapshot(), pool.total, floor, names
+            )
 
 
 class TestDecide:

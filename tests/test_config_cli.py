@@ -257,6 +257,43 @@ class TestCmdBatch:
         assert sha256(seq / "summary.csv") == sha256(par / "summary.csv")
         assert sha256(seq / "scenario-seed8" / "ticks.csv") == sha256(par / "scenario-seed8" / "ticks.csv")
 
+    @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (None, None)])
+    def test_jobs_clamped_to_runs_and_cores(self, tmp_path, monkeypatch, cpus, expected):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingExecutor:
+            """Runs the map in process; records the worker count asked for."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        write_config(tmp_path, MINIMAL, name="scenario.yaml")
+        out = tmp_path / "batch"
+        code = cmd_batch(str(tmp_path / "*.yaml"), reps=3, jobs=10_000, out=str(out))
+        assert code == EXIT_OK
+        # An unknown core count runs the batch in process, with no pool.
+        assert started == ([] if expected is None else [expected])
+        assert len((out / "summary.csv").read_text().strip().splitlines()) == 4
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        write_config(tmp_path, MINIMAL, name="scenario.yaml")
+        assert cmd_batch(str(tmp_path / "*.yaml"), reps=1, jobs=jobs) == EXIT_CONFIG
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
 
 class TestLoadFromDiskFormats:
     def test_json_config_accepted(self, tmp_path):
