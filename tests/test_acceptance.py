@@ -432,39 +432,40 @@ def test_criterion_10_pool_conservation(population_trials):
 # -- criterion 9: determinism ---------------------------------------------------
 
 
-def test_criterion_9_byte_identical_reruns(tmp_path):
-    def scenario():
-        return Scenario(
-            name="det", duration=60.0, dt=0.1, seed=31,
-            figures=[FigureSpec(name="f", initial=0.0,
-                                process=LinearDrift(rate=0.005))],
-            shocks=_shock_train(3, 18.0, 6.0),
-            pool=PoolSpec(total=2.0, join_allocation=0.25),
-            nodes=[
-                NodeSpec(
-                    name="n0",
-                    channel=ChannelSpec(gain=1.05, nominal_gain=1.0,
-                                        noise_std=0.01, quantization=0.001,
-                                        sampling_period=0.2, latency=0.1),
-                    contract=ContractSpec(identity=IdentityClass.hard(0.2), window=20),
-                    detector=DetectorConfig(slack=0.02, threshold=0.3),
-                    behavior=Reactive(feedback_gain=0.5),
-                    social=SocialBehavior.NEUTRAL,
-                    member=True,
-                    controller=ControllerSpec(catalog=(
-                        Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                                 behavior_spec={"kind": "reactive", "gain": 1.0}),
-                        Strategy(id="careful", kind=StrategyKind.RECONFIGURE,
-                                 behavior_spec={"kind": "predictive", "k": 1,
-                                                "window": 8}),
-                    )),
-                ),
-            ],
-        )
+def _determinism_scenario():
+    return Scenario(
+        name="det", duration=60.0, dt=0.1, seed=31,
+        figures=[FigureSpec(name="f", initial=0.0,
+                            process=LinearDrift(rate=0.005))],
+        shocks=_shock_train(3, 18.0, 6.0),
+        pool=PoolSpec(total=2.0, join_allocation=0.25),
+        nodes=[
+            NodeSpec(
+                name="n0",
+                channel=ChannelSpec(gain=1.05, nominal_gain=1.0,
+                                    noise_std=0.01, quantization=0.001,
+                                    sampling_period=0.2, latency=0.1),
+                contract=ContractSpec(identity=IdentityClass.hard(0.2), window=20),
+                detector=DetectorConfig(slack=0.02, threshold=0.3),
+                behavior=Reactive(feedback_gain=0.5),
+                social=SocialBehavior.NEUTRAL,
+                member=True,
+                controller=ControllerSpec(catalog=(
+                    Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
+                             behavior_spec={"kind": "reactive", "gain": 1.0}),
+                    Strategy(id="careful", kind=StrategyKind.RECONFIGURE,
+                             behavior_spec={"kind": "predictive", "k": 1,
+                                            "window": 8}),
+                )),
+            ),
+        ],
+    )
 
+
+def test_criterion_9_byte_identical_reruns(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    export_run(run_scenario(scenario()), str(out_a))
-    export_run(run_scenario(scenario()), str(out_b))
+    export_run(run_scenario(_determinism_scenario()), str(out_a))
+    export_run(run_scenario(_determinism_scenario()), str(out_b))
     for name in ("ticks.csv", "episodes.csv", "report.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     flag(9, "ticks.csv, episodes.csv and report.json byte-identical across reruns")

@@ -1,23 +1,37 @@
 """Golden export digests: the same scenario and seed give the same bytes
 across versions of the code, not only across reruns (criterion 9).
 
-The corpus is the criterion-8 diverse design mix at 32 nodes over an
-exact-rational pool, at two seeds; the individualistic nodes drain the
-reserve and then the other members' slack, so the pool's pro-rata path is
-exercised. A change that moves a digest must say why in CHANGES.md.
-Regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``.
+Two corpora, each a SHA-256 digest of every file ``export_run`` writes:
+
+* ``pool_population.json``: the criterion-8 diverse design mix at 32 nodes
+  over an exact-rational pool, at two seeds; the individualistic nodes
+  drain the reserve and then the other members' slack, so the pool's
+  pro-rata path is exercised.
+* ``scenarios.json``: ``configs/demo.yaml``, the criterion-6 two-arm
+  scenario at seed 0, the criterion-7 ladder cut to its first 8 shocks
+  with learning on and off at seeds 0 and 1, and the criterion-9
+  determinism scenario. These are exported as ``fidelity-lab run`` writes
+  them, with the config echo in ``report.json``.
+
+A change that moves a digest must say why in CHANGES.md. Regenerate both
+files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from test_acceptance import _determinism_scenario, _ladder_scenario, _two_arm_scenario
 
 from fidelitylab.behavior import Predictive, Reactive
 from fidelitylab.collective import SocialBehavior
+from fidelitylab.config import load_config, scenario_to_config
 from fidelitylab.engine import (
     ChannelSpec,
     ContractSpec,
@@ -31,10 +45,12 @@ from fidelitylab.environment import ShockEvent
 from fidelitylab.identity import IdentityClass
 from fidelitylab.reporting import export_run
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pool_population.json")
+HERE = os.path.dirname(__file__)
+GOLDEN = os.path.join(HERE, "golden", "pool_population.json")
+SCENARIO_GOLDEN = os.path.join(HERE, "golden", "scenarios.json")
+DEMO = os.path.join(HERE, os.pardir, "configs", "demo.yaml")
 SEEDS = (202, 505)
 NODES = 32
-EXPORTS = ("ticks.csv", "episodes.csv", "report.json", "pool.csv")
 
 
 def _design(group):
@@ -74,25 +90,58 @@ def pool_population(seed):
     )
 
 
-def digests(seed):
+def _ladder_cut(seed, learning_enabled):
+    scenario = _ladder_scenario(seed, learning_enabled)
+    return replace(scenario, duration=225.0, shocks=scenario.shocks[:8])
+
+
+SCENARIOS = {
+    "demo": lambda: load_config(DEMO),
+    "two_arm_seed0": lambda: _two_arm_scenario(0),
+    "ladder_learn_seed0": lambda: _ladder_cut(0, True),
+    "ladder_fixed_seed0": lambda: _ladder_cut(0, False),
+    "ladder_learn_seed1": lambda: _ladder_cut(1, True),
+    "ladder_fixed_seed1": lambda: _ladder_cut(1, False),
+    "det": _determinism_scenario,
+}
+
+
+def digests(scenario, echo=False):
     with tempfile.TemporaryDirectory() as outdir:
-        export_run(run_scenario(pool_population(seed)), outdir)
+        result = run_scenario(scenario)
+        if echo:
+            result.config_echo = scenario_to_config(scenario)
         return {
-            name: hashlib.sha256(Path(outdir, name).read_bytes()).hexdigest()
-            for name in EXPORTS
+            os.path.basename(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in export_run(result, outdir)
         }
 
 
+def _load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_pool_population_exports_match_golden_digests():
-    with open(GOLDEN, encoding="utf-8") as fh:
-        golden = json.load(fh)
+    golden = _load(GOLDEN)
     for seed in SEEDS:
-        assert digests(seed) == golden[str(seed)], f"seed {seed}"
+        assert digests(pool_population(seed)) == golden[str(seed)], f"seed {seed}"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_exports_match_golden_digests(name):
+    assert digests(SCENARIOS[name](), echo=True) == _load(SCENARIO_GOLDEN)[name]
+
+
+def _write(path, document):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 if __name__ == "__main__":
-    document = {str(seed): digests(seed) for seed in SEEDS}
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(GOLDEN, {str(seed): digests(pool_population(seed)) for seed in SEEDS})
+    _write(SCENARIO_GOLDEN, {
+        name: digests(build(), echo=True) for name, build in SCENARIOS.items()
+    })
