@@ -51,7 +51,7 @@ from .controller import (
     Strategy,
     StrategyKind,
     assess_safety,
-    evaluate_and_learn,
+    compute_reward,
     monitor_step,
 )
 from .environment import (
@@ -63,7 +63,7 @@ from .environment import (
     label_regime,
     step_environment,
 )
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError, DivergenceError, InsufficientDataError
 from .identity import (
     ContractStatus,
     DetectorConfig,
@@ -187,7 +187,6 @@ class Scenario:
     regime_window: int = 20
     antifragility_threshold: float = 0.02
     record_identity: bool = True
-    instrument: bool = False
 
 
 # -- run products -----------------------------------------------------------
@@ -260,7 +259,6 @@ class RunResult:
     baselines: dict[str, float] = field(default_factory=dict)
     antifragility: Optional[AntifragilityReport] = None
     node_antifragility: dict[str, AntifragilityReport] = field(default_factory=dict)
-    stage_log: list[str] = field(default_factory=list)
     config_echo: Optional[dict] = None
 
 
@@ -423,11 +421,13 @@ class SimNode:
         self.noise_std = ch.noise_std
         self.quantization = ch.quantization
         self.latency = ch.latency
-        self.sampling_period = ch.sampling_period
         self.period_ticks = max(1, round(ch.sampling_period / scenario.dt))
         self.bias_drift = copy.deepcopy(ch.bias_drift)
         self.nominal_gain = ch.nominal_gain
         self.nominal_bias = ch.nominal_bias
+        self.noise_rng = substream(scenario.seed, "node", spec.name, "noise")
+        self.bias_rng = substream(scenario.seed, "node", spec.name, "bias-drift")
+        self.select_rng = substream(scenario.seed, "node", spec.name, "select")
 
         self.correction_bias = 0.0
         self.correction_gain = 1.0
@@ -489,9 +489,11 @@ class SimNode:
         self.utilization: Optional[float] = None
         self.status: Optional[ContractStatus] = None
         self.obs_history: deque[HistoryEntry] = deque(maxlen=32)
-        self.episode_strategy: dict[int, Optional[str]] = {}
-        self.episode_regime: dict[int, str] = {}
-        self.episode_failed: dict[int, bool] = {}
+        # Episode index -> (strategy in force, regime label at selection),
+        # only for shocks on this node's figure; `failed` holds the episodes
+        # whose social strategy the pool rejected.
+        self.credit: dict[int, tuple[Strategy, str]] = {}
+        self.failed: set[int] = set()
 
     # -- channel ------------------------------------------------------------
 
@@ -506,9 +508,9 @@ class SimNode:
             latency=self.latency,
         )
 
-    def sense_if_due(self, tick: int, t: float, raw: float, rng) -> None:
+    def sense_if_due(self, tick: int, t: float, raw: float) -> None:
         if tick % self.period_ticks == 0:
-            self.pending_qualia.append(sense(self.reflective_map(), raw, t, rng))
+            self.pending_qualia.append(sense(self.reflective_map(), raw, t, self.noise_rng))
 
     def visible_value(self, t: float, initial_raw: float) -> float:
         arrived = [q for q in self.pending_qualia if q.acquired_at <= t + TIME_EPS]
@@ -741,250 +743,258 @@ def _execute(
     passive_override: bool,
     resume_learning: Optional[dict[str, dict]] = None,
 ) -> RunResult:
-    result = RunResult(scenario_name=scenario.name, seed=scenario.seed)
-    dt = scenario.dt
-    n_ticks = round(scenario.duration / dt)
+    run = _Run(scenario, baselines, passive_override, resume_learning)
+    for tick in range(1, round(scenario.duration / scenario.dt) + 1):
+        t = tick * scenario.dt
+        run.boundary()
+        run.environment(t)
+        for node in run.nodes:
+            run.sensing(node, tick, t)
+            sample = run.delta(node, tick, t)
+            run.identity(node, t, sample)
+            run.controller(node, t, sample)
+            run.behavior(node, t, sample)
+        run.collective(t)
+        run.metrics(t)
+    return run.wrap_up()
 
-    env = EnvState(time=0.0, figures=tuple(f.initial for f in scenario.figures))
-    initial_figures = env.figures
-    processes = [copy.deepcopy(f.process) for f in scenario.figures]
-    figure_rngs = [
-        substream(scenario.seed, "figure", i, "drift")
-        for i in range(len(scenario.figures))
-    ]
-    env_history: deque[EnvState] = deque(maxlen=scenario.regime_window + 1)
-    env_history.append(env)
 
-    nodes = [SimNode(spec, scenario, passive_override) for spec in scenario.nodes]
-    node_rngs = {
-        node.name: {
-            "noise": substream(scenario.seed, "node", node.name, "noise"),
-            "bias": substream(scenario.seed, "node", node.name, "bias-drift"),
-            "select": substream(scenario.seed, "node", node.name, "select"),
-        }
-        for node in nodes
-    }
-    if resume_learning and not passive_override:
-        for node in nodes:
-            doc = resume_learning.get(node.name)
-            if doc is not None:
-                if node.learning is None:
-                    raise ConfigurationError(
-                        [f"nodes[{node.name}]: resume state for a node without learning"]
-                    )
-                node.learning.load_document(doc)
+class _Run:
+    """State of one execution. Its methods are the tick stages, in order."""
 
-    pool: Optional[ResourcePool] = None
-    pool_spec = scenario.pool
-    if pool_spec is not None and not passive_override:
-        pool = ResourcePool(
-            total=Fraction(str(pool_spec.total)),
-            floor=Fraction(str(pool_spec.floor)),
-            join_allocation=Fraction(str(pool_spec.join_allocation)),
+    def __init__(
+        self,
+        scenario: Scenario,
+        baselines: dict[str, float],
+        passive_override: bool,
+        resume_learning: Optional[dict[str, dict]],
+    ):
+        self.scenario = scenario
+        self.baselines = baselines
+        self.result = RunResult(scenario_name=scenario.name, seed=scenario.seed)
+        self.env = EnvState(time=0.0, figures=tuple(f.initial for f in scenario.figures))
+        self.initial_figures = self.env.figures
+        self.processes = [copy.deepcopy(f.process) for f in scenario.figures]
+        self.figure_rngs = [
+            substream(scenario.seed, "figure", i, "drift")
+            for i in range(len(scenario.figures))
+        ]
+        self.env_history: deque[EnvState] = deque(
+            [self.env], maxlen=scenario.regime_window + 1
         )
-        for node in nodes:
-            if node.spec.member:
-                pool.join(node.name)
-        social_states = {node.name: node.social_state for node in nodes}
-        assist_quantum = Fraction(str(pool_spec.assist_quantum))
+        self.shocks = scenario.shocks
+        self.next_shock = 0  # shocks before this index have landed
+        self.open: list[int] = []  # landed, not yet closed, in index order
+        self.pending_social: list[tuple[SimNode, SocialAction, Optional[int]]] = []
 
-    episodes = list(enumerate(scenario.shocks))
-    applied_shocks = [False] * len(scenario.shocks)
-    open_episodes: set[int] = set()
-    closed_episodes: set[int] = set()
-    pending_social: list[tuple[SimNode, SocialAction, Optional[int]]] = []
+        self.nodes = [SimNode(spec, scenario, passive_override) for spec in scenario.nodes]
+        if resume_learning and not passive_override:
+            for node in self.nodes:
+                doc = resume_learning.get(node.name)
+                if doc is not None:
+                    if node.learning is None:
+                        raise ConfigurationError(
+                            [f"nodes[{node.name}]: resume state for a node without learning"]
+                        )
+                    node.learning.load_document(doc)
 
-    # Initial sensing at t=0 so slow channels have a value to hold.
-    for node in nodes:
-        node.sense_if_due(0, 0.0, env.figures[node.figure], node_rngs[node.name]["noise"])
+        self.pool: Optional[ResourcePool] = None
+        self.pool_spec = scenario.pool
+        if self.pool_spec is not None and not passive_override:
+            spec = self.pool_spec
+            self.pool = ResourcePool(
+                total=Fraction(str(spec.total)),
+                floor=Fraction(str(spec.floor)),
+                join_allocation=Fraction(str(spec.join_allocation)),
+            )
+            for node in self.nodes:
+                if node.spec.member:
+                    self.pool.join(node.name)
+            self.social_states = {node.name: node.social_state for node in self.nodes}
+            self.assist_quantum = Fraction(str(spec.assist_quantum))
 
-    def stage(label: str) -> None:
-        if scenario.instrument:
-            result.stage_log.append(label)
+        # Initial sensing at t=0 so slow channels have a value to hold.
+        for node in self.nodes:
+            node.sense_if_due(0, 0.0, self.env.figures[node.figure])
 
-    for tick in range(1, n_ticks + 1):
-        t = tick * dt
-
-        stage("boundary")
-        for node in nodes:
+    def boundary(self) -> None:
+        for node in self.nodes:
             node.apply_pending()
 
-        stage("environment")
-        env = step_environment(env, processes, dt, figure_rngs)
-        opened_now = []
-        for index, shock in episodes:
-            if not applied_shocks[index] and shock.at <= t + TIME_EPS:
-                env = apply_shock(env, shock)
-                applied_shocks[index] = True
-                open_episodes.add(index)
-                opened_now.append(index)
-        env_history.append(env)
-        regime = label_regime(list(env_history), scenario.turbulence_threshold)
-        env = replace(env, regime=regime)
-        env_history[-1] = env
-        for index in opened_now:
+    def environment(self, t: float) -> None:
+        env = step_environment(
+            self.env, self.processes, self.scenario.dt, self.figure_rngs
+        )
+        landed = self.next_shock
+        while (
+            self.next_shock < len(self.shocks)
+            and self.shocks[self.next_shock].at <= t + TIME_EPS
+        ):
+            env = apply_shock(env, self.shocks[self.next_shock])
+            self.next_shock += 1
+        self.env_history.append(env)
+        regime = label_regime(list(self.env_history), self.scenario.turbulence_threshold)
+        self.env = self.env_history[-1] = replace(env, regime=regime)
+        for index in range(landed, self.next_shock):
+            self.open.append(index)
             # A strategy already in force when the shock lands owns the episode.
-            for node in nodes:
-                if node.active_strategy is not None:
-                    node.episode_strategy.setdefault(index, node.active_strategy.id)
-                    node.episode_regime.setdefault(index, regime.value)
+            for node in self.nodes:
+                if node.active_strategy is not None and node.figure == self.shocks[index].figure:
+                    node.credit.setdefault(index, (node.active_strategy, regime.value))
 
-        for node in nodes:
-            rngs = node_rngs[node.name]
+    def sensing(self, node: SimNode, tick: int, t: float) -> None:
+        if node.bias_drift is not None:
+            node.bias = node.bias_drift.step(node.bias, self.scenario.dt, node.bias_rng)
+        node.last_raw = self.env.figures[node.figure]
+        node.sense_if_due(tick, t, node.last_raw)
+        node.last_reported = (
+            node.correction_gain
+            * node.visible_value(t, self.initial_figures[node.figure])
+            + node.correction_bias
+        )
 
-            stage("sensing")
-            if node.bias_drift is not None:
-                node.bias = node.bias_drift.step(node.bias, dt, rngs["bias"])
-            raw = env.figures[node.figure]
-            node.sense_if_due(tick, t, raw, rngs["noise"])
-            reported = (
-                node.correction_gain * node.visible_value(t, initial_figures[node.figure])
-                + node.correction_bias
+    def delta(self, node: SimNode, tick: int, t: float) -> DeltaSample:
+        ideal = ideal_reflection(node.nominal_gain, node.nominal_bias, node.last_raw)
+        delta = node.last_reported - ideal
+        if not math.isfinite(delta):
+            raise DivergenceError(
+                f"node {node.name!r} diverged: non-finite delta at tick {tick} (t={t})"
             )
-            node.last_reported = reported
-            node.last_raw = raw
+        sample = DeltaSample(time=t, figure=node.figure, delta=delta)
+        node.window.append(sample)
+        node.times.append(t)
+        node.deltas.append(delta)
+        return sample
 
-            stage("delta")
-            ideal = ideal_reflection(node.nominal_gain, node.nominal_bias, raw)
-            sample = DeltaSample(time=t, figure=node.figure, delta=reported - ideal)
-            node.window.append(sample)
-            node.times.append(t)
-            node.deltas.append(sample.delta)
-
-            stage("identity")
-            if node.contract is not None:
-                node.status = check_contract(
-                    list(node.window), node.contract.identity,
-                    node.contract.at_risk_margin,
-                )
-                node.utilization = contract_utilization(
-                    list(node.window), node.contract.identity
-                )
-                if scenario.record_identity:
-                    label = classify_trace(
-                        list(node.window),
-                        node.contract.timeline_candidate(),
-                        window=len(node.window),
-                    ).label()
-                    result.identity_rows.append((t, node.name, label))
-                if node.detector is not None:
-                    event = node.detector.update(sample)
-                    if event is not None:
-                        result.failure_events.append((node.name, event))
-            else:
-                node.status = None
-                node.utilization = None
-                if scenario.record_identity:
-                    result.identity_rows.append((t, node.name, IdentityKind.NON_RT.value))
-            node.statuses.append(node.status)
-
-            stage("controller")
-            mode: Optional[Mode] = None
-            if node.monitor is not None:
-                monitor_step(node.monitor, sample)
-                verdict = assess_safety(
-                    node.monitor, node.controller_spec.safety, node.status
-                )
-                node.verdicts.append(verdict)
-                previous = node.mode_controller.mode
-                mode = node.mode_controller.step(verdict)
-                if mode is Mode.RESILIENT:
-                    if (
-                        node.active_strategy is None
-                        and node.controller_spec.catalog
-                    ):
-                        node.overhead += 1
-                        if node.controller_spec.learning_enabled:
-                            strategy = node.learning.select(regime.value, rngs["select"])
-                        else:
-                            strategy = node.controller_spec.catalog[0]
-                        node.active_strategy = strategy
-                        record, social_action = enact_strategy(node, strategy, t)
-                        current_episode = _containing_episode(episodes, t)
-                        if social_action is not None:
-                            pending_social.append((node, social_action, current_episode))
-                        result.changes.append(record)
-                        if current_episode is not None and current_episode in open_episodes:
-                            node.episode_strategy.setdefault(current_episode, strategy.id)
-                            node.episode_regime.setdefault(current_episode, regime.value)
-                elif previous is Mode.RESILIENT and mode is Mode.ELASTIC:
-                    # Back to the cheap path: restore the elastic design.
-                    node.pending_behavior = copy.deepcopy(node.elastic_behavior)
-                    node.active_strategy = None
-            node.modes.append(mode)
-
-            stage("behavior")
-            obs = Observation(
-                latest=sample,
-                goal_margin=node.utilization,
-                history=tuple(node.obs_history),
-                context=env.figures,
-                correction=node.correction_bias,
-            )
-            action = node.behavior.act(obs)
-            node.obs_history.append(
-                HistoryEntry(
-                    time=t, delta=sample.delta,
-                    context=env.figures, correction=node.correction_bias,
-                )
-            )
-            capacity = _capacity(pool, pool_spec, node)
-            node.apply_action(action, capacity)
-
-        stage("collective")
-        if pool is not None:
-            for node, social_action, episode_index in pending_social:
-                ok = apply_social_action(
-                    pool, node.name, social_action, states=social_states
-                )
-                if not ok:
-                    result.changes.append(
-                        ChangeRecord(
-                            time=t, node=node.name,
-                            strategy_id=node.active_strategy.id
-                            if node.active_strategy else "",
-                            kind="social", ok=False,
-                            pre="", post="infeasible",
-                        )
-                    )
-                    if episode_index is not None:
-                        node.episode_failed[episode_index] = True
-            pending_social.clear()
-            neighbors = [
-                NeighborView(name=m.name, status=m.status, utilization=m.utilization)
-                for m in nodes
-            ]
-            for node in nodes:
-                if node.social is None:
-                    continue
-                if node.status is ContractStatus.HOLDING:
-                    node.social_state.calm_ticks += 1
-                else:
-                    node.social_state.calm_ticks = 0
-                decision = decide_social_action(
-                    node.name, node.status, node.social, pool, neighbors,
-                    node.social_state, utilization=node.utilization,
-                    calm_window=pool_spec.calm_window,
-                    assist_quantum=assist_quantum,
-                    reciprocation_weight=pool_spec.reciprocation_weight,
-                )
-                if decision is not None:
-                    apply_social_action(pool, node.name, decision, states=social_states)
-            if not pool.conserved():
-                result.pool_violations += 1
-            reserve = float(pool.reserve)
-            for node in nodes:
-                result.pool_log.append(
-                    (t, node.name, float(pool.allocation(node.name)), reserve)
-                )
+    def identity(self, node: SimNode, t: float, sample: DeltaSample) -> None:
+        if node.contract is None:
+            node.status = None
+            node.utilization = None
+            if self.scenario.record_identity:
+                self.result.identity_rows.append((t, node.name, IdentityKind.NON_RT.value))
         else:
-            pending_social.clear()
+            window = list(node.window)
+            contract = node.contract
+            node.status = check_contract(window, contract.identity, contract.at_risk_margin)
+            node.utilization = contract_utilization(window, contract.identity)
+            if self.scenario.record_identity:
+                label = classify_trace(
+                    window, contract.timeline_candidate(), window=len(window)
+                ).label()
+                self.result.identity_rows.append((t, node.name, label))
+            if node.detector is not None:
+                event = node.detector.update(sample)
+                if event is not None:
+                    self.result.failure_events.append((node.name, event))
+        node.statuses.append(node.status)
 
-        stage("metrics")
-        for node in nodes:
+    def controller(self, node: SimNode, t: float, sample: DeltaSample) -> None:
+        mode: Optional[Mode] = None
+        if node.monitor is not None:
+            ctrl = node.controller_spec
+            monitor_step(node.monitor, sample)
+            verdict = assess_safety(node.monitor, ctrl.safety, node.status)
+            node.verdicts.append(verdict)
+            previous = node.mode_controller.mode
+            mode = node.mode_controller.step(verdict)
+            if mode is Mode.RESILIENT:
+                if node.active_strategy is None and ctrl.catalog:
+                    self._select(node, t)
+            elif previous is Mode.RESILIENT:
+                # Back to the cheap path: restore the elastic design.
+                node.pending_behavior = copy.deepcopy(node.elastic_behavior)
+                node.active_strategy = None
+        node.modes.append(mode)
+
+    def _select(self, node: SimNode, t: float) -> None:
+        ctrl = node.controller_spec
+        regime = self.env.regime.value
+        node.overhead += 1
+        if ctrl.learning_enabled:
+            strategy = node.learning.select(regime, node.select_rng)
+        else:
+            strategy = ctrl.catalog[0]
+        node.active_strategy = strategy
+        record, social_action = enact_strategy(node, strategy, t)
+        self.result.changes.append(record)
+        episode = next(
+            (
+                index for index in self.open
+                if self.shocks[index].figure == node.figure
+                and t <= self.shocks[index].at + self.shocks[index].recovery_window + TIME_EPS
+            ),
+            None,
+        )
+        if episode is not None:
+            node.credit.setdefault(episode, (strategy, regime))
+        if social_action is not None:
+            self.pending_social.append((node, social_action, episode))
+
+    def behavior(self, node: SimNode, t: float, sample: DeltaSample) -> None:
+        obs = Observation(
+            latest=sample,
+            goal_margin=node.utilization,
+            history=tuple(node.obs_history),
+            context=self.env.figures,
+            correction=node.correction_bias,
+        )
+        action = node.behavior.act(obs)
+        node.obs_history.append(
+            HistoryEntry(
+                time=t, delta=sample.delta,
+                context=self.env.figures, correction=node.correction_bias,
+            )
+        )
+        node.apply_action(action, _capacity(self.pool, self.pool_spec, node))
+
+    def collective(self, t: float) -> None:
+        pool, spec = self.pool, self.pool_spec
+        if pool is None:
+            self.pending_social.clear()
+            return
+        for node, social_action, episode in self.pending_social:
+            if not apply_social_action(pool, node.name, social_action, states=self.social_states):
+                self.result.changes.append(
+                    ChangeRecord(
+                        time=t, node=node.name,
+                        strategy_id=node.active_strategy.id if node.active_strategy else "",
+                        kind="social", ok=False, pre="", post="infeasible",
+                    )
+                )
+                if episode is not None:
+                    node.failed.add(episode)
+        self.pending_social.clear()
+        neighbors = [
+            NeighborView(name=m.name, status=m.status, utilization=m.utilization)
+            for m in self.nodes
+        ]
+        for node in self.nodes:
+            if node.social is None:
+                continue
+            if node.status is ContractStatus.HOLDING:
+                node.social_state.calm_ticks += 1
+            else:
+                node.social_state.calm_ticks = 0
+            decision = decide_social_action(
+                node.name, node.status, node.social, pool, neighbors,
+                node.social_state, utilization=node.utilization,
+                calm_window=spec.calm_window,
+                assist_quantum=self.assist_quantum,
+                reciprocation_weight=spec.reciprocation_weight,
+            )
+            if decision is not None:
+                apply_social_action(pool, node.name, decision, states=self.social_states)
+        if not pool.conserved():
+            self.result.pool_violations += 1
+        reserve = float(pool.reserve)
+        for node in self.nodes:
+            self.result.pool_log.append((t, node.name, float(pool.allocation(node.name)), reserve))
+
+    def metrics(self, t: float) -> None:
+        for node in self.nodes:
             mode = node.modes[-1]
             status = node.statuses[-1]
-            result.ticks.append(
+            self.result.ticks.append(
                 TickRow(
                     time=t, node=node.name, figure=node.figure,
                     raw=node.last_raw,
@@ -994,82 +1004,64 @@ def _execute(
                     contract_status=status.value if status is not None else "",
                 )
             )
-
-        for index, shock in episodes:
+        still_open = []
+        for index in self.open:
+            shock = self.shocks[index]
             end = shock.at + shock.recovery_window
-            if index in open_episodes and index not in closed_episodes and t >= end - TIME_EPS:
-                closed_episodes.add(index)
-                for node in nodes:
-                    strategy_id = node.episode_strategy.get(index)
-                    if (
-                        strategy_id is not None
-                        and node.learning is not None
-                        and node.controller_spec is not None
-                        and node.controller_spec.learning_enabled
-                    ):
-                        node.overhead += 1
-                        cost = episode_cost(node.times, node.deltas, shock.at, end)
-                        baseline = baselines.get(node.name, 1.0)
-                        strategy = next(
-                            s for s in node.learning.catalog if s.id == strategy_id
-                        )
-                        if node.episode_failed.get(index):
-                            node.learning.update(
-                                node.episode_regime.get(index, regime.value),
-                                strategy_id, 0.0, index,
-                            )
-                        else:
-                            evaluate_and_learn(
-                                node.learning, cost, baseline, strategy,
-                                node.episode_regime.get(index, regime.value), index,
-                            )
-                    # The episode's outcome is measured: while conditions stay
-                    # unsafe the loop plans again, so a still-resilient node
-                    # reselects on the next tick.
-                    if node.episode_strategy.get(index) is not None:
-                        node.active_strategy = None
+            if t >= end - TIME_EPS:
+                self._close(index, shock.at, end)
+            else:
+                still_open.append(index)
+        self.open = still_open
 
-    # -- wrap-up ---------------------------------------------------------
+    def _close(self, index: int, start: float, end: float) -> None:
+        for node in self.nodes:
+            credit = node.credit.get(index)
+            if credit is None:
+                continue
+            strategy, regime = credit
+            if node.learning is not None and node.controller_spec.learning_enabled:
+                node.overhead += 1
+                if index in node.failed:
+                    reward = 0.0
+                else:
+                    cost = episode_cost(node.times, node.deltas, start, end)
+                    reward = compute_reward(cost, self.baselines.get(node.name, 1.0))
+                node.learning.update(regime, strategy.id, reward, index)
+            # The episode's outcome is measured: while conditions stay unsafe
+            # the loop plans again, so a still-resilient node reselects on the
+            # next tick.
+            node.active_strategy = None
 
-    for node in nodes:
-        result.node_times[node.name] = node.times
-        result.node_deltas[node.name] = node.deltas
-        result.node_status[node.name] = node.statuses
-        result.node_modes[node.name] = node.modes
-        result.node_verdicts[node.name] = node.verdicts
-        result.overhead_counters[node.name] = node.overhead
-        if node.learning is not None:
-            result.learning_docs[node.name] = node.learning.to_document()
-        result.recovery.extend(
-            compute_recovery_metrics(
-                node.times, node.deltas, node.statuses, scenario.shocks,
-                node=node.name, strategies=node.episode_strategy,
+    def wrap_up(self) -> RunResult:
+        result, shocks = self.result, self.shocks
+        for node in self.nodes:
+            result.node_times[node.name] = node.times
+            result.node_deltas[node.name] = node.deltas
+            result.node_status[node.name] = node.statuses
+            result.node_modes[node.name] = node.modes
+            result.node_verdicts[node.name] = node.verdicts
+            result.overhead_counters[node.name] = node.overhead
+            if node.learning is not None:
+                result.learning_docs[node.name] = node.learning.to_document()
+            result.recovery.extend(
+                compute_recovery_metrics(
+                    node.times, node.deltas, node.statuses, shocks, node=node.name,
+                    strategies={i: s.id for i, (s, _) in node.credit.items()},
+                )
             )
-        )
 
-    if len(scenario.shocks) >= 4 and nodes:
-        per_episode = []
-        for index, _ in episodes:
-            costs = [m.cost for m in result.recovery if m.episode == index]
-            per_episode.append(float(np.mean(costs)))
-        result.antifragility = antifragility_score(
-            per_episode, scenario.antifragility_threshold
-        )
-        for node in nodes:
-            costs = [m.cost for m in result.recovery if m.node == node.name]
-            result.node_antifragility[node.name] = antifragility_score(
-                costs, scenario.antifragility_threshold
-            )
-    return result
-
-
-def _containing_episode(
-    episodes: list[tuple[int, ShockEvent]], t: float
-) -> Optional[int]:
-    for index, shock in episodes:
-        if shock.at - TIME_EPS <= t <= shock.at + shock.recovery_window + TIME_EPS:
-            return index
-    return None
+        if len(shocks) >= 4 and self.nodes:
+            threshold = self.scenario.antifragility_threshold
+            per_episode = [
+                float(np.mean([m.cost for m in result.recovery if m.episode == index]))
+                for index in range(len(shocks))
+            ]
+            result.antifragility = antifragility_score(per_episode, threshold)
+            for node in self.nodes:
+                costs = [m.cost for m in result.recovery if m.node == node.name]
+                result.node_antifragility[node.name] = antifragility_score(costs, threshold)
+        return result
 
 
 def _capacity(

@@ -21,6 +21,10 @@ class ConfigurationError(FidelityLabError):
         super().__init__("; ".join(self.problems))
 
 
+class DivergenceError(FidelityLabError):
+    """A run's numbers left the finite range (for example a runaway gain)."""
+
+
 class InsufficientDataError(FidelityLabError):
     """Not enough samples (or episodes) to evaluate the requested statistic."""
 

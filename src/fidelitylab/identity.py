@@ -211,7 +211,10 @@ def contract_utilization(
     samples = samples.samples if isinstance(samples, DeltaTrace) else list(samples)
     if not samples:
         raise InsufficientDataError("cannot check an empty window")
-    mags = np.abs([s.delta for s in samples])
+    return _utilization(np.abs([s.delta for s in samples]), contract)
+
+
+def _utilization(mags: np.ndarray, contract: IdentityClass) -> float:
     if contract.kind is IdentityKind.HARD_RT:
         return float(np.max(mags)) / contract.hard_threshold
     if contract.kind is IdentityKind.SOFT_RT:
@@ -242,7 +245,7 @@ def check_contract(
     mags = np.abs([s.delta for s in samples])
     if not _satisfies(mags, contract, contract.kind):
         return ContractStatus.VIOLATED
-    if contract_utilization(samples, contract) > at_risk_margin:
+    if _utilization(mags, contract) > at_risk_margin:
         return ContractStatus.AT_RISK
     return ContractStatus.HOLDING
 
@@ -255,7 +258,6 @@ class DetectorConfig:
     threshold: float = 0.2
     reference: float = 0.0
     window: int = 100  # samples kept for the direct contract check
-    at_risk_margin: float = DEFAULT_AT_RISK_MARGIN
 
     def validate(self) -> list[str]:
         problems = []
@@ -304,13 +306,9 @@ class IdentityFailureDetector:
         self._high = max(0.0, self._high + (x - self.config.reference) - self.config.slack)
         self._low = max(0.0, self._low + (self.config.reference - x) - self.config.slack)
         crossed = self._high > self.config.threshold or self._low > self.config.threshold
-        violated = (
-            check_contract(list(self._window), self.contract, self.config.at_risk_margin)
-            is ContractStatus.VIOLATED
-        )
-        if not (crossed or violated):
-            return None
         mags = np.abs([s.delta for s in self._window])
+        if not crossed and _satisfies(mags, self.contract, self.contract.kind):
+            return None
         event = IdentityFailureEvent(
             time=sample.time,
             figure=sample.figure,

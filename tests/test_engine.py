@@ -3,6 +3,7 @@ from statistics import median
 
 import pytest
 
+from fidelitylab import engine
 from fidelitylab.behavior import Passive, Reactive
 from fidelitylab.collective import SocialBehavior
 from fidelitylab.controller import (
@@ -129,19 +130,29 @@ class TestRunBasics:
         noisy_b = run_scenario(scenario(2, 0.1)).node_deltas["n0"]
         assert noisy_a != noisy_b
 
-    def test_tick_stage_order_contract(self):
-        scenario = Scenario(
-            duration=0.2, dt=0.1, instrument=True,
-            figures=[FigureSpec(name="f")],
-            pool=PoolSpec(total=1.0),
-            nodes=[perfect_node("a"), perfect_node("b")],
-        )
-        result = run_scenario(scenario)
+    def test_tick_stage_order_contract(self, monkeypatch):
         per_node = ["sensing", "delta", "identity", "controller", "behavior"]
         expected_tick = (
             ["boundary", "environment"] + per_node * 2 + ["collective", "metrics"]
         )
-        assert result.stage_log == expected_tick * 2  # two ticks
+        stage_log = []
+
+        def logged(name, stage):
+            def wrapper(*args, **kwargs):
+                stage_log.append(name)
+                return stage(*args, **kwargs)
+            return wrapper
+
+        for name in set(expected_tick):
+            monkeypatch.setattr(engine._Run, name, logged(name, getattr(engine._Run, name)))
+        scenario = Scenario(
+            duration=0.2, dt=0.1,
+            figures=[FigureSpec(name="f")],
+            pool=PoolSpec(total=1.0),
+            nodes=[perfect_node("a"), perfect_node("b")],
+        )
+        run_scenario(scenario)
+        assert stage_log == expected_tick * 2  # two ticks
 
     def test_validation_enumerates_every_problem(self):
         scenario = Scenario(
@@ -373,6 +384,42 @@ class TestStrategyEnactment:
         assert failed
         history = result.learning_docs["n0"]["history"]
         assert history and history[0]["reward"] == 0.0
+
+    def test_credit_goes_only_to_nodes_on_the_shocked_figure(self, tmp_path):
+        # Overlapping shocks on two figures: each node owns only the episode
+        # of the shock that hit its own figure.
+        catalog = (
+            Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
+                     behavior_spec={"kind": "reactive", "gain": 1.0}),
+            Strategy(id="weak", kind=StrategyKind.RECONFIGURE,
+                     behavior_spec={"kind": "reactive", "gain": 0.005}),
+        )
+        scenario = Scenario(
+            duration=30.0, dt=0.1, seed=0,
+            figures=[FigureSpec(name="f0"), FigureSpec(name="f1")],
+            shocks=[ShockEvent(at=10.0, figure=0, magnitude=10.0, recovery_window=8.0),
+                    ShockEvent(at=12.0, figure=1, magnitude=10.0, recovery_window=8.0)],
+            nodes=[
+                NodeSpec(name=f"n{i}", figure=i,
+                         channel=ChannelSpec(gain=1.1, sampling_period=0.1),
+                         contract=hard_contract(),
+                         behavior=Reactive(feedback_gain=0.2),
+                         controller=ControllerSpec(catalog=catalog))
+                for i in range(2)
+            ],
+        )
+        result = run_scenario(scenario)
+        export_run(result, str(tmp_path))
+        rows = (tmp_path / "episodes.csv").read_text().splitlines()[1:]
+        credited = {
+            (node, int(episode))
+            for episode, node, _, _, strategy in (row.split(",") for row in rows)
+            if strategy
+        }
+        assert credited == {("n0", 0), ("n1", 1)}
+        for node, episode in credited:
+            history = result.learning_docs[node]["history"]
+            assert [h["episode"] for h in history] == [episode]
 
 
 class TestPoolWiring:
