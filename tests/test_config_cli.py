@@ -4,7 +4,9 @@ import json
 import pytest
 import yaml
 
-from fidelitylab.cli import EXIT_CONFIG, EXIT_OK, cmd_batch, cmd_classify, cmd_run, main
+from fidelitylab.cli import (
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, cmd_batch, cmd_classify, cmd_run, main,
+)
 from fidelitylab.config import load_config, parse_config, scenario_to_config
 from fidelitylab.errors import ConfigurationError
 
@@ -156,6 +158,17 @@ class TestCmdRun:
         assert cmd_run(str(echoed), out=str(out_b)) == EXIT_OK
         assert sha256(out_a / "ticks.csv") == sha256(out_b / "ticks.csv")
         assert sha256(out_a / "episodes.csv") == sha256(out_b / "episodes.csv")
+
+    def test_divergence_exits_1_naming_node_and_tick(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(MINIMAL)) | {"duration": 110.0}
+        doc["nodes"][0]["behavior"] = {
+            "kind": "active_non_purposeful", "schedule": [{"gain": 2.0}],
+        }
+        config = write_config(tmp_path, doc)
+        assert cmd_run(str(config), out=str(tmp_path / "out")) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "'n0'" in err
+        assert "non-finite delta at tick 1024 (t=102.4)" in err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cmd_run(str(tmp_path / "absent.yaml")) == EXIT_CONFIG
