@@ -18,7 +18,6 @@ from .behavior import (
     Predictive,
     PurposefulNonTeleological,
     Reactive,
-    act,
     behavior_order,
 )
 from .collective import (
@@ -39,11 +38,8 @@ from .controller import (
     Strategy,
     StrategyKind,
     assess_safety,
-    evaluate_and_learn,
     monitor_step,
     replay_modes,
-    select_strategy,
-    switch_mode,
 )
 from .engine import (
     AntifragilityReport,

@@ -233,11 +233,6 @@ class Predictive(Behavior):
         return CorrectiveAction(bias=-predicted)
 
 
-def act(behavior: Behavior, obs: Observation) -> CorrectiveAction:
-    """Dispatch an observation through a behavior."""
-    return behavior.act(obs)
-
-
 def behavior_order(behavior: Behavior) -> int:
     """Number of context variables in the behavior's forward model (0 if none)."""
     return behavior.order

@@ -68,8 +68,8 @@ class SafetyPredicate:
 class MonitorState:
     """O(1) smoothed view of the |delta| stream.
 
-    Exponentially weighted mean and variance plus a short ring of past
-    means so the trend over the safety horizon is one subtraction.
+    Exponentially weighted mean plus a short ring of past means so the
+    trend over the safety horizon is one subtraction.
     """
 
     def __init__(self, smoothing: float = 0.1, horizon: int = 10):
@@ -77,8 +77,6 @@ class MonitorState:
             raise ConfigurationError("smoothing factor must be in (0, 1]")
         self.smoothing = smoothing
         self.ewma = 0.0
-        self.ewvar = 0.0
-        self.count = 0
         self.last_time: Optional[float] = None
         self._past = deque([0.0] * (horizon + 1), maxlen=horizon + 1)
 
@@ -93,11 +91,7 @@ def monitor_step(state: MonitorState, sample: DeltaSample) -> MonitorState:
             f"monitor got t={sample.time} after t={state.last_time}"
         )
     state.last_time = sample.time
-    x = abs(sample.delta)
-    diff = x - state.ewma
-    state.ewma += state.smoothing * diff
-    state.ewvar = (1 - state.smoothing) * (state.ewvar + state.smoothing * diff * diff)
-    state.count += 1
+    state.ewma += state.smoothing * (abs(sample.delta) - state.ewma)
     state._past.append(state.ewma)
     return state
 
@@ -132,21 +126,15 @@ class ModeController:
         self._safe_streak = 0
 
     def step(self, verdict: Safety) -> Mode:
-        self.mode = switch_mode(self.mode, verdict, self)
+        if verdict is Safety.UNSAFE:
+            self._safe_streak = 0
+            self.mode = Mode.RESILIENT
+        elif self.mode is Mode.RESILIENT:
+            self._safe_streak += 1
+            if self._safe_streak >= self.hysteresis:
+                self._safe_streak = 0
+                self.mode = Mode.ELASTIC
         return self.mode
-
-
-def switch_mode(current: Mode, verdict: Safety, controller: ModeController) -> Mode:
-    if verdict is Safety.UNSAFE:
-        controller._safe_streak = 0
-        return Mode.RESILIENT
-    if current is Mode.ELASTIC:
-        return Mode.ELASTIC
-    controller._safe_streak += 1
-    if controller._safe_streak >= controller.hysteresis:
-        controller._safe_streak = 0
-        return Mode.ELASTIC
-    return Mode.RESILIENT
 
 
 def replay_modes(verdicts: Sequence[Safety], hysteresis: int = 10) -> list[Mode]:
@@ -335,39 +323,9 @@ class LearningState:
         return state
 
 
-def select_strategy(
-    learning: LearningState,
-    regime: str,
-    catalog: Sequence[Strategy],
-    rng: Optional[np.random.Generator] = None,
-) -> Strategy:
-    """Pick the next strategy for this regime from the catalog."""
-    if not catalog:
-        raise CatalogError("cannot select from an empty catalog")
-    if [s.id for s in catalog] != [s.id for s in learning.catalog]:
-        raise CatalogError("selection catalog differs from the learning state's")
-    return learning.select(regime, rng)
-
-
 def compute_reward(cost: float, baseline: float) -> float:
     """Normalized episode reward: 1 is a perfect recovery, 0 is worst-case."""
     if baseline <= 0:
         return 1.0 if cost <= 0 else 0.0
     return 1.0 - min(max(cost / baseline, 0.0), 1.0)
 
-
-def evaluate_and_learn(
-    learning: LearningState,
-    cost: float,
-    baseline: float,
-    strategy: Strategy,
-    regime: str,
-    episode: int,
-) -> float:
-    """Score a closed episode and fold the reward into the regime's arm.
-
-    Returns the reward actually credited.
-    """
-    reward = compute_reward(cost, baseline)
-    learning.update(regime, strategy.id, reward, episode)
-    return reward

@@ -9,7 +9,6 @@ from fidelitylab.behavior import (
     Predictive,
     PurposefulNonTeleological,
     Reactive,
-    act,
     behavior_from_spec,
     behavior_order,
     behavior_to_spec,
@@ -30,7 +29,7 @@ class TestPassive:
     def test_always_zero(self):
         passive = Passive()
         for d in (0.0, 1.0, -3.5):
-            assert act(passive, obs(d)).is_zero()
+            assert passive.act(obs(d)).is_zero()
 
     def test_order_zero(self):
         assert behavior_order(Passive()) == 0
@@ -40,26 +39,26 @@ class TestActiveNonPurposeful:
     def test_cycles_schedule_regardless_of_observation(self):
         schedule = (CorrectiveAction(bias=0.1), CorrectiveAction(bias=-0.1))
         beh = ActiveNonPurposeful(schedule=schedule)
-        seen = [act(beh, obs(d)).bias for d in (5.0, -5.0, 0.0, 1.0)]
+        seen = [beh.act(obs(d)).bias for d in (5.0, -5.0, 0.0, 1.0)]
         assert seen == [0.1, -0.1, 0.1, -0.1]
 
     def test_empty_schedule_is_inert(self):
-        assert act(ActiveNonPurposeful(schedule=()), obs(1.0)).is_zero()
+        assert ActiveNonPurposeful(schedule=()).act(obs(1.0)).is_zero()
 
 
 class TestPurposefulNonTeleological:
     def test_fixed_policy_ignores_feedback(self):
         beh = PurposefulNonTeleological(policy=CorrectiveAction(bias=0.05))
-        assert act(beh, obs(10.0)).bias == 0.05
-        assert act(beh, obs(-10.0)).bias == 0.05
+        assert beh.act(obs(10.0)).bias == 0.05
+        assert beh.act(obs(-10.0)).bias == 0.05
 
 
 class TestReactive:
     def test_zero_delta_zero_action(self):
-        assert act(Reactive(feedback_gain=1.0), obs(0.0)).is_zero()
+        assert Reactive(feedback_gain=1.0).act(obs(0.0)).is_zero()
 
     def test_proportional_correction(self):
-        action = act(Reactive(feedback_gain=0.5), obs(0.4))
+        action = Reactive(feedback_gain=0.5).act(obs(0.4))
         assert action.bias == pytest.approx(-0.2)
 
     def test_gain_bounds(self):
@@ -79,17 +78,17 @@ class TestPredictive:
         assert np.polyval(coef, 3.0) == pytest.approx(0.4)
 
         beh = Predictive(k=1, window=3)
-        first = act(beh, obs(0.1, t=0.0))
+        first = beh.act(obs(0.1, t=0.0))
         assert first.fallback
-        second = act(beh, obs(0.2, t=1.0))
+        second = beh.act(obs(0.2, t=1.0))
         assert not second.fallback
-        third = act(beh, obs(0.3, t=2.0))
+        third = beh.act(obs(0.3, t=2.0))
         assert third.bias == pytest.approx(-0.4)
         assert not third.fallback
 
     def test_fallback_matches_unit_gain_feedback(self):
         beh = Predictive(k=1, window=4)
-        action = act(beh, obs(0.7, t=0.0))
+        action = beh.act(obs(0.7, t=0.0))
         assert action.fallback
         assert action.bias == pytest.approx(-0.7)
 
@@ -105,14 +104,14 @@ class TestPredictive:
     def test_missing_context_rejected_at_act(self):
         beh = Predictive(k=3, window=6)
         with pytest.raises(ConfigurationError):
-            act(beh, obs(0.1, context=(1.0,)))
+            beh.act(obs(0.1, context=(1.0,)))
 
     def test_prediction_accounts_for_applied_correction(self):
         # same intrinsic line, but a correction of -0.15 is already in force
         beh = Predictive(k=1, window=3)
-        act(beh, obs(0.1, t=0.0, correction=0.0))
-        act(beh, obs(0.05, t=1.0, correction=-0.15))  # intrinsic 0.2
-        action = act(beh, obs(0.15, t=2.0, correction=-0.15))  # intrinsic 0.3
+        beh.act(obs(0.1, t=0.0, correction=0.0))
+        beh.act(obs(0.05, t=1.0, correction=-0.15))  # intrinsic 0.2
+        action = beh.act(obs(0.15, t=2.0, correction=-0.15))  # intrinsic 0.3
         # predicted intrinsic 0.4, current correction -0.15 -> cancel the rest
         assert action.bias == pytest.approx(-0.25)
 
