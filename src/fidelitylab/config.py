@@ -247,16 +247,12 @@ def _parse_node(p: _Parser, raw: Any, path: str, index: int) -> NodeSpec:
         )
         safety_raw = p.mapping(
             ctrl.get("safety"), f"{path}.controller.safety",
-            {"turbulence_threshold", "contract_margin", "horizon"},
+            {"turbulence_threshold", "horizon"},
         )
         safety = SafetyPredicate(
             turbulence_threshold=p.number(
                 safety_raw.get("turbulence_threshold"),
                 f"{path}.controller.safety.turbulence_threshold", 0.05,
-            ),
-            contract_margin=p.number(
-                safety_raw.get("contract_margin"),
-                f"{path}.controller.safety.contract_margin", 0.8,
             ),
             horizon=p.integer(
                 safety_raw.get("horizon"), f"{path}.controller.safety.horizon", 10
@@ -518,7 +514,6 @@ def scenario_to_config(scenario: Scenario) -> dict:
                 "smoothing": ctrl.smoothing,
                 "safety": {
                     "turbulence_threshold": ctrl.safety.turbulence_threshold,
-                    "contract_margin": ctrl.safety.contract_margin,
                     "horizon": ctrl.safety.horizon,
                 },
                 "hysteresis": ctrl.hysteresis,

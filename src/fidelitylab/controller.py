@@ -51,15 +51,12 @@ class SafetyPredicate:
     """When to call conditions unsafe. Comparisons are strict."""
 
     turbulence_threshold: float = 0.05  # EWMA rise over the horizon that counts as a trend
-    contract_margin: float = 0.8  # utilization handed to the contract check
     horizon: int = 10  # ticks over which the trend is measured
 
     def validate(self) -> list[str]:
         problems = []
         if self.turbulence_threshold <= 0:
             problems.append("turbulence_threshold must be > 0")
-        if self.contract_margin <= 0:
-            problems.append("contract_margin must be > 0")
         if self.horizon < 1:
             problems.append("trend horizon must be >= 1")
         return problems
