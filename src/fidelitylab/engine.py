@@ -1,20 +1,28 @@
 """Deterministic fixed-step simulation loop and episode metrics.
 
-One tick advances the world in a fixed order: environment drift and shocks,
-then per node sensing, error measurement, identity guarding, the adaptive
-controller, the corrective behavior, and finally the social layer and
-metrics. Everything downstream of the seed is deterministic, so a scenario
-and a seed fully determine every exported byte.
+One tick runs the stage methods of the per-run state in a fixed order:
+``boundary`` (staged reconfigurations land), ``environment`` (drift,
+shocks, regime label), then per node ``sensing``, ``delta`` (error
+measurement), ``identity`` (contract guard), ``controller`` and
+``behavior``, and finally ``collective`` (the social layer) and
+``metrics``, which also closes episodes. Everything downstream of the seed
+is deterministic, so a scenario and a seed fully determine every exported
+byte.
 
 Episodes are defined by the shock schedule: each shock opens a recovery
 window over which the integrated |error| (trapezoid rule) and the time to
-contract restoration are measured. Per-episode costs feed both the
-strategy learning (rewards normalized against a passive worst-case
-baseline computed in a calibration pre-run) and the final trend verdict:
-a robust (Theil-Sen) slope of cost against episode index, normalized by
-the first episode's cost. A clearly negative trend means the system keeps
-getting better at absorbing shocks while running its elastic and resilient
-repertoire — the property this laboratory exists to measure.
+contract restoration are measured. Credit for an episode goes only to
+nodes on the shocked figure: to the strategy in force when the shock
+lands, or else to the first strategy selected while the episode's window
+is open; that strategy's bandit arm is scored when the window closes,
+with zero reward if the pool rejected its social action. Per-episode
+costs feed both the strategy learning (rewards normalized against a
+passive worst-case baseline computed in a calibration pre-run) and the
+final trend verdict: a robust (Theil-Sen) slope of cost against episode
+index, normalized by the first episode's cost. A clearly negative trend
+means the system keeps getting better at absorbing shocks while running
+its elastic and resilient repertoire — the property this laboratory
+exists to measure.
 """
 
 from __future__ import annotations
@@ -789,14 +797,7 @@ class _Run:
 
         self.nodes = [SimNode(spec, scenario, passive_override) for spec in scenario.nodes]
         if resume_learning and not passive_override:
-            for node in self.nodes:
-                doc = resume_learning.get(node.name)
-                if doc is not None:
-                    if node.learning is None:
-                        raise ConfigurationError(
-                            [f"nodes[{node.name}]: resume state for a node without learning"]
-                        )
-                    node.learning.load_document(doc)
+            self._resume(resume_learning)
 
         self.pool: Optional[ResourcePool] = None
         self.pool_spec = scenario.pool
@@ -816,6 +817,16 @@ class _Run:
         # Initial sensing at t=0 so slow channels have a value to hold.
         for node in self.nodes:
             node.sense_if_due(0, 0.0, self.env.figures[node.figure])
+
+    def _resume(self, docs: dict[str, dict]) -> None:
+        for node in self.nodes:
+            doc = docs.get(node.name)
+            if doc is not None:
+                if node.learning is None:
+                    raise ConfigurationError(
+                        [f"nodes[{node.name}]: resume state for a node without learning"]
+                    )
+                node.learning.load_document(doc)
 
     def boundary(self) -> None:
         for node in self.nodes:
