@@ -849,8 +849,9 @@ class _Run:
         for index in range(landed, self.next_shock):
             self.open.append(index)
             # A strategy already in force when the shock lands owns the episode.
+            figure = self.shocks[index].figure
             for node in self.nodes:
-                if node.active_strategy is not None and node.figure == self.shocks[index].figure:
+                if node.active_strategy is not None and node.figure == figure:
                     node.credit.setdefault(index, (node.active_strategy, regime.value))
 
     def sensing(self, node: SimNode, tick: int, t: float) -> None:
@@ -928,16 +929,15 @@ class _Run:
         node.active_strategy = strategy
         record, social_action = enact_strategy(node, strategy, t)
         self.result.changes.append(record)
-        episode = next(
-            (
-                index for index in self.open
-                if self.shocks[index].figure == node.figure
-                and t <= self.shocks[index].at + self.shocks[index].recovery_window + TIME_EPS
-            ),
-            None,
-        )
-        if episode is not None:
-            node.credit.setdefault(episode, (strategy, regime))
+        # The first open episode on this node's figure whose window holds t.
+        episode = None
+        for index in self.open:
+            shock = self.shocks[index]
+            end = shock.at + shock.recovery_window
+            if shock.figure == node.figure and t <= end + TIME_EPS:
+                episode = index
+                node.credit.setdefault(episode, (strategy, regime))
+                break
         if social_action is not None:
             self.pending_social.append((node, social_action, episode))
 
@@ -964,7 +964,10 @@ class _Run:
             self.pending_social.clear()
             return
         for node, social_action, episode in self.pending_social:
-            if not apply_social_action(pool, node.name, social_action, states=self.social_states):
+            ok = apply_social_action(
+                pool, node.name, social_action, states=self.social_states
+            )
+            if not ok:
                 self.result.changes.append(
                     ChangeRecord(
                         time=t, node=node.name,
@@ -999,7 +1002,9 @@ class _Run:
             self.result.pool_violations += 1
         reserve = float(pool.reserve)
         for node in self.nodes:
-            self.result.pool_log.append((t, node.name, float(pool.allocation(node.name)), reserve))
+            self.result.pool_log.append(
+                (t, node.name, float(pool.allocation(node.name)), reserve)
+            )
 
     def metrics(self, t: float) -> None:
         for node in self.nodes:
