@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import glob as globmod
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -83,14 +84,14 @@ def _parse_trace_csv(path: str) -> list[DeltaSample]:
                 continue
             cells = line.split(",")
             try:
-                sample = DeltaSample(
-                    time=float(cells[t_idx]),
-                    figure=int(cells[f_idx]) if f_idx is not None else 0,
-                    delta=float(cells[d_idx]),
-                )
+                time = float(cells[t_idx])
+                figure = int(cells[f_idx]) if f_idx is not None else 0
+                delta = float(cells[d_idx])
             except (IndexError, ValueError):
                 raise ConfigurationError([f"{path}:{lineno}: malformed trace row"])
-            samples.append(sample)
+            if not math.isfinite(delta):
+                raise ConfigurationError([f"{path}:{lineno}: non-finite delta"])
+            samples.append(DeltaSample(time=time, figure=figure, delta=delta))
     if not samples:
         raise ConfigurationError([f"{path}: trace holds no samples"])
     return samples

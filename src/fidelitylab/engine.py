@@ -27,6 +27,7 @@ exists to measure.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 from collections import deque
@@ -444,9 +445,9 @@ class SimNode:
         # the nominal reflection of the initial raw value.
         self.current_value: Optional[float] = None
 
-        self.elastic_behavior = copy.deepcopy(spec.behavior)
-        if passive_override:
-            self.elastic_behavior = Passive()
+        self.elastic_behavior = (
+            Passive() if passive_override else copy.deepcopy(spec.behavior)
+        )
         self.behavior: Behavior = self.elastic_behavior
         self.pending_behavior: Optional[Behavior] = None
         self.pending_channel: Optional[dict] = None
@@ -655,12 +656,21 @@ def compute_recovery_metrics(
     node: str = "",
     strategies: Optional[dict[int, Optional[str]]] = None,
 ) -> list[RecoveryMetrics]:
-    """Per-episode cost and restoration for one node's recorded trace."""
+    """Per-episode cost and restoration for one node's recorded trace.
+
+    ``times`` must be ascending (as a recorded trace is): each episode
+    hands ``episode_cost`` and ``restoration_time`` only the slice of the
+    trace they can read, so the cost per episode is O(window), not O(trace).
+    """
     metrics = []
     for index, shock in enumerate(shocks):
         end = shock.at + shock.recovery_window
-        cost = episode_cost(times, deltas, shock.at, end)
-        restored = restoration_time(times, statuses, shock.at, end)
+        lo, hi = _window(times, shock.at, end)
+        cost = episode_cost(times[lo:hi], deltas[lo:hi], shock.at, end)
+        # A restoring streak may run on past the window end, by at most
+        # RESTORATION_STREAK - 1 samples.
+        tail = hi + RESTORATION_STREAK - 1
+        restored = restoration_time(times[lo:tail], statuses[lo:tail], shock.at, end)
         strategy = (strategies or {}).get(index)
         metrics.append(
             RecoveryMetrics(
@@ -669,6 +679,15 @@ def compute_recovery_metrics(
             )
         )
     return metrics
+
+
+def _window(times: Sequence[float], start: float, end: float) -> tuple[int, int]:
+    """Index bounds of the ascending ``times`` inside [start, end], TIME_EPS
+    tolerant: the points ``episode_cost`` keeps, in the same order."""
+    return (
+        bisect.bisect_left(times, start - TIME_EPS),
+        bisect.bisect_right(times, end + TIME_EPS),
+    )
 
 
 def theil_sen_slope(values: Sequence[float]) -> float:
@@ -751,19 +770,36 @@ def _execute(
     passive_override: bool,
     resume_learning: Optional[dict[str, dict]] = None,
 ) -> RunResult:
+    """Run the tick loop once.
+
+    With ``passive_override`` (the calibration pre-run) every node is
+    passive, with no detector, controller, social layer or pool, so only
+    the deltas can move: the loop runs ``boundary``, ``environment``,
+    ``sensing`` and ``delta`` and skips the rest. That result carries
+    episode costs only; its statuses, modes, ticks and identity rows are
+    empty and its restoration times are None.
+    """
     run = _Run(scenario, baselines, passive_override, resume_learning)
-    for tick in range(1, round(scenario.duration / scenario.dt) + 1):
-        t = tick * scenario.dt
-        run.boundary()
-        run.environment(t)
-        for node in run.nodes:
-            run.sensing(node, tick, t)
-            sample = run.delta(node, tick, t)
-            run.identity(node, t, sample)
-            run.controller(node, t, sample)
-            run.behavior(node, t, sample)
-        run.collective(t)
-        run.metrics(t)
+    # A diverging node's window overflows in numpy before its delta turns
+    # non-finite; that surfaces as the DivergenceError from `delta`.
+    with np.errstate(over="ignore"):
+        for tick in range(1, round(scenario.duration / scenario.dt) + 1):
+            t = tick * scenario.dt
+            run.boundary()
+            run.environment(t)
+            if passive_override:
+                for node in run.nodes:
+                    run.sensing(node, tick, t)
+                    run.delta(node, tick, t)
+                continue
+            for node in run.nodes:
+                run.sensing(node, tick, t)
+                sample = run.delta(node, tick, t)
+                run.identity(node, t, sample)
+                run.controller(node, t, sample)
+                run.behavior(node, t, sample)
+            run.collective(t)
+            run.metrics(t)
     return run.wrap_up()
 
 
@@ -844,7 +880,7 @@ class _Run:
             env = apply_shock(env, self.shocks[self.next_shock])
             self.next_shock += 1
         self.env_history.append(env)
-        regime = label_regime(list(self.env_history), self.scenario.turbulence_threshold)
+        regime = label_regime(self.env_history, self.scenario.turbulence_threshold)
         self.env = self.env_history[-1] = replace(env, regime=regime)
         for index in range(landed, self.next_shock):
             self.open.append(index)
@@ -1041,7 +1077,8 @@ class _Run:
                 if index in node.failed:
                     reward = 0.0
                 else:
-                    cost = episode_cost(node.times, node.deltas, start, end)
+                    lo, hi = _window(node.times, start, end)
+                    cost = episode_cost(node.times[lo:hi], node.deltas[lo:hi], start, end)
                     reward = compute_reward(cost, self.baselines.get(node.name, 1.0))
                 node.learning.update(regime, strategy.id, reward, index)
             # The episode's outcome is measured: while conditions stay unsafe

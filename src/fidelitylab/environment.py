@@ -210,9 +210,10 @@ def label_regime(history: Sequence[EnvState], threshold: float) -> Regime:
         raise ConfigurationError("regime labelling needs a non-empty history")
     if len(history) == 1:
         return Regime.CALM
-    increments = []
-    for prev, cur in zip(history[:-1], history[1:]):
-        for a, b in zip(prev.figures, cur.figures):
-            increments.append(abs(b - a))
-    mean_increment = float(np.mean(increments))
+    # One row per state: the increments come out pair by pair, figure by
+    # figure, and sum in the same order (and to the same bits) as np.mean
+    # over a flat list of them.
+    figures = np.array([state.figures for state in history], dtype=float)
+    increments = np.abs(figures[1:] - figures[:-1])
+    mean_increment = float(increments.sum() / increments.size)
     return Regime.TURBULENT if mean_increment > threshold else Regime.CALM

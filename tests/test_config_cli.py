@@ -159,6 +159,8 @@ class TestCmdRun:
         assert sha256(out_a / "ticks.csv") == sha256(out_b / "ticks.csv")
         assert sha256(out_a / "episodes.csv") == sha256(out_b / "episodes.csv")
 
+    # numpy must not warn about the overflow that precedes the divergence.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exits_1_naming_node_and_tick(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MINIMAL)) | {"duration": 110.0}
         doc["nodes"][0]["behavior"] = {
@@ -226,6 +228,13 @@ class TestCmdClassify:
         path.write_text("time,figure,raw,quale,delta\n0.0,0,0,0,0.1\nnonsense\n")
         assert cmd_classify(str(path), hard=0.1) == EXIT_CONFIG
         assert ":3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_delta_names_line_number(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,figure,raw,quale,delta\n0.0,0,0,0,0.1\n0.1,0,0,0,{cell}\n")
+        assert main(["classify", "--trace", str(path), "--hard", "0.1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path}:3: non-finite delta\n"
 
     def test_exactly_one_contract_flag(self, tmp_path):
         trace = self.write_trace(tmp_path, [0.0])

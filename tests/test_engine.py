@@ -1,7 +1,12 @@
 import itertools
+import os
+from dataclasses import replace
 from statistics import median
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import _ladder_scenario
 
 from fidelitylab import engine
 from fidelitylab.behavior import Passive, Reactive
@@ -13,6 +18,7 @@ from fidelitylab.controller import (
     StrategyKind,
     replay_modes,
 )
+from fidelitylab.config import load_config
 from fidelitylab.engine import (
     ChannelSpec,
     ContractSpec,
@@ -20,6 +26,7 @@ from fidelitylab.engine import (
     FigureSpec,
     NodeSpec,
     PoolSpec,
+    RecoveryMetrics,
     Scenario,
     Verdict,
     antifragility_score,
@@ -35,6 +42,7 @@ from fidelitylab.errors import ConfigurationError, InsufficientDataError
 from fidelitylab.identity import ContractStatus, DetectorConfig, IdentityClass
 from fidelitylab.reporting import export_run
 
+DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.yaml")
 
 def hard_contract(threshold=0.1, window=20):
     return ContractSpec(identity=IdentityClass.hard(threshold), window=window)
@@ -240,6 +248,57 @@ class TestEpisodeMetrics:
         statuses = [ContractStatus.VIOLATED] * 10 + [ContractStatus.HOLDING] * 10
         assert restoration_time(times, statuses, 0.0, window_end=5.0) is None
 
+    def test_windowed_metrics_keep_a_streak_running_past_the_window(self):
+        # The streak starts two samples before the window end and completes
+        # three samples after it, outside the slice episode_cost reads.
+        times = [float(i) for i in range(30)]
+        h, v = ContractStatus.HOLDING, ContractStatus.VIOLATED
+        statuses = [v] * 8 + [h] * 22
+        shock = ShockEvent(at=0.0, figure=0, magnitude=1.0, recovery_window=9.0)
+        metrics = compute_recovery_metrics(times, [0.0] * 30, statuses, [shock])
+        assert metrics[0].restoration_time == 8.0
+
+
+_STATUSES = st.sampled_from([*ContractStatus, None])
+
+
+@st.composite
+def _traces(draw):
+    """A sorted trace on a 0.1 s grid (repeats allowed) and some shocks.
+
+    Statuses come in runs, so restoring streaks start, break and straddle
+    window ends."""
+    ticks = sorted(draw(st.lists(st.integers(0, 120), max_size=80)))
+    times = [0.1 * k for k in ticks]
+    deltas = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(times), max_size=len(times)))
+    statuses = []
+    while len(statuses) < len(times):
+        statuses += [draw(_STATUSES)] * draw(st.integers(1, 12))
+    del statuses[len(times):]
+    shocks = [
+        ShockEvent(at=0.1 * at, figure=0, magnitude=1.0, recovery_window=0.1 * width)
+        for at, width in draw(st.lists(
+            st.tuples(st.integers(-5, 125), st.integers(1, 40)), max_size=6))
+    ]
+    return times, deltas, statuses, shocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_traces())
+def test_windowed_recovery_metrics_equal_a_full_scan(trace):
+    times, deltas, statuses, shocks = trace
+    full_scan = [
+        RecoveryMetrics(
+            episode=index, node="n",
+            cost=episode_cost(times, deltas, s.at, s.at + s.recovery_window),
+            restoration_time=restoration_time(
+                times, statuses, s.at, s.at + s.recovery_window),
+            strategy=None,
+        )
+        for index, s in enumerate(shocks)
+    ]
+    assert compute_recovery_metrics(times, deltas, statuses, shocks, node="n") == full_scan
+
 
 class TestAntifragilityScore:
     def test_flat_series_is_robust(self):
@@ -420,6 +479,93 @@ class TestStrategyEnactment:
         for node, episode in credited:
             history = result.learning_docs[node]["history"]
             assert [h["episode"] for h in history] == [episode]
+
+
+def _pool_social_scenario():
+    """Three nodes on two figures over a pool: a cooperative and an
+    individualistic member with learning controllers (one of them able to
+    grab), and a plain non-member."""
+    catalog = (
+        Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
+                 behavior_spec={"kind": "reactive", "gain": 1.0}),
+        Strategy(id="weak", kind=StrategyKind.RECONFIGURE,
+                 behavior_spec={"kind": "reactive", "gain": 0.05}),
+    )
+    grab = Strategy(id="grab", kind=StrategyKind.SOCIAL,
+                    social_spec={"kind": "grab", "amount": 0.25})
+
+    def node(name, figure, social, member, node_catalog):
+        return NodeSpec(
+            name=name, figure=figure,
+            channel=ChannelSpec(gain=1.1, noise_std=0.01, sampling_period=0.1),
+            contract=hard_contract(),
+            detector=DetectorConfig(),
+            behavior=Reactive(feedback_gain=0.5),
+            social=social, member=member,
+            controller=ControllerSpec(catalog=node_catalog) if node_catalog else None,
+        )
+
+    return Scenario(
+        name="pool-social", duration=60.0, dt=0.1, seed=4,
+        figures=[FigureSpec(name="f0"), FigureSpec(name="f1")],
+        shocks=[ShockEvent(at=5.0 + 12.0 * i, figure=i % 2,
+                           magnitude=10.0 if i % 3 else -10.0, recovery_window=8.0)
+                for i in range(4)],
+        pool=PoolSpec(total=2.0, join_allocation=0.5, solo_capacity=0.3),
+        nodes=[
+            node("coop", 0, SocialBehavior.COOPERATIVE, True, (grab,) + catalog),
+            node("solo", 1, SocialBehavior.INDIVIDUALISTIC, True, catalog),
+            node("plain", 0, None, False, None),
+        ],
+    )
+
+
+def _passive_twin(scenario):
+    """The scenario as the calibration pre-run sees it: every node passive,
+    with no detector, controller or social layer, and no pool."""
+    nodes = [
+        replace(node, behavior=Passive(), detector=None, controller=None,
+                social=None, member=False)
+        for node in scenario.nodes
+    ]
+    return replace(scenario, pool=None, nodes=nodes)
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("build", [
+        lambda: load_config(DEMO),
+        lambda: replace(_ladder_scenario(0, True), duration=225.0,
+                        shocks=_ladder_scenario(0, True).shocks[:8]),
+        _pool_social_scenario,
+    ], ids=["demo", "ladder_cut", "pool_social"])
+    def test_baselines_are_the_passive_twins_worst_episode_costs(self, build):
+        scenario = build()
+        baselines = run_scenario(scenario).baselines
+        twin = run_scenario(_passive_twin(scenario))
+        assert baselines == {
+            node.name: max(m.cost for m in twin.recovery if m.node == node.name)
+            for node in scenario.nodes
+        }
+
+    def test_calibration_runs_only_the_cost_stages(self, monkeypatch):
+        stage_log = []
+
+        def logged(name, stage):
+            def wrapper(*args, **kwargs):
+                stage_log.append(name)
+                return stage(*args, **kwargs)
+            return wrapper
+
+        for name in ("boundary", "environment", "sensing", "delta", "identity",
+                     "controller", "behavior", "collective", "metrics"):
+            monkeypatch.setattr(engine._Run, name, logged(name, getattr(engine._Run, name)))
+        scenario = _pool_social_scenario()
+        result = engine._execute(scenario, baselines={}, passive_override=True)
+        ticks = round(scenario.duration / scenario.dt)
+        per_tick = ["boundary", "environment"] + ["sensing", "delta"] * len(scenario.nodes)
+        assert stage_log == per_tick * ticks
+        assert result.ticks == [] and result.identity_rows == []
+        assert len(result.recovery) == len(scenario.nodes) * len(scenario.shocks)
 
 
 class TestPoolWiring:

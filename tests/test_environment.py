@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,35 @@ class TestLabelRegime:
     def test_empty_history_rejected(self):
         with pytest.raises(ConfigurationError):
             label_regime([], threshold=0.1)
+
+    @staticmethod
+    def flat_mean(history):
+        """The defining statistic: np.mean over a flat list of |increments|,
+        pair by pair, figure by figure."""
+        increments = [
+            abs(b - a)
+            for prev, cur in zip(history[:-1], history[1:])
+            for a, b in zip(prev.figures, cur.figures)
+        ]
+        return float(np.mean(increments))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_label_matches_the_flat_mean_oracle(self, data):
+        width = data.draw(st.integers(1, 9))
+        rows = data.draw(st.lists(
+            st.tuples(*[st.floats(-1e6, 1e6)] * width), min_size=2, max_size=22))
+        history = deque(state(*row, time=float(i)) for i, row in enumerate(rows))
+        mean = self.flat_mean(list(history))
+        # The threshold sits exactly on the mean, one ulp either side of it,
+        # or anywhere nearby: a last-bit difference in the mean flips a label.
+        threshold = data.draw(st.one_of(
+            st.sampled_from([mean, np.nextafter(mean, -np.inf), np.nextafter(mean, np.inf)]),
+            st.floats(0.0, 2.0 * mean + 1.0),
+        ))
+        expected = Regime.TURBULENT if mean > threshold else Regime.CALM
+        assert label_regime(history, threshold) is expected
+        assert label_regime(list(history), threshold) is expected
 
 
 class TestProcessSpecs:
