@@ -419,7 +419,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 class SimNode:
     """Mutable runtime state for one simulated node."""
 
-    def __init__(self, spec: NodeSpec, scenario: Scenario, passive_override: bool):
+    def __init__(self, spec: NodeSpec, scenario: Scenario):
         self.spec = spec
         self.name = spec.name
         self.figure = spec.figure
@@ -445,9 +445,7 @@ class SimNode:
         # the nominal reflection of the initial raw value.
         self.current_value: Optional[float] = None
 
-        self.elastic_behavior = (
-            Passive() if passive_override else copy.deepcopy(spec.behavior)
-        )
+        self.elastic_behavior = copy.deepcopy(spec.behavior)
         self.behavior: Behavior = self.elastic_behavior
         self.pending_behavior: Optional[Behavior] = None
         self.pending_channel: Optional[dict] = None
@@ -464,11 +462,10 @@ class SimNode:
             and spec.contract is not None
             and spec.contract.identity.kind
             in (IdentityKind.HARD_RT, IdentityKind.SOFT_RT)
-            and not passive_override
         ):
             self.detector = IdentityFailureDetector(spec.contract.identity, spec.detector)
 
-        self.controller_spec = None if passive_override else spec.controller
+        self.controller_spec = spec.controller
         self.monitor: Optional[MonitorState] = None
         self.mode_controller: Optional[ModeController] = None
         self.learning: Optional[LearningState] = None
@@ -484,7 +481,7 @@ class SimNode:
                     epsilon=ctrl.epsilon,
                 )
         self.active_strategy: Optional[Strategy] = None
-        self.social = None if passive_override else spec.social
+        self.social = spec.social
         self.social_state = SocialState()
         self.overhead = 0  # model-building operations; stays 0 while elastic
 
@@ -772,14 +769,15 @@ def _execute(
 ) -> RunResult:
     """Run the tick loop once.
 
-    With ``passive_override`` (the calibration pre-run) every node is
-    passive, with no detector, controller, social layer or pool, so only
-    the deltas can move: the loop runs ``boundary``, ``environment``,
-    ``sensing`` and ``delta`` and skips the rest. That result carries
+    ``passive_override`` makes it the calibration pre-run: the loop runs
+    only ``boundary``, ``environment``, ``sensing`` and ``delta``. Without
+    the behavior stage no node ever corrects, and without the identity,
+    controller and collective stages none is guarded, reconfigured or
+    social, so every node runs as a passive one would. That result carries
     episode costs only; its statuses, modes, ticks and identity rows are
     empty and its restoration times are None.
     """
-    run = _Run(scenario, baselines, passive_override, resume_learning)
+    run = _Run(scenario, baselines, resume_learning)
     # A diverging node's window overflows in numpy before its delta turns
     # non-finite; that surfaces as the DivergenceError from `delta`.
     with np.errstate(over="ignore"):
@@ -810,7 +808,6 @@ class _Run:
         self,
         scenario: Scenario,
         baselines: dict[str, float],
-        passive_override: bool,
         resume_learning: Optional[dict[str, dict]],
     ):
         self.scenario = scenario
@@ -831,13 +828,13 @@ class _Run:
         self.open: list[int] = []  # landed, not yet closed, in index order
         self.pending_social: list[tuple[SimNode, SocialAction, Optional[int]]] = []
 
-        self.nodes = [SimNode(spec, scenario, passive_override) for spec in scenario.nodes]
-        if resume_learning and not passive_override:
+        self.nodes = [SimNode(spec, scenario) for spec in scenario.nodes]
+        if resume_learning:
             self._resume(resume_learning)
 
         self.pool: Optional[ResourcePool] = None
         self.pool_spec = scenario.pool
-        if self.pool_spec is not None and not passive_override:
+        if self.pool_spec is not None:
             spec = self.pool_spec
             self.pool = ResourcePool(
                 total=Fraction(str(spec.total)),
