@@ -1,16 +1,16 @@
 import itertools
-import os
 from dataclasses import replace
 from statistics import median
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import _ladder_scenario
+from test_golden import DEMO, _ladder_cut
 
 from fidelitylab import engine
 from fidelitylab.behavior import Passive, Reactive
 from fidelitylab.collective import SocialBehavior
+from fidelitylab.config import load_config
 from fidelitylab.controller import (
     Safety,
     SafetyPredicate,
@@ -18,7 +18,6 @@ from fidelitylab.controller import (
     StrategyKind,
     replay_modes,
 )
-from fidelitylab.config import load_config
 from fidelitylab.engine import (
     ChannelSpec,
     ContractSpec,
@@ -42,7 +41,6 @@ from fidelitylab.errors import ConfigurationError, InsufficientDataError
 from fidelitylab.identity import ContractStatus, DetectorConfig, IdentityClass
 from fidelitylab.reporting import export_run
 
-DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.yaml")
 
 def hard_contract(threshold=0.1, window=20):
     return ContractSpec(identity=IdentityClass.hard(threshold), window=window)
@@ -57,6 +55,25 @@ def perfect_node(name="n0", behavior=None, controller=None):
         behavior=behavior or Passive(),
         controller=controller,
     )
+
+
+STAGES = ("boundary", "environment", "sensing", "delta", "identity",
+          "controller", "behavior", "collective", "metrics")
+
+
+def _log_stages(monkeypatch):
+    """Wrap every _Run stage method; the returned list logs their calls by name."""
+    stage_log = []
+
+    def logged(name, stage):
+        def wrapper(*args, **kwargs):
+            stage_log.append(name)
+            return stage(*args, **kwargs)
+        return wrapper
+
+    for name in STAGES:
+        monkeypatch.setattr(engine._Run, name, logged(name, getattr(engine._Run, name)))
+    return stage_log
 
 
 class TestRunBasics:
@@ -143,16 +160,7 @@ class TestRunBasics:
         expected_tick = (
             ["boundary", "environment"] + per_node * 2 + ["collective", "metrics"]
         )
-        stage_log = []
-
-        def logged(name, stage):
-            def wrapper(*args, **kwargs):
-                stage_log.append(name)
-                return stage(*args, **kwargs)
-            return wrapper
-
-        for name in set(expected_tick):
-            monkeypatch.setattr(engine._Run, name, logged(name, getattr(engine._Run, name)))
+        stage_log = _log_stages(monkeypatch)
         scenario = Scenario(
             duration=0.2, dt=0.1,
             figures=[FigureSpec(name="f")],
@@ -534,8 +542,7 @@ def _passive_twin(scenario):
 class TestCalibration:
     @pytest.mark.parametrize("build", [
         lambda: load_config(DEMO),
-        lambda: replace(_ladder_scenario(0, True), duration=225.0,
-                        shocks=_ladder_scenario(0, True).shocks[:8]),
+        lambda: _ladder_cut(0, True),
         _pool_social_scenario,
     ], ids=["demo", "ladder_cut", "pool_social"])
     def test_baselines_are_the_passive_twins_worst_episode_costs(self, build):
@@ -548,17 +555,7 @@ class TestCalibration:
         }
 
     def test_calibration_runs_only_the_cost_stages(self, monkeypatch):
-        stage_log = []
-
-        def logged(name, stage):
-            def wrapper(*args, **kwargs):
-                stage_log.append(name)
-                return stage(*args, **kwargs)
-            return wrapper
-
-        for name in ("boundary", "environment", "sensing", "delta", "identity",
-                     "controller", "behavior", "collective", "metrics"):
-            monkeypatch.setattr(engine._Run, name, logged(name, getattr(engine._Run, name)))
+        stage_log = _log_stages(monkeypatch)
         scenario = _pool_social_scenario()
         result = engine._execute(scenario, baselines={}, passive_override=True)
         ticks = round(scenario.duration / scenario.dt)
