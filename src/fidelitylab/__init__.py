@@ -48,6 +48,7 @@ from .engine import (
     ControllerSpec,
     FigureSpec,
     NodeSpec,
+    NodeTrace,
     PoolSpec,
     RecoveryMetrics,
     RunResult,

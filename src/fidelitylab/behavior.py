@@ -60,7 +60,8 @@ ZERO_ACTION = CorrectiveAction()
 
 @dataclass(frozen=True)
 class HistoryEntry:
-    """One remembered tick: time, observed delta, context figures, applied correction."""
+    """One remembered tick of a predictive behavior: time, deviation,
+    context figures, applied correction."""
 
     time: float
     delta: float
@@ -73,8 +74,6 @@ class Observation:
     """What a behavior sees each tick."""
 
     latest: DeltaSample
-    goal_margin: Optional[float] = None  # contract utilization, when guarded
-    history: tuple[HistoryEntry, ...] = ()
     context: tuple[float, ...] = ()
     correction: float = 0.0  # channel's current correction bias
 

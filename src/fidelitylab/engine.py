@@ -31,7 +31,7 @@ import bisect
 import copy
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import median
 from typing import Optional, Sequence
@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import behavior as behavior_mod
-from .behavior import Behavior, CorrectiveAction, HistoryEntry, Observation, Passive
+from .behavior import Behavior, CorrectiveAction, Observation, Passive
 from .collective import (
     NeighborView,
     ResourcePool,
@@ -67,6 +67,7 @@ from .environment import (
     Constant,
     DriftProcess,
     EnvState,
+    Regime,
     ShockEvent,
     apply_shock,
     label_regime,
@@ -124,13 +125,10 @@ class ContractSpec:
     identity: IdentityClass
     window: int = 100
     at_risk_margin: float = 0.8
-    # Optional full threshold ladder for the per-tick identity timeline;
-    # None reuses the contract's own thresholds at every level.
-    ladder: Optional[IdentityClass] = None
 
     def timeline_candidate(self) -> IdentityClass:
-        if self.ladder is not None:
-            return self.ladder
+        """Thresholds for the per-tick identity timeline: the contract's own,
+        with each level it leaves unset at the first one it sets."""
         base = (
             self.identity.hard_threshold
             or self.identity.soft_mean
@@ -201,16 +199,25 @@ class Scenario:
 # -- run products -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TickRow:
-    time: float
-    node: str
+@dataclass
+class NodeTrace:
+    """One node's per-tick record, one list per column.
+
+    Every column holds one entry per tick, except ``verdicts`` (controller
+    nodes only) and ``identities`` (only when the scenario records the
+    identity timeline). The calibration pre-run fills only ``times``,
+    ``raws``, ``quales`` and ``deltas``.
+    """
+
     figure: int
-    raw: float
-    quale: float
-    delta: float
-    mode: str
-    contract_status: str
+    times: list[float] = field(default_factory=list)
+    raws: list[float] = field(default_factory=list)
+    quales: list[float] = field(default_factory=list)
+    deltas: list[float] = field(default_factory=list)
+    statuses: list[Optional[ContractStatus]] = field(default_factory=list)
+    modes: list[Optional[Mode]] = field(default_factory=list)
+    verdicts: list[Safety] = field(default_factory=list)
+    identities: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -251,13 +258,7 @@ class AntifragilityReport:
 class RunResult:
     scenario_name: str
     seed: int
-    ticks: list[TickRow] = field(default_factory=list)
-    node_times: dict[str, list[float]] = field(default_factory=dict)
-    node_deltas: dict[str, list[float]] = field(default_factory=dict)
-    node_status: dict[str, list[Optional[ContractStatus]]] = field(default_factory=dict)
-    node_modes: dict[str, list[Optional[Mode]]] = field(default_factory=dict)
-    node_verdicts: dict[str, list[Safety]] = field(default_factory=dict)
-    identity_rows: list[tuple[float, str, str]] = field(default_factory=list)
+    traces: dict[str, NodeTrace] = field(default_factory=dict)  # scenario node order
     failure_events: list[tuple[str, IdentityFailureEvent]] = field(default_factory=list)
     changes: list[ChangeRecord] = field(default_factory=list)
     pool_log: list[tuple[float, str, float, float]] = field(default_factory=list)
@@ -485,16 +486,9 @@ class SimNode:
         self.social_state = SocialState()
         self.overhead = 0  # model-building operations; stays 0 while elastic
 
-        self.times: list[float] = []
-        self.deltas: list[float] = []
-        self.statuses: list[Optional[ContractStatus]] = []
-        self.modes: list[Optional[Mode]] = []
-        self.verdicts: list[Safety] = []
-        self.last_reported = 0.0
-        self.last_raw = 0.0
+        self.trace = NodeTrace(figure=spec.figure)
         self.utilization: Optional[float] = None
         self.status: Optional[ContractStatus] = None
-        self.obs_history: deque[HistoryEntry] = deque(maxlen=32)
         # Episode index -> (strategy in force, regime label at selection),
         # only for shocks on this node's figure; `failed` holds the episodes
         # whose social strategy the pool rejected.
@@ -774,8 +768,8 @@ def _execute(
     the behavior stage no node ever corrects, and without the identity,
     controller and collective stages none is guarded, reconfigured or
     social, so every node runs as a passive one would. That result carries
-    episode costs only; its statuses, modes, ticks and identity rows are
-    empty and its restoration times are None.
+    episode costs only: its traces hold times, raws, quales and deltas, and
+    its restoration times are None.
     """
     run = _Run(scenario, baselines, resume_learning)
     # A diverging node's window overflows in numpy before its delta turns
@@ -823,6 +817,7 @@ class _Run:
         self.env_history: deque[EnvState] = deque(
             [self.env], maxlen=scenario.regime_window + 1
         )
+        self.regime = Regime.CALM
         self.shocks = scenario.shocks
         self.next_shock = 0  # shocks before this index have landed
         self.open: list[int] = []  # landed, not yet closed, in index order
@@ -876,39 +871,41 @@ class _Run:
         ):
             env = apply_shock(env, self.shocks[self.next_shock])
             self.next_shock += 1
+        self.env = env
         self.env_history.append(env)
-        regime = label_regime(self.env_history, self.scenario.turbulence_threshold)
-        self.env = self.env_history[-1] = replace(env, regime=regime)
+        self.regime = label_regime(self.env_history, self.scenario.turbulence_threshold)
         for index in range(landed, self.next_shock):
             self.open.append(index)
             # A strategy already in force when the shock lands owns the episode.
             figure = self.shocks[index].figure
             for node in self.nodes:
                 if node.active_strategy is not None and node.figure == figure:
-                    node.credit.setdefault(index, (node.active_strategy, regime.value))
+                    node.credit.setdefault(index, (node.active_strategy, self.regime.value))
 
     def sensing(self, node: SimNode, tick: int, t: float) -> None:
         if node.bias_drift is not None:
             node.bias = node.bias_drift.step(node.bias, self.scenario.dt, node.bias_rng)
-        node.last_raw = self.env.figures[node.figure]
-        node.sense_if_due(tick, t, node.last_raw)
-        node.last_reported = (
+        raw = self.env.figures[node.figure]
+        node.sense_if_due(tick, t, raw)
+        node.trace.raws.append(raw)
+        node.trace.quales.append(
             node.correction_gain
             * node.visible_value(t, self.initial_figures[node.figure])
             + node.correction_bias
         )
 
     def delta(self, node: SimNode, tick: int, t: float) -> DeltaSample:
-        ideal = ideal_reflection(node.nominal_gain, node.nominal_bias, node.last_raw)
-        delta = node.last_reported - ideal
+        trace = node.trace
+        ideal = ideal_reflection(node.nominal_gain, node.nominal_bias, trace.raws[-1])
+        delta = trace.quales[-1] - ideal
         if not math.isfinite(delta):
             raise DivergenceError(
                 f"node {node.name!r} diverged: non-finite delta at tick {tick} (t={t})"
             )
         sample = DeltaSample(time=t, figure=node.figure, delta=delta)
         node.window.append(sample)
-        node.times.append(t)
-        node.deltas.append(delta)
+        trace.times.append(t)
+        trace.deltas.append(delta)
         return sample
 
     def identity(self, node: SimNode, t: float, sample: DeltaSample) -> None:
@@ -916,22 +913,23 @@ class _Run:
             node.status = None
             node.utilization = None
             if self.scenario.record_identity:
-                self.result.identity_rows.append((t, node.name, IdentityKind.NON_RT.value))
+                node.trace.identities.append(IdentityKind.NON_RT.value)
         else:
             window = list(node.window)
             contract = node.contract
             node.status = check_contract(window, contract.identity, contract.at_risk_margin)
             node.utilization = contract_utilization(window, contract.identity)
             if self.scenario.record_identity:
-                label = classify_trace(
-                    window, contract.timeline_candidate(), window=len(window)
-                ).label()
-                self.result.identity_rows.append((t, node.name, label))
+                node.trace.identities.append(
+                    classify_trace(
+                        window, contract.timeline_candidate(), window=len(window)
+                    ).label()
+                )
             if node.detector is not None:
                 event = node.detector.update(sample)
                 if event is not None:
                     self.result.failure_events.append((node.name, event))
-        node.statuses.append(node.status)
+        node.trace.statuses.append(node.status)
 
     def controller(self, node: SimNode, t: float, sample: DeltaSample) -> None:
         mode: Optional[Mode] = None
@@ -939,7 +937,7 @@ class _Run:
             ctrl = node.controller_spec
             monitor_step(node.monitor, sample)
             verdict = assess_safety(node.monitor, ctrl.safety, node.status)
-            node.verdicts.append(verdict)
+            node.trace.verdicts.append(verdict)
             previous = node.mode_controller.mode
             mode = node.mode_controller.step(verdict)
             if mode is Mode.RESILIENT:
@@ -949,11 +947,11 @@ class _Run:
                 # Back to the cheap path: restore the elastic design.
                 node.pending_behavior = copy.deepcopy(node.elastic_behavior)
                 node.active_strategy = None
-        node.modes.append(mode)
+        node.trace.modes.append(mode)
 
     def _select(self, node: SimNode, t: float) -> None:
         ctrl = node.controller_spec
-        regime = self.env.regime.value
+        regime = self.regime.value
         node.overhead += 1
         if ctrl.learning_enabled:
             strategy = node.learning.select(regime, node.select_rng)
@@ -976,19 +974,9 @@ class _Run:
 
     def behavior(self, node: SimNode, t: float, sample: DeltaSample) -> None:
         obs = Observation(
-            latest=sample,
-            goal_margin=node.utilization,
-            history=tuple(node.obs_history),
-            context=self.env.figures,
-            correction=node.correction_bias,
+            latest=sample, context=self.env.figures, correction=node.correction_bias
         )
         action = node.behavior.act(obs)
-        node.obs_history.append(
-            HistoryEntry(
-                time=t, delta=sample.delta,
-                context=self.env.figures, correction=node.correction_bias,
-            )
-        )
         node.apply_action(action, _capacity(self.pool, self.pool_spec, node))
 
     def collective(self, t: float) -> None:
@@ -1040,19 +1028,6 @@ class _Run:
             )
 
     def metrics(self, t: float) -> None:
-        for node in self.nodes:
-            mode = node.modes[-1]
-            status = node.statuses[-1]
-            self.result.ticks.append(
-                TickRow(
-                    time=t, node=node.name, figure=node.figure,
-                    raw=node.last_raw,
-                    quale=node.last_reported,
-                    delta=node.deltas[-1],
-                    mode=mode.value if mode is not None else "",
-                    contract_status=status.value if status is not None else "",
-                )
-            )
         still_open = []
         for index in self.open:
             shock = self.shocks[index]
@@ -1074,8 +1049,9 @@ class _Run:
                 if index in node.failed:
                     reward = 0.0
                 else:
-                    lo, hi = _window(node.times, start, end)
-                    cost = episode_cost(node.times[lo:hi], node.deltas[lo:hi], start, end)
+                    times, deltas = node.trace.times, node.trace.deltas
+                    lo, hi = _window(times, start, end)
+                    cost = episode_cost(times[lo:hi], deltas[lo:hi], start, end)
                     reward = compute_reward(cost, self.baselines.get(node.name, 1.0))
                 node.learning.update(regime, strategy.id, reward, index)
             # The episode's outcome is measured: while conditions stay unsafe
@@ -1086,17 +1062,13 @@ class _Run:
     def wrap_up(self) -> RunResult:
         result, shocks = self.result, self.shocks
         for node in self.nodes:
-            result.node_times[node.name] = node.times
-            result.node_deltas[node.name] = node.deltas
-            result.node_status[node.name] = node.statuses
-            result.node_modes[node.name] = node.modes
-            result.node_verdicts[node.name] = node.verdicts
+            trace = result.traces[node.name] = node.trace
             result.overhead_counters[node.name] = node.overhead
             if node.learning is not None:
                 result.learning_docs[node.name] = node.learning.to_document()
             result.recovery.extend(
                 compute_recovery_metrics(
-                    node.times, node.deltas, node.statuses, shocks, node=node.name,
+                    trace.times, trace.deltas, trace.statuses, shocks, node=node.name,
                     strategies={i: s.id for i, (s, _) in node.credit.items()},
                 )
             )

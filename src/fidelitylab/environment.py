@@ -9,7 +9,7 @@ its strategy statistics on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -29,7 +29,6 @@ class EnvState:
 
     time: float
     figures: tuple[float, ...]
-    regime: Regime = Regime.CALM
 
     def __post_init__(self):
         if len(self.figures) == 0:
@@ -139,7 +138,7 @@ def step_environment(
         proc.step(value, dt, rng)
         for proc, value, rng in zip(processes, state.figures, rngs)
     )
-    return replace(state, time=state.time + dt, figures=figures)
+    return EnvState(time=state.time + dt, figures=figures)
 
 
 def apply_shock(state: EnvState, shock: ShockEvent) -> EnvState:
@@ -148,7 +147,7 @@ def apply_shock(state: EnvState, shock: ShockEvent) -> EnvState:
         raise ConfigurationError(f"shock figure index {shock.figure} out of range")
     figures = list(state.figures)
     figures[shock.figure] += shock.magnitude
-    return replace(state, figures=tuple(figures))
+    return EnvState(time=state.time, figures=tuple(figures))
 
 
 def process_from_spec(spec: dict) -> DriftProcess:

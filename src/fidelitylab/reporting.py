@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Callable
+from enum import Enum
+from typing import Callable, Optional
 
 from .engine import RunResult
 
@@ -24,6 +25,10 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _label(value: Optional[Enum]) -> str:
+    return "" if value is None else value.value
 
 
 def _atomic_write(path: str, write: Callable) -> None:
@@ -40,24 +45,21 @@ def _atomic_write(path: str, write: Callable) -> None:
 
 
 def write_ticks_csv(result: RunResult, path: str) -> None:
+    """One row per tick and node: the traces walked tick by tick, then node
+    by node in scenario order."""
     def write(fh):
         fh.write(TICKS_HEADER + "\n")
-        for row in result.ticks:
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(float(row.time)),
-                        row.node,
-                        str(row.figure),
-                        _fmt(float(row.raw)),
-                        _fmt(float(row.quale)),
-                        _fmt(float(row.delta)),
-                        row.mode,
-                        row.contract_status,
-                    ]
+        heads = [f"{name},{trace.figure}" for name, trace in result.traces.items()]
+        columns = [
+            zip(trace.times, trace.raws, trace.quales, trace.deltas, trace.modes, trace.statuses)
+            for trace in result.traces.values()
+        ]
+        for tick in zip(*columns):
+            for head, (time, raw, quale, delta, mode, status) in zip(heads, tick):
+                fh.write(
+                    f"{_fmt(float(time))},{head},{_fmt(float(raw))},{_fmt(float(quale))},"
+                    f"{_fmt(float(delta))},{_label(mode)},{_label(status)}\n"
                 )
-                + "\n"
-            )
 
     _atomic_write(path, write)
 

@@ -143,9 +143,10 @@ def test_criterion_3_isomorphism_limit():
         )],
     )
     result = run_scenario(scenario)
-    assert all(d == 0.0 for d in result.node_deltas["n0"])
-    assert all(label == "HardRT" for _, _, label in result.identity_rows)
-    assert all(m.value == "elastic" for m in result.node_modes["n0"])
+    trace = result.traces["n0"]
+    assert all(d == 0.0 for d in trace.deltas)
+    assert all(label == "HardRT" for label in trace.identities)
+    assert all(m.value == "elastic" for m in trace.modes)
     assert result.overhead_counters["n0"] == 0
     flag(3, "perfect channel: all-zero trace, HardRT and Elastic at every tick, "
             "zero model-building operations")
@@ -173,11 +174,11 @@ def test_criterion_4_behavior_ordering_under_linear_drift():
     )
     result = run_scenario(scenario)
     cost = {
-        name: float(np.sum(np.abs(result.node_deltas[name]))) * scenario.dt
+        name: float(np.sum(np.abs(result.traces[name].deltas))) * scenario.dt
         for name in ("passive", "reactive", "predictive")
     }
     assert cost["predictive"] < cost["reactive"] < cost["passive"]
-    warm = np.abs(result.node_deltas["predictive"][10:])
+    warm = np.abs(result.traces["predictive"].deltas[10:])
     assert float(np.max(warm)) < 1e-6
     flag(4, f"integrated |delta|: predictive {cost['predictive']:.2e} < reactive "
             f"{cost['reactive']:.3f} < passive {cost['passive']:.1f}; predictive "

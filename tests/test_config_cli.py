@@ -159,8 +159,8 @@ class TestCmdRun:
         assert sha256(out_a / "ticks.csv") == sha256(out_b / "ticks.csv")
         assert sha256(out_a / "episodes.csv") == sha256(out_b / "episodes.csv")
 
-    # numpy must not warn about the overflow that precedes the divergence.
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # numpy must not warn about the overflow that precedes the divergence
+    # (pyproject.toml turns every RuntimeWarning into an error).
     def test_divergence_exits_1_naming_node_and_tick(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MINIMAL)) | {"duration": 110.0}
         doc["nodes"][0]["behavior"] = {

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_golden import DEMO, _ladder_cut
 
 from fidelitylab import engine
-from fidelitylab.behavior import Passive, Reactive
+from fidelitylab.behavior import Passive, Predictive, Reactive
 from fidelitylab.collective import SocialBehavior
 from fidelitylab.config import load_config
 from fidelitylab.controller import (
@@ -24,6 +24,7 @@ from fidelitylab.engine import (
     ControllerSpec,
     FigureSpec,
     NodeSpec,
+    NodeTrace,
     PoolSpec,
     RecoveryMetrics,
     Scenario,
@@ -36,10 +37,10 @@ from fidelitylab.engine import (
     theil_sen_slope,
     validate_scenario,
 )
-from fidelitylab.environment import LinearDrift, ShockEvent
+from fidelitylab.environment import Constant, LinearDrift, RandomWalk, ShockEvent
 from fidelitylab.errors import ConfigurationError, InsufficientDataError
 from fidelitylab.identity import ContractStatus, DetectorConfig, IdentityClass
-from fidelitylab.reporting import export_run
+from fidelitylab.reporting import TICKS_HEADER, export_run
 
 
 def hard_contract(threshold=0.1, window=20):
@@ -84,9 +85,8 @@ class TestRunBasics:
             nodes=[perfect_node()],
         )
         result = run_scenario(scenario)
-        assert result.ticks == []
+        assert result.traces == {"n0": NodeTrace(figure=0)}
         assert result.recovery == []
-        assert result.identity_rows == []
 
     def test_isomorphism_limit(self):
         scenario = Scenario(
@@ -98,9 +98,10 @@ class TestRunBasics:
             ))],
         )
         result = run_scenario(scenario)
-        assert all(d == 0.0 for d in result.node_deltas["n0"])
-        assert all(label == "HardRT" for _, _, label in result.identity_rows)
-        assert all(m.value == "elastic" for m in result.node_modes["n0"])
+        trace = result.traces["n0"]
+        assert all(d == 0.0 for d in trace.deltas)
+        assert all(label == "HardRT" for label in trace.identities)
+        assert all(m.value == "elastic" for m in trace.modes)
         assert result.overhead_counters["n0"] == 0
         assert result.failure_events == []
 
@@ -148,11 +149,11 @@ class TestRunBasics:
                                 behavior=Passive())],
             )
 
-        clean_a = run_scenario(scenario(1, 0.0)).node_deltas["n0"]
-        clean_b = run_scenario(scenario(2, 0.0)).node_deltas["n0"]
+        clean_a = run_scenario(scenario(1, 0.0)).traces["n0"].deltas
+        clean_b = run_scenario(scenario(2, 0.0)).traces["n0"].deltas
         assert clean_a == clean_b
-        noisy_a = run_scenario(scenario(1, 0.1)).node_deltas["n0"]
-        noisy_b = run_scenario(scenario(2, 0.1)).node_deltas["n0"]
+        noisy_a = run_scenario(scenario(1, 0.1)).traces["n0"].deltas
+        noisy_b = run_scenario(scenario(2, 0.1)).traces["n0"].deltas
         assert noisy_a != noisy_b
 
     def test_tick_stage_order_contract(self, monkeypatch):
@@ -381,16 +382,13 @@ class TestScaleEquivariance:
         )
 
     def test_doubling_units_preserves_timelines(self):
-        base = run_scenario(self.build(1.0))
-        doubled = run_scenario(self.build(2.0))
-        assert base.identity_rows == doubled.identity_rows
-        assert base.node_modes["n0"] == doubled.node_modes["n0"]
-        assert [s for s in base.node_status["n0"]] == [s for s in doubled.node_status["n0"]]
+        base = run_scenario(self.build(1.0)).traces["n0"]
+        doubled = run_scenario(self.build(2.0)).traces["n0"]
+        assert base.identities == doubled.identities
+        assert base.modes == doubled.modes
+        assert base.statuses == doubled.statuses
         # deltas scale exactly by the unit factor (power of two)
-        assert all(
-            2.0 * a == b
-            for a, b in zip(base.node_deltas["n0"], doubled.node_deltas["n0"])
-        )
+        assert all(2.0 * a == b for a, b in zip(base.deltas, doubled.deltas))
 
 
 class TestModeReplay:
@@ -409,9 +407,9 @@ class TestModeReplay:
             )],
         )
         result = run_scenario(scenario)
-        verdicts = result.node_verdicts["n0"]
+        verdicts = result.traces["n0"].verdicts
         assert Safety.UNSAFE in verdicts
-        assert replay_modes(verdicts, hysteresis=7) == result.node_modes["n0"]
+        assert replay_modes(verdicts, hysteresis=7) == result.traces["n0"].modes
 
 
 class TestStrategyEnactment:
@@ -561,7 +559,10 @@ class TestCalibration:
         ticks = round(scenario.duration / scenario.dt)
         per_tick = ["boundary", "environment"] + ["sensing", "delta"] * len(scenario.nodes)
         assert stage_log == per_tick * ticks
-        assert result.ticks == [] and result.identity_rows == []
+        for trace in result.traces.values():
+            for column in ("times", "raws", "quales", "deltas"):
+                assert len(getattr(trace, column)) == ticks, column
+            assert trace.statuses == trace.modes == trace.verdicts == trace.identities == []
         assert len(result.recovery) == len(scenario.nodes) * len(scenario.shocks)
 
 
@@ -583,10 +584,169 @@ class TestPoolWiring:
         )
         result = run_scenario(scenario)
         assert result.pool_violations == 0
-        deltas = result.node_deltas["n0"]
+        deltas = result.traces["n0"].deltas
         shock_idx = 49  # tick 50 is t=5.0
-        assert result.node_times["n0"][shock_idx] == pytest.approx(5.0)
+        assert result.traces["n0"].times[shock_idx] == pytest.approx(5.0)
         # capacity 0.02/tick: one tick after the shock the error shrank by
         # exactly the allocation, not the full reactive correction
         assert deltas[shock_idx] == pytest.approx(1.0)
         assert deltas[shock_idx + 1] == pytest.approx(1.0 - 0.02)
+
+
+# -- the per-node trace ---------------------------------------------------------
+
+
+def _contract_controller_scenario(record_identity=True):
+    """One node for each combination of contract and controller, two shocks."""
+    catalog = (Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
+                        behavior_spec={"kind": "reactive", "gain": 1.0}),)
+    nodes = [
+        NodeSpec(
+            name=f"n{i}",
+            channel=ChannelSpec(gain=1.1, noise_std=0.01, sampling_period=0.1),
+            contract=hard_contract() if contract else None,
+            behavior=Reactive(feedback_gain=0.5),
+            controller=ControllerSpec(catalog=catalog) if controller else None,
+        )
+        for i, (contract, controller) in enumerate(itertools.product((False, True), repeat=2))
+    ]
+    return Scenario(
+        duration=20.0, dt=0.1, seed=8,
+        figures=[FigureSpec(name="f")],
+        shocks=[ShockEvent(at=5.0, figure=0, magnitude=5.0, recovery_window=4.0),
+                ShockEvent(at=12.0, figure=0, magnitude=-5.0, recovery_window=4.0)],
+        nodes=nodes,
+        record_identity=record_identity,
+    )
+
+
+class TestNodeTrace:
+    PER_TICK = ("times", "raws", "quales", "deltas", "statuses", "modes")
+
+    @pytest.mark.parametrize("record_identity", [True, False])
+    def test_every_column_but_verdicts_and_identities_has_one_entry_per_tick(
+        self, record_identity
+    ):
+        scenario = _contract_controller_scenario(record_identity)
+        result = run_scenario(scenario)
+        ticks = round(scenario.duration / scenario.dt)
+        assert list(result.traces) == [node.name for node in scenario.nodes]
+        for node in scenario.nodes:
+            trace = result.traces[node.name]
+            assert trace.figure == node.figure
+            for column in self.PER_TICK:
+                assert len(getattr(trace, column)) == ticks, column
+            assert len(trace.verdicts) == (ticks if node.controller else 0)
+            assert len(trace.identities) == (ticks if record_identity else 0)
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario(duration=10.0, figures=[FigureSpec(name="f")]),
+        Scenario(duration=0.0, figures=[FigureSpec(name="f")], nodes=[perfect_node()]),
+    ], ids=["no_nodes", "zero_duration"])
+    def test_empty_runs_export_only_the_ticks_header(self, scenario, tmp_path):
+        export_run(run_scenario(scenario), str(tmp_path))
+        assert (tmp_path / "ticks.csv").read_text() == TICKS_HEADER + "\n"
+
+
+# -- stream independence ----------------------------------------------------------
+
+_PROCESSES = st.sampled_from([Constant(), LinearDrift(rate=0.02), RandomWalk(std=0.05)])
+
+
+@st.composite
+def _small_nodes(draw, name, figures, pool):
+    """A node on one of ``figures`` figures; social or a member only if ``pool``."""
+    contract = draw(st.booleans())
+    social = draw(st.sampled_from([None, *SocialBehavior])) if pool else None
+    catalog = (
+        Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
+                 behavior_spec={"kind": "reactive", "gain": 1.0}),
+        Strategy(id="slow", kind=StrategyKind.RECONFIGURE,
+                 channel_spec={"sampling_period": 0.3}),
+    )
+    if social is not None:
+        catalog += (Strategy(id="grab", kind=StrategyKind.SOCIAL,
+                             social_spec={"kind": "grab", "amount": 0.25}),)
+    controller = None
+    if draw(st.booleans()):
+        controller = ControllerSpec(catalog=catalog, learning_enabled=draw(st.booleans()))
+    return NodeSpec(
+        name=name,
+        figure=draw(st.integers(0, figures - 1)),
+        channel=ChannelSpec(gain=draw(st.sampled_from([0.9, 1.1])),
+                            noise_std=draw(st.sampled_from([0.0, 0.02])),
+                            sampling_period=draw(st.sampled_from([0.1, 0.3]))),
+        contract=hard_contract() if contract else None,
+        detector=DetectorConfig() if contract and draw(st.booleans()) else None,
+        behavior=draw(st.sampled_from([Passive(), Reactive(feedback_gain=0.5),
+                                       Predictive(k=1), Predictive(k=2)])),
+        social=social,
+        member=pool and draw(st.booleans()),
+        controller=controller,
+    )
+
+
+@st.composite
+def _small_scenarios(draw):
+    """One or two nodes on one or two figures, at most 30 s, with shocks and
+    maybe a pool."""
+    duration = draw(st.integers(5, 30))
+    figures = [FigureSpec(name=f"f{i}", initial=draw(st.sampled_from([0.0, 1.0])),
+                          process=draw(_PROCESSES))
+               for i in range(draw(st.integers(1, 2)))]
+    shocks, at = [], float(draw(st.integers(1, 3)))
+    window = float(draw(st.integers(1, 3)))
+    while at + window <= duration and len(shocks) < 4:
+        shocks.append(ShockEvent(at=at, figure=draw(st.integers(0, len(figures) - 1)),
+                                 magnitude=draw(st.sampled_from([-3.0, 2.0])),
+                                 recovery_window=window))
+        at += window + draw(st.integers(0, 3))
+    pool = PoolSpec(total=2.0, join_allocation=0.5, solo_capacity=0.3) if draw(
+        st.booleans()) else None
+    nodes = [draw(_small_nodes(f"n{i}", len(figures), pool is not None))
+             for i in range(draw(st.integers(1, 2)))]
+    return Scenario(duration=float(duration), dt=0.1, seed=draw(st.integers(0, 9)),
+                    figures=figures, shocks=shocks, nodes=nodes, pool=pool)
+
+
+def _rows(result, names):
+    return [m for m in result.recovery if m.node in names]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_scenarios(), st.data())
+def test_an_unpooled_node_leaves_every_other_node_as_it_was(scenario, data):
+    """A node outside the pool, with no social behavior, draws from its own
+    streams and touches no shared state."""
+    extra = data.draw(_small_nodes("extra", len(scenario.figures), pool=False))
+    base = run_scenario(scenario)
+    more = run_scenario(replace(scenario, nodes=scenario.nodes + [extra]))
+    names = {node.name for node in scenario.nodes}
+    for name in names:
+        assert more.traces[name] == base.traces[name]
+    assert _rows(more, names) == base.recovery
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_scenarios(), _PROCESSES)
+def test_an_appended_figure_leaves_controller_free_nodes_as_they_were(scenario, process):
+    """Each figure drifts on its own stream, so a new last figure changes no
+    other figure. Controller nodes are excluded: the regime label their
+    strategies are chosen and credited under averages over all figures. Their
+    choices reach the nodes that share a pool with them, so when a controller
+    node takes part in the pool, only nodes outside it are compared."""
+    figures = scenario.figures + [FigureSpec(name="new", process=process)]
+    wider = replace(scenario, figures=figures)
+    base, more = run_scenario(scenario), run_scenario(wider)
+
+    def pooled(node):
+        return node.member or node.social is not None
+
+    shared = any(node.controller is not None and pooled(node) for node in scenario.nodes)
+    names = {
+        node.name for node in scenario.nodes
+        if node.controller is None and not (shared and pooled(node))
+    }
+    for name in names:
+        assert more.traces[name] == base.traces[name]
+    assert _rows(more, names) == _rows(base, names)
