@@ -9,10 +9,15 @@ Two corpora, each a SHA-256 digest of every file ``export_run`` writes:
   pro-rata path is exercised.
 * ``scenarios.json``: ``configs/demo.yaml``, the criterion-6 two-arm
   scenario at seed 0, the criterion-7 ladder cut to its first 8 shocks
-  with learning on and off at seeds 0 and 1, and the criterion-9
-  determinism scenario. These are exported as ``fidelity-lab run`` writes
-  them, with the config echo in ``report.json``.
+  with learning on and off at seeds 0 and 1, the criterion-9
+  determinism scenario, the benchmark's population mix at 24 nodes (hard,
+  soft and best-effort contracts, detectors that fire and reset), once
+  with the identity timeline, and a drifting-bias channel beside a node
+  that reconfigures its channel and one that resamples. These are
+  exported as ``fidelity-lab run`` writes them, with the config echo in
+  ``report.json``.
 
+Runs that record the identity timeline also pin it, under ``identities``.
 A change that moves a digest must say why in CHANGES.md. Regenerate both
 files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -29,20 +34,22 @@ import pytest
 
 from test_acceptance import _determinism_scenario, _ladder_scenario, _two_arm_scenario
 
-from fidelitylab.behavior import Predictive, Reactive
+from fidelitylab.behavior import ActiveNonPurposeful, CorrectiveAction, Predictive, Reactive
 from fidelitylab.collective import SocialBehavior
 from fidelitylab.config import load_config, scenario_to_config
+from fidelitylab.controller import Strategy, StrategyKind
 from fidelitylab.engine import (
     ChannelSpec,
     ContractSpec,
+    ControllerSpec,
     FigureSpec,
     NodeSpec,
     PoolSpec,
     Scenario,
     run_scenario,
 )
-from fidelitylab.environment import ShockEvent
-from fidelitylab.identity import IdentityClass
+from fidelitylab.environment import RandomWalk, ShockEvent
+from fidelitylab.identity import DetectorConfig, IdentityClass
 from fidelitylab.reporting import export_run
 
 HERE = os.path.dirname(__file__)
@@ -90,6 +97,93 @@ def pool_population(seed):
     )
 
 
+#: The benchmark's population contracts, cycled over the design groups.
+MIX_CONTRACTS = (
+    IdentityClass.hard(0.1),
+    IdentityClass.soft(0.05, 0.05),
+    IdentityClass.best_effort(0.1),
+)
+
+
+def population_mix(record_identity):
+    """The benchmark's population mix at 24 nodes over 20 s: both the
+    contract windows (20) and the detector windows (100) wrap, and the
+    detectors on the hard and soft nodes fire and reset."""
+    nodes = []
+    for i in range(24):
+        group = i % 8
+        behavior, social = _design(group)
+        identity = MIX_CONTRACTS[group % 3]
+        nodes.append(NodeSpec(
+            name=f"n{i}", figure=i % 8,
+            channel=ChannelSpec(gain=1.1, nominal_gain=1.0, sampling_period=0.1),
+            contract=ContractSpec(identity=identity, window=20),
+            detector=None if identity.acceptability_bound else DetectorConfig(),
+            behavior=behavior, social=social, member=True,
+        ))
+    return Scenario(
+        name="population_mix", duration=20.0, dt=0.1, seed=7,
+        record_identity=record_identity,
+        figures=[FigureSpec(name=f"f{i}", initial=0.0) for i in range(8)],
+        shocks=[
+            ShockEvent(at=at + 0.1 * i, figure=figure, magnitude=10.0, recovery_window=6.0)
+            for at, hit in ((2.0, (1, 2, 5, 6)), (11.0, (0, 3, 4, 7)))
+            for i, figure in enumerate(hit)
+        ],
+        pool=PoolSpec(total=3.0, join_allocation=0.1, solo_capacity=0.0,
+                      floor=0.1, assist_quantum=0.02, calm_window=600),
+        nodes=nodes,
+    )
+
+
+def channel_changes():
+    """A channel whose bias drifts every tick, a learning node whose catalog
+    restages its channel's gain and sampling period, and a node whose
+    behavior resamples its channel."""
+    catalog = (
+        Strategy(id="retune", kind=StrategyKind.RECONFIGURE,
+                 channel_spec={"gain": 1.3, "sampling_period": 0.2}),
+        Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
+                 behavior_spec={"kind": "reactive", "gain": 1.0},
+                 channel_spec={"gain": 1.05, "sampling_period": 0.1}),
+    )
+    return Scenario(
+        name="channel_changes", duration=60.0, dt=0.1, seed=3,
+        figures=[FigureSpec(name="load", initial=1.0, process=RandomWalk(std=0.02)),
+                 FigureSpec(name="heat", initial=0.0)],
+        shocks=[ShockEvent(at=5.0 + 7.0 * i, figure=int(i % 3 == 2), magnitude=5.0,
+                           recovery_window=6.0) for i in range(8)],
+        nodes=[
+            NodeSpec(
+                name="drifting",
+                channel=ChannelSpec(noise_std=0.01, sampling_period=0.1,
+                                    bias_drift=RandomWalk(std=0.05)),
+                contract=ContractSpec(identity=IdentityClass.soft(0.03, 0.03), window=30),
+                detector=DetectorConfig(window=40),
+                behavior=Reactive(feedback_gain=0.5),
+            ),
+            NodeSpec(
+                name="retuning", figure=0,
+                channel=ChannelSpec(gain=1.2, nominal_gain=1.0, noise_std=0.01,
+                                    sampling_period=0.1),
+                contract=ContractSpec(identity=IdentityClass.hard(0.1), window=20),
+                behavior=Reactive(feedback_gain=0.2),
+                controller=ControllerSpec(hysteresis=5, catalog=catalog),
+            ),
+            NodeSpec(
+                name="resampling", figure=1,
+                channel=ChannelSpec(gain=1.1, nominal_gain=1.0, sampling_period=0.1),
+                contract=ContractSpec(identity=IdentityClass.best_effort(0.2), window=25),
+                behavior=ActiveNonPurposeful(schedule=(
+                    CorrectiveAction(bias=0.01, resample=0.3),
+                    CorrectiveAction(bias=-0.01),
+                    CorrectiveAction(resample=0.1),
+                )),
+            ),
+        ],
+    )
+
+
 def _ladder_cut(seed, learning_enabled):
     scenario = _ladder_scenario(seed, learning_enabled)
     return replace(scenario, duration=225.0, shocks=scenario.shocks[:8])
@@ -103,18 +197,31 @@ SCENARIOS = {
     "ladder_learn_seed1": lambda: _ladder_cut(1, True),
     "ladder_fixed_seed1": lambda: _ladder_cut(1, False),
     "det": _determinism_scenario,
+    "population_mix": lambda: population_mix(False),
+    "population_mix_identity": lambda: population_mix(True),
+    "channel_changes": channel_changes,
 }
 
 
 def digests(scenario, echo=False):
+    """SHA-256 of every exported file, plus ``identities`` for a run that
+    records the identity timeline, which no export carries."""
     with tempfile.TemporaryDirectory() as outdir:
         result = run_scenario(scenario)
         if echo:
             result.config_echo = scenario_to_config(scenario)
-        return {
+        found = {
             os.path.basename(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
             for path in export_run(result, outdir)
         }
+    if scenario.record_identity and scenario.nodes:
+        timeline = "".join(
+            f"{name},{label}\n"
+            for name, trace in result.traces.items()
+            for label in trace.identities
+        )
+        found["identities"] = hashlib.sha256(timeline.encode()).hexdigest()
+    return found
 
 
 def _load(path):
