@@ -71,6 +71,7 @@ from .environment import (
     ShockEvent,
     apply_shock,
     label_regime,
+    regime_increments,
     step_environment,
 )
 from .errors import (
@@ -91,9 +92,11 @@ from .identity import (
     IdentityFailureDetector,
     IdentityFailureEvent,
     IdentityKind,
+    WindowRing,
     check_contract,
     classify_trace,
     detect_identity_failure,
+    magnitudes,
 )
 from .reflection import (
     DeltaSample,

@@ -60,13 +60,12 @@ ZERO_ACTION = CorrectiveAction()
 
 @dataclass(frozen=True)
 class HistoryEntry:
-    """One remembered tick of a predictive behavior: time, deviation,
-    context figures, applied correction."""
+    """One remembered tick of a predictive behavior: time, deviation and
+    context figures."""
 
     time: float
     delta: float
     context: tuple[float, ...]
-    correction: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,6 @@ class Predictive(Behavior):
                 time=obs.latest.time,
                 delta=deviation,
                 context=tuple(obs.context),
-                correction=obs.correction,
             )
         )
         if len(self._history) > self.window:

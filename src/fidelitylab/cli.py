@@ -17,7 +17,7 @@ from typing import Optional
 from .config import load_config, scenario_to_config
 from .engine import run_scenario
 from .errors import ConfigurationError, FidelityLabError, InsufficientDataError
-from .identity import DeltaSample, IdentityClass, classify_trace
+from .identity import DeltaSample, IdentityClass, classify_trace, magnitudes, mean_std
 from .reporting import export_run
 
 EXIT_OK = 0
@@ -126,20 +126,18 @@ def cmd_classify(
         samples = _parse_trace_csv(trace_path)
         effective_window = window if window is not None else len(samples)
         result = classify_trace(samples, candidate, window=effective_window)
-        tail = samples[-effective_window:]
-        import numpy as np
-
-        mags = np.abs([s.delta for s in tail])
+        mags = magnitudes(samples[-effective_window:])
+        mean, std = mean_std(mags)
         print(
             json.dumps(
                 {
                     "class": result.label(),
                     "parameters": params,
                     "window_stats": {
-                        "samples": len(tail),
-                        "max_abs": float(np.max(mags)),
-                        "mean_abs": float(np.mean(mags)),
-                        "std_abs": float(np.std(mags)),
+                        "samples": len(mags),
+                        "max_abs": float(mags.max()),
+                        "mean_abs": mean,
+                        "std_abs": std,
                     },
                 },
                 sort_keys=True,

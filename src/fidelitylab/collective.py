@@ -231,7 +231,8 @@ class SocialState:
 #: (at most half the contract allowance consumed, i.e. a 2x margin).
 COOPERATIVE_DONOR_UTILIZATION = 0.5
 
-_NEEDY = (ContractStatus.AT_RISK, ContractStatus.VIOLATED)
+#: Statuses that make a node a candidate for assistance.
+NEEDY = (ContractStatus.AT_RISK, ContractStatus.VIOLATED)
 
 
 def decide_social_action(
@@ -249,10 +250,12 @@ def decide_social_action(
     """Choose this tick's social action for one node, or None.
 
     ``state.calm_ticks`` must be maintained by the caller (incremented on
-    Holding, reset otherwise); deterministic given its inputs.
+    Holding, reset otherwise); deterministic given its inputs. Only the
+    ``neighbors`` whose status is in ``NEEDY`` are ever read, so a caller
+    may pass just those, in the same order.
     """
     member = pool.is_member(node)
-    in_danger = status in _NEEDY
+    in_danger = status in NEEDY
 
     if behavior is SocialBehavior.NEUTRAL:
         if in_danger and not member:
@@ -280,7 +283,7 @@ def decide_social_action(
         needy = [
             n
             for n in neighbors
-            if n.name != node and n.status in _NEEDY and pool.is_member(n.name)
+            if n.name != node and n.status in NEEDY and pool.is_member(n.name)
         ]
         if not needy:
             return None

@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import copy
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import median
@@ -41,6 +40,7 @@ import numpy as np
 from . import behavior as behavior_mod
 from .behavior import Behavior, CorrectiveAction, Observation, Passive
 from .collective import (
+    NEEDY,
     NeighborView,
     ResourcePool,
     SocialAction,
@@ -74,13 +74,16 @@ from .environment import (
     step_environment,
 )
 from .errors import ConfigurationError, DivergenceError, InsufficientDataError
-from .identity import (
+# contract_utilization is not called here, but stays bound so that
+# perfbench/tracer.py, which patches the engine's bindings, finds it.
+from .identity import (  # noqa: F401
     ContractStatus,
     DetectorConfig,
     IdentityClass,
     IdentityFailureDetector,
     IdentityFailureEvent,
     IdentityKind,
+    WindowRing,
     check_contract,
     classify_trace,
     contract_utilization,
@@ -441,6 +444,7 @@ class SimNode:
 
         self.correction_bias = 0.0
         self.correction_gain = 1.0
+        self.channel = self.reflective_map()  # rebuilt whenever a parameter moves
         self.pending_qualia: list = []
         # Boot convention: before the first quale arrives the node reports
         # the nominal reflection of the initial raw value.
@@ -452,9 +456,12 @@ class SimNode:
         self.pending_channel: Optional[dict] = None
 
         self.contract = spec.contract
-        self.window: deque[DeltaSample] = deque(
-            maxlen=spec.contract.window if spec.contract else 100
-        )
+        # |delta| over the contract window, read by every contract reader.
+        self.window: Optional[WindowRing] = None
+        self.timeline_candidate: Optional[IdentityClass] = None
+        if spec.contract is not None:
+            self.window = WindowRing(spec.contract.window)
+            self.timeline_candidate = spec.contract.timeline_candidate()
         # Best-effort systems do not watch their own error: the guard is
         # withheld from them even when a detector section is configured.
         self.detector: Optional[IdentityFailureDetector] = None
@@ -508,9 +515,13 @@ class SimNode:
             latency=self.latency,
         )
 
+    def drift_bias(self) -> None:
+        self.bias = self.bias_drift.step(self.bias, self.dt, self.bias_rng)
+        self.channel = self.reflective_map()
+
     def sense_if_due(self, tick: int, t: float, raw: float) -> None:
         if tick % self.period_ticks == 0:
-            self.pending_qualia.append(sense(self.reflective_map(), raw, t, self.noise_rng))
+            self.pending_qualia.append(sense(self.channel, raw, t, self.noise_rng))
 
     def visible_value(self, t: float, initial_raw: float) -> float:
         arrived = [q for q in self.pending_qualia if q.acquired_at <= t + TIME_EPS]
@@ -535,6 +546,7 @@ class SimNode:
                     setattr(self, key, float(spec[key]))
             if "sampling_period" in spec:
                 self.period_ticks = max(1, round(float(spec["sampling_period"]) / self.dt))
+            self.channel = self.reflective_map()
 
     def apply_action(self, action: CorrectiveAction, capacity: float) -> float:
         applied = min(max(action.bias, -capacity), capacity)
@@ -542,6 +554,7 @@ class SimNode:
         self.correction_gain *= action.gain
         if action.resample is not None:
             self.period_ticks = max(1, round(action.resample / self.dt))
+            self.channel = self.reflective_map()
         return applied
 
 
@@ -814,9 +827,8 @@ class _Run:
             substream(scenario.seed, "figure", i, "drift")
             for i in range(len(scenario.figures))
         ]
-        self.env_history: deque[EnvState] = deque(
-            [self.env], maxlen=scenario.regime_window + 1
-        )
+        # |figure increments| of the last regime_window steps, one row each.
+        self.increments = WindowRing(scenario.regime_window, len(scenario.figures))
         self.regime = Regime.CALM
         self.shocks = scenario.shocks
         self.next_shock = 0  # shocks before this index have landed
@@ -871,9 +883,9 @@ class _Run:
         ):
             env = apply_shock(env, self.shocks[self.next_shock])
             self.next_shock += 1
+        self.increments.push([abs(b - a) for a, b in zip(self.env.figures, env.figures)])
         self.env = env
-        self.env_history.append(env)
-        self.regime = label_regime(self.env_history, self.scenario.turbulence_threshold)
+        self.regime = label_regime(self.increments.view(), self.scenario.turbulence_threshold)
         for index in range(landed, self.next_shock):
             self.open.append(index)
             # A strategy already in force when the shock lands owns the episode.
@@ -884,7 +896,7 @@ class _Run:
 
     def sensing(self, node: SimNode, tick: int, t: float) -> None:
         if node.bias_drift is not None:
-            node.bias = node.bias_drift.step(node.bias, self.scenario.dt, node.bias_rng)
+            node.drift_bias()
         raw = self.env.figures[node.figure]
         node.sense_if_due(tick, t, raw)
         node.trace.raws.append(raw)
@@ -903,7 +915,6 @@ class _Run:
                 f"node {node.name!r} diverged: non-finite delta at tick {tick} (t={t})"
             )
         sample = DeltaSample(time=t, figure=node.figure, delta=delta)
-        node.window.append(sample)
         trace.times.append(t)
         trace.deltas.append(delta)
         return sample
@@ -915,15 +926,17 @@ class _Run:
             if self.scenario.record_identity:
                 node.trace.identities.append(IdentityKind.NON_RT.value)
         else:
-            window = list(node.window)
+            # One window, read in place by every reader; check_contract
+            # returns the utilization with the status.
+            node.window.push(abs(sample.delta))
+            window = node.window.view()
             contract = node.contract
-            node.status = check_contract(window, contract.identity, contract.at_risk_margin)
-            node.utilization = contract_utilization(window, contract.identity)
+            node.status, node.utilization = check_contract(
+                window, contract.identity, contract.at_risk_margin
+            )
             if self.scenario.record_identity:
                 node.trace.identities.append(
-                    classify_trace(
-                        window, contract.timeline_candidate(), window=len(window)
-                    ).label()
+                    classify_trace(window, node.timeline_candidate, window=len(window)).label()
                 )
             if node.detector is not None:
                 event = node.detector.update(sample)
@@ -999,9 +1012,12 @@ class _Run:
                 if episode is not None:
                     node.failed.add(episode)
         self.pending_social.clear()
+        # Donors only ever assist needy nodes, and no status moves within the
+        # tick, so only those are offered as neighbours.
         neighbors = [
             NeighborView(name=m.name, status=m.status, utilization=m.utilization)
             for m in self.nodes
+            if m.status in NEEDY
         ]
         for node in self.nodes:
             if node.social is None:

@@ -198,21 +198,24 @@ def process_to_spec(process: DriftProcess) -> dict:
     raise ConfigurationError(f"cannot serialize process {type(process).__name__}")
 
 
-def label_regime(history: Sequence[EnvState], threshold: float) -> Regime:
-    """Label recent history by its windowed mean absolute increment.
-
-    Turbulent iff the mean of |figure increments| across all consecutive
-    state pairs in the window strictly exceeds the threshold. A single
-    state (no increments yet) is Calm.
-    """
+def regime_increments(history: Sequence[EnvState]) -> np.ndarray:
+    """|figure increments| between consecutive states: one row per pair."""
     if len(history) == 0:
         raise ConfigurationError("regime labelling needs a non-empty history")
-    if len(history) == 1:
-        return Regime.CALM
-    # One row per state: the increments come out pair by pair, figure by
-    # figure, and sum in the same order (and to the same bits) as np.mean
-    # over a flat list of them.
     figures = np.array([state.figures for state in history], dtype=float)
-    increments = np.abs(figures[1:] - figures[:-1])
+    return np.abs(figures[1:] - figures[:-1])
+
+
+def label_regime(increments: np.ndarray, threshold: float) -> Regime:
+    """Label recent history by its windowed mean absolute increment.
+
+    ``increments`` holds one row of |figure increments| per consecutive
+    state pair in the window (``regime_increments``). Turbulent iff their
+    mean strictly exceeds the threshold; with no increments yet (a single
+    state) the label is Calm. A C-contiguous array sums in the same order,
+    and to the same bits, as np.mean over a flat list of the increments.
+    """
+    if len(increments) == 0:
+        return Regime.CALM
     mean_increment = float(increments.sum() / increments.size)
     return Regime.TURBULENT if mean_increment > threshold else Regime.CALM

@@ -19,7 +19,7 @@ reports whichever fires first.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
@@ -123,7 +123,7 @@ class DeltaTrace:
         return len(self.samples)
 
     def magnitudes(self) -> np.ndarray:
-        return np.abs([s.delta for s in self.samples])
+        return magnitudes(self)
 
 
 class ContractStatus(Enum):
@@ -144,36 +144,104 @@ class IdentityFailureEvent:
     window_std: float
 
 
-def _window_magnitudes(samples: Sequence[DeltaSample], window: int) -> np.ndarray:
-    tail = samples[-window:] if window else samples
-    return np.abs([s.delta for s in tail])
+class WindowRing:
+    """The last ``size`` entries of a stream, in time order, as one
+    contiguous array.
+
+    Every entry is written twice, at ``i`` and ``i + size`` of a buffer of
+    ``2 * size`` rows, so the full window is always ``buf[pos:pos + size]``
+    (``buf[:count]`` while filling): reading it copies nothing, and numpy
+    reduces the same values in the same order as over a fresh array.
+    ``width`` gives each entry that many columns.
+    """
+
+    __slots__ = ("size", "count", "_pos", "_buf")
+
+    def __init__(self, size: int, width: Optional[int] = None):
+        self.size = size
+        self.count = 0
+        self._pos = 0  # oldest entry once full
+        self._buf = np.zeros((2 * size,) if width is None else (2 * size, width))
+
+    def push(self, entry) -> None:
+        size, buf = self.size, self._buf
+        if self.count < size:
+            at = self.count
+            self.count += 1
+        else:
+            at = self._pos
+            self._pos = at + 1 if at + 1 < size else 0
+        buf[at] = entry
+        buf[at + size] = entry
+
+    def view(self) -> np.ndarray:
+        """The window, oldest first. Valid until the next push."""
+        if self.count < self.size:
+            return self._buf[: self.count]
+        return self._buf[self._pos : self._pos + self.size]
+
+    def clear(self) -> None:
+        self.count = 0
+        self._pos = 0
+
+
+Window = Union[np.ndarray, DeltaTrace, Sequence[DeltaSample]]
+
+
+def magnitudes(window: Window) -> np.ndarray:
+    """|delta| of a window. An array is taken to hold magnitudes already."""
+    if isinstance(window, np.ndarray):
+        return window
+    samples = window.samples if isinstance(window, DeltaTrace) else window
+    return np.abs([s.delta for s in samples])
+
+
+def mean_std(mags: np.ndarray) -> tuple[float, float]:
+    """np.mean and np.std (ddof=0) to the bit, in one pass of numpy calls."""
+    n = len(mags)
+    mean = mags.sum() / n
+    dev = mags - mean
+    return float(mean), math.sqrt((dev * dev).sum() / n)
+
+
+def _assess(
+    mags: np.ndarray, contract: IdentityClass, kind: Optional[IdentityKind] = None
+) -> tuple[bool, float]:
+    """Whether the window satisfies ``kind`` (the contract's own by default)
+    at the contract's thresholds, and its utilization (1.0 = at the bound),
+    from one pass over the window."""
+    kind = contract.kind if kind is None else kind
+    if kind is IdentityKind.HARD_RT:
+        peak = float(mags.max())
+        return peak <= contract.hard_threshold, peak / contract.hard_threshold
+    if kind is IdentityKind.SOFT_RT:
+        mean, std = mean_std(mags)
+        ok = mean <= contract.soft_mean and std <= contract.soft_std
+        return ok, max(mean / contract.soft_mean, std / contract.soft_std)
+    # Best effort: utilization is the violating fraction against the allowance.
+    n = len(mags)
+    over = int(np.count_nonzero(mags > contract.acceptability_bound))
+    covered = (n - over) / n
+    return covered >= BEST_EFFORT_COVERAGE, (over / n) / (1.0 - BEST_EFFORT_COVERAGE)
+
+
+#: The thresholds each constrained class is tested against.
+_THRESHOLDS = {
+    IdentityKind.HARD_RT: ("hard_threshold",),
+    IdentityKind.SOFT_RT: ("soft_mean", "soft_std"),
+    IdentityKind.BEST_EFFORT: ("acceptability_bound",),
+}
 
 
 def _satisfies(mags: np.ndarray, candidate: IdentityClass, kind: IdentityKind) -> bool:
-    if kind is IdentityKind.HARD_RT:
-        if candidate.hard_threshold is None:
-            return False
-        return float(np.max(mags)) <= candidate.hard_threshold
-    if kind is IdentityKind.SOFT_RT:
-        if candidate.soft_mean is None or candidate.soft_std is None:
-            return False
-        return (
-            float(np.mean(mags)) <= candidate.soft_mean
-            and float(np.std(mags)) <= candidate.soft_std
-        )
-    if kind is IdentityKind.BEST_EFFORT:
-        if candidate.acceptability_bound is None:
-            return False
-        covered = float(np.mean(mags <= candidate.acceptability_bound))
-        return covered >= BEST_EFFORT_COVERAGE
-    return True  # NonRT holds vacuously
+    if kind is IdentityKind.NON_RT:
+        return True  # NonRT holds vacuously
+    if any(getattr(candidate, name) is None for name in _THRESHOLDS[kind]):
+        return False
+    return _assess(mags, candidate, kind)[0]
 
 
-def classify_trace(
-    trace: Union[DeltaTrace, Sequence[DeltaSample]],
-    candidate: IdentityClass,
-    window: int,
-) -> IdentityClass:
+def classify_trace(trace: Window, candidate: IdentityClass, window: int) -> IdentityClass:
     """Return the strongest class the windowed trace satisfies.
 
     ``candidate`` supplies the thresholds to test against; only threshold
@@ -181,14 +249,15 @@ def classify_trace(
     consulted, so a candidate built with all thresholds filled tests the
     full ladder.
     """
-    samples = trace.samples if isinstance(trace, DeltaTrace) else list(trace)
-    if not samples:
+    mags = magnitudes(trace)
+    if not len(mags):
         raise InsufficientDataError("cannot classify an empty trace")
-    if window > len(samples):
+    if window > len(mags):
         raise InsufficientDataError(
-            f"window {window} exceeds trace length {len(samples)}"
+            f"window {window} exceeds trace length {len(mags)}"
         )
-    mags = _window_magnitudes(samples, window)
+    if window:
+        mags = mags[-window:]
     for kind in CLASS_ORDER:
         if _satisfies(mags, candidate, kind):
             return IdentityClass(
@@ -201,53 +270,37 @@ def classify_trace(
     return IdentityClass.non_rt()
 
 
-def contract_utilization(
-    samples: Union[DeltaTrace, Sequence[DeltaSample]],
-    contract: IdentityClass,
-) -> float:
-    """How much of the contract's allowance the window consumes (1.0 = at the bound)."""
+def _checked(window: Window, contract: IdentityClass) -> np.ndarray:
     if contract.kind is IdentityKind.NON_RT:
-        raise ContractFreeError("the unconstrained class has no allowance")
-    samples = samples.samples if isinstance(samples, DeltaTrace) else list(samples)
-    if not samples:
+        raise ContractFreeError("NonRT carries no contract to check")
+    mags = magnitudes(window)
+    if not len(mags):
         raise InsufficientDataError("cannot check an empty window")
-    return _utilization(np.abs([s.delta for s in samples]), contract)
+    return mags
 
 
-def _utilization(mags: np.ndarray, contract: IdentityClass) -> float:
-    if contract.kind is IdentityKind.HARD_RT:
-        return float(np.max(mags)) / contract.hard_threshold
-    if contract.kind is IdentityKind.SOFT_RT:
-        return max(
-            float(np.mean(mags)) / contract.soft_mean,
-            float(np.std(mags)) / contract.soft_std,
-        )
-    # Best effort: utilization is the violating fraction against the allowance.
-    violating = float(np.mean(mags > contract.acceptability_bound))
-    return violating / (1.0 - BEST_EFFORT_COVERAGE)
+def contract_utilization(window: Window, contract: IdentityClass) -> float:
+    """How much of the contract's allowance the window consumes (1.0 = at the bound)."""
+    return _assess(_checked(window, contract), contract)[1]
 
 
 def check_contract(
-    window: Union[DeltaTrace, Sequence[DeltaSample]],
+    window: Window,
     contract: IdentityClass,
     at_risk_margin: float = DEFAULT_AT_RISK_MARGIN,
-) -> ContractStatus:
-    """Self-check one window against the contract.
+) -> tuple[ContractStatus, float]:
+    """Self-check one window against the contract: its status and its
+    utilization, from one pass.
 
     Violated when the window fails the contract predicate; at risk when it
     holds but utilization strictly exceeds the margin; holding otherwise.
     """
-    if contract.kind is IdentityKind.NON_RT:
-        raise ContractFreeError("NonRT carries no contract to check")
-    samples = window.samples if isinstance(window, DeltaTrace) else list(window)
-    if not samples:
-        raise InsufficientDataError("cannot check an empty window")
-    mags = np.abs([s.delta for s in samples])
-    if not _satisfies(mags, contract, contract.kind):
-        return ContractStatus.VIOLATED
-    if _utilization(mags, contract) > at_risk_margin:
-        return ContractStatus.AT_RISK
-    return ContractStatus.HOLDING
+    satisfied, utilization = _assess(_checked(window, contract), contract)
+    if not satisfied:
+        return ContractStatus.VIOLATED, utilization
+    if utilization > at_risk_margin:
+        return ContractStatus.AT_RISK, utilization
+    return ContractStatus.HOLDING, utilization
 
 
 @dataclass(frozen=True)
@@ -287,7 +340,7 @@ class IdentityFailureDetector:
         self.config = config
         self._high = 0.0
         self._low = 0.0
-        self._window: deque[DeltaSample] = deque(maxlen=config.window)
+        self._window = WindowRing(config.window)
         self._last_time: Optional[float] = None
 
     def reset(self) -> None:
@@ -302,20 +355,22 @@ class IdentityFailureDetector:
             )
         self._last_time = sample.time
         x = abs(sample.delta)
-        self._window.append(sample)
-        self._high = max(0.0, self._high + (x - self.config.reference) - self.config.slack)
-        self._low = max(0.0, self._low + (self.config.reference - x) - self.config.slack)
-        crossed = self._high > self.config.threshold or self._low > self.config.threshold
-        mags = np.abs([s.delta for s in self._window])
-        if not crossed and _satisfies(mags, self.contract, self.contract.kind):
+        self._window.push(x)
+        config = self.config
+        self._high = max(0.0, self._high + (x - config.reference) - config.slack)
+        self._low = max(0.0, self._low + (config.reference - x) - config.slack)
+        crossed = self._high > config.threshold or self._low > config.threshold
+        mags = self._window.view()
+        if not crossed and _assess(mags, self.contract)[0]:
             return None
+        mean, std = mean_std(mags)
         event = IdentityFailureEvent(
             time=sample.time,
             figure=sample.figure,
             previous_class=self.contract,
-            max_abs_delta=float(np.max(mags)),
-            window_mean=float(np.mean(mags)),
-            window_std=float(np.std(mags)),
+            max_abs_delta=float(mags.max()),
+            window_mean=mean,
+            window_std=std,
         )
         self.reset()
         return event

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidelitylab.collective import (
+    NEEDY,
     NeighborView,
     ResourcePool,
     SocialAction,
@@ -283,6 +284,51 @@ class TestDecide:
             state, utilization=0.2, reciprocation_weight=2.0,
         )
         assert action.target == "b"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_needy_neighbours_alone_pick_the_same_actions(self, data):
+        # Two twin populations decide in turn, as the collective stage does,
+        # applying each action before the next node decides: one offers every
+        # neighbour, the other only the needy ones, in the same order.
+        count = data.draw(st.integers(2, 10))
+        names = [f"n{i}" for i in range(count)]
+
+        def draw_each(strategy):
+            return data.draw(st.lists(strategy, min_size=count, max_size=count))
+
+        statuses = draw_each(st.sampled_from([None, *ContractStatus]))
+        utilizations = draw_each(st.one_of(st.none(), st.sampled_from([0.1, 0.5, 0.9, 1.5])))
+        socials = draw_each(st.sampled_from(list(SocialBehavior)))
+        members = draw_each(st.booleans())
+        calm = draw_each(st.integers(0, 3))
+        debts = draw_each(st.sets(st.sampled_from(names), max_size=2))
+
+        def population():
+            pool = make_pool(total=count, join_allocation=Fraction(1, 2), floor=Fraction(1, 10),
+                             members=[n for n, m in zip(names, members) if m])
+            states = {n: SocialState(calm_ticks=c, debts={d: Fraction(1, 4) for d in owed})
+                      for n, c, owed in zip(names, calm, debts)}
+            return pool, states
+
+        views = [NeighborView(name=n, status=s, utilization=u)
+                 for n, s, u in zip(names, statuses, utilizations)]
+        needy = [v for v in views if v.status in NEEDY]
+        (pool, states), (twin, twin_states) = population(), population()
+        for name, status, social, utilization in zip(names, statuses, socials, utilizations):
+            decided = [
+                decide_social_action(
+                    name, status, social, on, neighbours, known[name],
+                    utilization=utilization, calm_window=2, assist_quantum=Fraction(1, 4),
+                )
+                for on, neighbours, known in ((pool, views, states), (twin, needy, twin_states))
+            ]
+            assert decided[0] == decided[1]
+            if decided[0] is not None:
+                assert (apply_social_action(pool, name, decided[0], states=states)
+                        == apply_social_action(twin, name, decided[1], states=twin_states))
+        assert pool.snapshot() == twin.snapshot()
+        assert states == twin_states
 
 
 class TestDiversity:

@@ -1,14 +1,19 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 import yaml
+
+from fidelitylab import config as config_mod
 
 from fidelitylab.cli import (
     EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, cmd_batch, cmd_classify, cmd_run, main,
 )
 from fidelitylab.config import load_config, parse_config, scenario_to_config
 from fidelitylab.errors import ConfigurationError
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 MINIMAL = {
     "schema_version": 1,
@@ -324,8 +329,61 @@ class TestLoadFromDiskFormats:
         scenario = load_config(path)
         assert scenario.name == "minimal"
 
-    def test_unparseable_file_reports_config_error(self, tmp_path):
+    @pytest.fixture(params=["SafeLoader", "CSafeLoader"])
+    def loader(self, request, monkeypatch):
+        if not hasattr(yaml, request.param):
+            pytest.skip("PyYAML built without libyaml")
+        monkeypatch.setattr(config_mod, "SAFE_LOADER", getattr(yaml, request.param))
+
+    def test_unparseable_file_reports_config_error(self, tmp_path, loader):
         path = tmp_path / "broken.yaml"
         path.write_text("nodes: [unclosed\n  - ]")
         with pytest.raises(ConfigurationError):
             load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    def test_libyaml_loader_is_used_when_present(self):
+        assert config_mod.SAFE_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @staticmethod
+    def population(tmp_path, nodes=128):
+        """A large generated population config, written as JSON."""
+        kinds = [{"kind": "hard", "threshold": 0.1, "window": 20},
+                 {"kind": "soft", "mean": 0.05, "std": 0.05, "window": 20},
+                 {"kind": "best_effort", "bound": 0.1, "window": 20}]
+        doc = dict(MINIMAL, name="population", duration=10.0)
+        doc["environment"] = {"figures": [{"name": f"f{i}", "initial": 0.0} for i in range(8)]}
+        doc["pool"] = {"total": nodes / 8, "join_allocation": 0.1, "solo_capacity": 0.0,
+                       "floor": 0.1, "assist_quantum": 0.02, "calm_window": 600}
+        doc["nodes"] = [
+            {"name": f"n{i}", "figure": i % 8,
+             "channel": {"gain": 1.1, "nominal_gain": 1.0, "sampling_period": 0.1},
+             "contract": dict(kinds[i % 3]),
+             "behavior": {"kind": "predictive", "k": 1, "window": 8} if i % 4 == 2
+             else {"kind": "reactive", "gain": 1.0},
+             "social": ("cooperative", "neutral", "individualistic")[i % 3],
+             "member": True}
+            for i in range(nodes)
+        ]
+        path = tmp_path / "population.json"
+        path.write_text(json.dumps(doc, indent=1))
+        return path
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml"))
+                             + ["population.json"])
+    def test_both_loaders_decode_alike(self, tmp_path, monkeypatch, name):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        if name == "population.json":
+            path = self.population(tmp_path)
+        else:
+            path = CONFIGS / name
+        text = path.read_text()
+        # repr tells 1 from 1.0 and keeps key order, where == would not.
+        assert (repr(yaml.load(text, Loader=yaml.CSafeLoader))
+                == repr(yaml.load(text, Loader=yaml.SafeLoader)))
+        echoes = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(config_mod, "SAFE_LOADER", loader)
+            echoes.append(repr(scenario_to_config(load_config(path))))
+        assert echoes[0] == echoes[1]

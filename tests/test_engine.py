@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_golden import DEMO, _ladder_cut
 
 from fidelitylab import engine
-from fidelitylab.behavior import Passive, Predictive, Reactive
+from fidelitylab.behavior import CorrectiveAction, Passive, Predictive, Reactive
 from fidelitylab.collective import SocialBehavior
 from fidelitylab.config import load_config
 from fidelitylab.controller import (
@@ -410,6 +410,35 @@ class TestModeReplay:
         verdicts = result.traces["n0"].verdicts
         assert Safety.UNSAFE in verdicts
         assert replay_modes(verdicts, hysteresis=7) == result.traces["n0"].modes
+
+
+class TestChannelCache:
+    """The node's cached ReflectiveMap equals a fresh one after every change."""
+
+    def node(self, **channel):
+        spec = NodeSpec(name="n0", channel=ChannelSpec(sampling_period=0.1, **channel))
+        return engine.SimNode(spec, Scenario(dt=0.1, figures=[FigureSpec(name="f")]))
+
+    def test_restaged_channel(self):
+        node = self.node(gain=1.1)
+        node.pending_channel = {"gain": 1.3, "bias": 0.2, "sampling_period": 0.3}
+        node.apply_pending()
+        assert node.channel == node.reflective_map()
+        assert (node.channel.gain, node.channel.bias) == (1.3, 0.2)
+        assert node.channel.sampling_period == pytest.approx(0.3)
+
+    def test_resampling_action(self):
+        node = self.node()
+        node.apply_action(CorrectiveAction(resample=0.5), capacity=1.0)
+        assert node.channel == node.reflective_map()
+        assert node.channel.sampling_period == pytest.approx(0.5)
+
+    def test_drifting_bias(self):
+        node = self.node(bias_drift=LinearDrift(rate=1.0))
+        for _ in range(3):
+            node.drift_bias()
+            assert node.channel == node.reflective_map()
+        assert node.channel.bias == pytest.approx(0.3)
 
 
 class TestStrategyEnactment:

@@ -17,9 +17,11 @@ from fidelitylab.environment import (
     label_regime,
     process_from_spec,
     process_to_spec,
+    regime_increments,
     step_environment,
 )
 from fidelitylab.errors import ConfigurationError
+from fidelitylab.identity import WindowRing
 from fidelitylab.rng import substream
 
 
@@ -137,7 +139,7 @@ class TestApplyShock:
 
 class TestLabelRegime:
     def make_history(self, values):
-        return [state(v, time=float(i)) for i, v in enumerate(values)]
+        return regime_increments([state(v, time=float(i)) for i, v in enumerate(values)])
 
     def test_constant_history_is_calm(self):
         history = self.make_history([2.0] * 10)
@@ -163,7 +165,7 @@ class TestLabelRegime:
 
     def test_empty_history_rejected(self):
         with pytest.raises(ConfigurationError):
-            label_regime([], threshold=0.1)
+            regime_increments([])
 
     @staticmethod
     def flat_mean(history):
@@ -179,20 +181,29 @@ class TestLabelRegime:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_label_matches_the_flat_mean_oracle(self, data):
+        # The increment ring as the engine keeps it: one row per step,
+        # labelled after every step against the window's last states.
         width = data.draw(st.integers(1, 9))
+        window = data.draw(st.integers(1, 12))
         rows = data.draw(st.lists(
-            st.tuples(*[st.floats(-1e6, 1e6)] * width), min_size=2, max_size=22))
-        history = deque(state(*row, time=float(i)) for i, row in enumerate(rows))
-        mean = self.flat_mean(list(history))
-        # The threshold sits exactly on the mean, one ulp either side of it,
-        # or anywhere nearby: a last-bit difference in the mean flips a label.
-        threshold = data.draw(st.one_of(
-            st.sampled_from([mean, np.nextafter(mean, -np.inf), np.nextafter(mean, np.inf)]),
-            st.floats(0.0, 2.0 * mean + 1.0),
-        ))
-        expected = Regime.TURBULENT if mean > threshold else Regime.CALM
-        assert label_regime(history, threshold) is expected
-        assert label_regime(list(history), threshold) is expected
+            st.tuples(*[st.floats(-1e6, 1e6)] * width), min_size=2, max_size=30))
+        states = [state(*row, time=float(i)) for i, row in enumerate(rows)]
+        ring = WindowRing(window, width)
+        for step in range(1, len(states)):
+            prev, cur = states[step - 1], states[step]
+            ring.push([abs(b - a) for a, b in zip(prev.figures, cur.figures)])
+            history = states[max(0, step - window):step + 1]
+            mean = self.flat_mean(history)
+            # The threshold sits exactly on the mean, one ulp either side of
+            # it, or anywhere nearby: a last-bit difference flips a label.
+            threshold = data.draw(st.one_of(
+                st.sampled_from([mean, np.nextafter(mean, -np.inf),
+                                 np.nextafter(mean, np.inf)]),
+                st.floats(0.0, 2.0 * mean + 1.0),
+            ))
+            expected = Regime.TURBULENT if mean > threshold else Regime.CALM
+            assert label_regime(ring.view(), threshold) is expected
+            assert label_regime(regime_increments(deque(history)), threshold) is expected
 
 
 class TestProcessSpecs:
