@@ -329,18 +329,16 @@ class TestLoadFromDiskFormats:
         scenario = load_config(path)
         assert scenario.name == "minimal"
 
-    @pytest.fixture(params=["SafeLoader", "CSafeLoader"])
-    def loader(self, request, monkeypatch):
-        if not hasattr(yaml, request.param):
-            pytest.skip("PyYAML built without libyaml")
-        monkeypatch.setattr(config_mod, "SAFE_LOADER", getattr(yaml, request.param))
-
-    def test_unparseable_file_reports_config_error(self, tmp_path, loader):
+    def test_unparseable_file_reports_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("nodes: [unclosed\n  - ]")
         with pytest.raises(ConfigurationError):
             load_config(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    def test_pure_python_loader_rejects_it_too(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(config_mod, "SAFE_LOADER", yaml.SafeLoader)
+        self.test_unparseable_file_reports_config_error(tmp_path)
 
     def test_libyaml_loader_is_used_when_present(self):
         assert config_mod.SAFE_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
