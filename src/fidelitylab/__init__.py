@@ -18,7 +18,6 @@ from .behavior import (
     Predictive,
     PurposefulNonTeleological,
     Reactive,
-    behavior_order,
 )
 from .collective import (
     ResourcePool,

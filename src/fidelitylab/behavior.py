@@ -230,11 +230,6 @@ class Predictive(Behavior):
         return CorrectiveAction(bias=-predicted)
 
 
-def behavior_order(behavior: Behavior) -> int:
-    """Number of context variables in the behavior's forward model (0 if none)."""
-    return behavior.order
-
-
 def _action_from_spec(spec: dict) -> CorrectiveAction:
     return CorrectiveAction(
         bias=float(spec.get("bias", 0.0)),

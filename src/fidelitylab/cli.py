@@ -27,7 +27,10 @@ EXIT_CONFIG = 2
 
 def _load_resume(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"])
     if not isinstance(doc, dict):
         raise ConfigurationError(["resume file: expected a node -> state mapping"])
     return doc
@@ -59,6 +62,9 @@ def cmd_run(
         return EXIT_CONFIG
     except FidelityLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OSError as exc:
+        print(f"error: cannot write exports to {out}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -203,7 +209,11 @@ def cmd_batch(
     else:
         results = [_run_one_batch_child(task) for task in tasks]
 
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write the summary to {out}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     failures = 0
     rows = []
     for (config_path, seed, outdir), (_, code, report) in zip(tasks, results):

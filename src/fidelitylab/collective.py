@@ -18,9 +18,13 @@ Three dispositions:
 All pool quantities are exact rationals so the conservation invariant
 (allocations + reserve == total) holds bit-for-bit over any action
 sequence, and rejected actions leave the pool untouched. The pool caches
-its reserve and total slack as exact sums that each mutation adjusts by
-the allocations it changes, so every view is O(1); ``conserved()`` re-sums
-the allocations from scratch and checks the caches against that recompute.
+its reserve, each member's slack, the slack total and the free capacity
+(reserve + slack total) as exact values that each mutation adjusts by the
+allocation it changes, so every view is a lookup; ``conserved()`` re-sums
+the allocations from scratch in integers over one common denominator and
+checks every cache against that recompute. Beside each exact allocation
+and the reserve the pool keeps its ``float()``, written by the same
+mutation, for readers that need a float every tick.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 from typing import Optional, Sequence, Union
 
@@ -36,6 +41,8 @@ from .errors import ConfigurationError, MembershipError
 from .identity import ContractStatus
 
 Amount = Union[int, float, Fraction]
+
+_ZERO = Fraction(0)
 
 
 class SocialBehavior(Enum):
@@ -88,7 +95,9 @@ class ResourcePool:
     Mutating operations are atomic: an infeasible action raises (or is
     rejected by apply_social_action) with the pool bit-identical. Every
     allocation change goes through ``_set``, which keeps the cached reserve,
-    total slack and set of members with slack exact.
+    per-member slack, slack total and free capacity exact, and the float
+    shadows (``float_allocations``, ``float_reserve``) equal to ``float()``
+    of the exact values.
     """
 
     def __init__(
@@ -104,9 +113,13 @@ class ResourcePool:
             raise ConfigurationError("pool quantities must be >= 0")
         self._allocations: dict[str, Fraction] = {}
         self.allocations = MappingProxyType(self._allocations)
+        self._float_allocations: dict[str, float] = {}
+        self.float_allocations = MappingProxyType(self._float_allocations)
         self._reserve = self.total
-        self._slack_total = Fraction(0)
-        self._slack_members: set[str] = set()  # members with allocation > floor
+        self._float_reserve = float(self.total)
+        self._slack: dict[str, Fraction] = {}  # allocation - floor, where positive
+        self._slack_total = _ZERO
+        self._capacity = self.total  # reserve + slack total
 
     # -- views ------------------------------------------------------------
 
@@ -114,30 +127,61 @@ class ResourcePool:
     def reserve(self) -> Fraction:
         return self._reserve
 
+    @property
+    def float_reserve(self) -> float:
+        return self._float_reserve
+
     def is_member(self, node: str) -> bool:
         return node in self._allocations
 
     def allocation(self, node: str) -> Fraction:
-        return self._allocations.get(node, Fraction(0))
+        return self._allocations.get(node, _ZERO)
 
     def slack(self, node: str) -> Fraction:
-        return max(Fraction(0), self.allocation(node) - self.floor)
+        return self._slack.get(node, _ZERO)
 
     def free_capacity(self, node: str) -> Fraction:
         """Largest allocation increment the node could acquire right now."""
-        return self._reserve + self._slack_total - self.slack(node)
+        slack = self._slack.get(node)
+        return self._capacity if slack is None else self._capacity - slack
 
     def conserved(self) -> bool:
-        """Re-sum the allocations from scratch: they and the reserve add up
-        to the total, none is negative, and the cached reserve and slack
+        """Re-sum the allocations from scratch, as integer numerators over
+        their least common denominator: they and the reserve add up to the
+        total, neither they nor the reserve is negative, and the cached
+        reserve, each member's slack, the slack total and the free capacity
         agree with the recompute."""
-        allocated = sum(self._allocations.values(), Fraction(0))
-        slack = {n: a - self.floor for n, a in self._allocations.items() if a > self.floor}
+        # Fraction keeps its lowest terms in _numerator/_denominator; the
+        # public properties cost a Python call per read, three times this
+        # loop's other work.
+        allocations, slacks = self._allocations, self._slack
+        scalars = (self.total, self.floor, self._reserve, self._slack_total, self._capacity)
+        quantities = chain(allocations.values(), slacks.values(), scalars)
+        denominators = {q._denominator for q in quantities}
+        common = math.lcm(*denominators)
+        scale = {d: common // d for d in denominators}
+        total, floor, reserve, slack_total, capacity = [
+            q._numerator * scale[q._denominator] for q in scalars
+        ]
+        allocated = summed_slack = slack_members = 0
+        for node, allocation in allocations.items():
+            value = allocation._numerator * scale[allocation._denominator]
+            if value < 0:
+                return False
+            allocated += value
+            if value > floor:
+                slack = value - floor
+                cached = slacks.get(node)
+                if cached is None or cached._numerator * scale[cached._denominator] != slack:
+                    return False
+                summed_slack += slack
+                slack_members += 1
         return (
-            allocated + self._reserve == self.total
-            and all(a >= 0 for a in self._allocations.values())
-            and self._slack_total == sum(slack.values(), Fraction(0))
-            and self._slack_members == slack.keys()
+            allocated + reserve == total
+            and reserve >= 0
+            and len(slacks) == slack_members
+            and summed_slack == slack_total
+            and reserve + slack_total == capacity
         )
 
     def snapshot(self) -> dict[str, Fraction]:
@@ -147,21 +191,25 @@ class ResourcePool:
 
     def _set(self, node: str, value: Optional[Fraction]) -> None:
         """Set one allocation (None removes the member), adjusting the caches
-        by its old and new values."""
+        by its old and new values and rewriting its float shadows."""
         old = self._allocations.get(node)
         if old is not None:
             self._reserve += old
-            if old > self.floor:
-                self._slack_total -= old - self.floor
-        self._slack_members.discard(node)
+        old_slack = self._slack.pop(node, None)
+        if old_slack is not None:
+            self._slack_total -= old_slack
         if value is None:
             del self._allocations[node]
-            return
-        self._allocations[node] = value
-        self._reserve -= value
-        if value > self.floor:
-            self._slack_total += value - self.floor
-            self._slack_members.add(node)
+            del self._float_allocations[node]
+        else:
+            self._allocations[node] = value
+            self._float_allocations[node] = float(value)
+            self._reserve -= value
+            if value > self.floor:
+                slack = self._slack[node] = value - self.floor
+                self._slack_total += slack
+        self._float_reserve = float(self._reserve)
+        self._capacity = self._reserve + self._slack_total
 
     def join(self, node: str) -> None:
         if self.is_member(node):
@@ -186,10 +234,11 @@ class ResourcePool:
             )
         remainder = amount - min(amount, self._reserve)
         if remainder > 0:
-            donors = [(n, self.slack(n)) for n in self._slack_members if n != node]
-            total_slack = self._slack_total - self.slack(node)
+            # Each donor gives the same share of its slack.
+            share = remainder / (self._slack_total - self.slack(node))
+            donors = [(n, slack) for n, slack in self._slack.items() if n != node]
             for donor, slack in donors:
-                self._set(donor, self._allocations[donor] - remainder * slack / total_slack)
+                self._set(donor, self._allocations[donor] - slack * share)
         self._set(node, self._allocations[node] + amount)
 
     def assist(self, donor: str, recipient: str, amount: Fraction) -> None:
@@ -277,15 +326,17 @@ def decide_social_action(
             return None
         if utilization is None or utilization > COOPERATIVE_DONOR_UTILIZATION:
             return None
-        quantum = min(Fraction(assist_quantum), pool.allocation(node))
-        if quantum <= 0:
-            return None
         needy = [
             n
             for n in neighbors
             if n.name != node and n.status in NEEDY and pool.is_member(n.name)
         ]
         if not needy:
+            return None
+        if not isinstance(assist_quantum, Fraction):
+            assist_quantum = Fraction(assist_quantum)
+        quantum = min(assist_quantum, pool.allocation(node))
+        if quantum <= 0:
             return None
 
         def score(n: NeighborView) -> float:
@@ -296,8 +347,13 @@ def decide_social_action(
 
         # Worst-off first; debts weigh extra; equally needy nodes are served
         # poorest-first; name breaks the remaining ties deterministically.
-        target = max(
-            needy, key=lambda n: (score(n), -pool.allocation(n.name), n.name)
+        # The same order as ranking by (score, -allocation, name), with the
+        # exact allocations compared only among the top scores.
+        scores = [score(n) for n in needy]
+        best = max(scores)
+        tied = [n for n, s in zip(needy, scores) if s == best]
+        target = tied[0] if len(tied) == 1 else max(
+            tied, key=lambda n: (-pool.allocation(n.name), n.name)
         )
         return SocialAction.assist(target.name, quantum)
 

@@ -21,7 +21,6 @@ and persisted so later runs can resume with the acquired ranking.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -284,11 +283,6 @@ class LearningState:
             "history": list(self.history),
         }
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_document(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
     def load_document(self, doc: dict) -> None:
         """Restore persisted statistics; the catalog must match exactly."""
         if doc.get("version") != LEARNING_STATE_VERSION:
@@ -311,13 +305,6 @@ class LearningState:
         for regime, order in doc.get("ranks", {}).items():
             self.ranks[regime] = list(order)
         self.history = list(doc.get("history", []))
-
-    @staticmethod
-    def load(path, catalog: Sequence[Strategy], **kwargs) -> "LearningState":
-        state = LearningState(catalog, **kwargs)
-        with open(path, encoding="utf-8") as fh:
-            state.load_document(json.load(fh))
-        return state
 
 
 def compute_reward(cost: float, baseline: float) -> float:

@@ -1037,10 +1037,10 @@ class _Run:
                 apply_social_action(pool, node.name, decision, states=self.social_states)
         if not pool.conserved():
             self.result.pool_violations += 1
-        reserve = float(pool.reserve)
+        allocations, reserve = pool.float_allocations, pool.float_reserve
         for node in self.nodes:
             self.result.pool_log.append(
-                (t, node.name, float(pool.allocation(node.name)), reserve)
+                (t, node.name, allocations.get(node.name, 0.0), reserve)
             )
 
     def metrics(self, t: float) -> None:
@@ -1107,6 +1107,4 @@ def _capacity(
 ) -> float:
     if pool is None or spec is None:
         return math.inf
-    if pool.is_member(node.name):
-        return float(pool.allocation(node.name))
-    return spec.solo_capacity
+    return pool.float_allocations.get(node.name, spec.solo_capacity)

@@ -122,9 +122,6 @@ class DeltaTrace:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def magnitudes(self) -> np.ndarray:
-        return magnitudes(self)
-
 
 class ContractStatus(Enum):
     HOLDING = "holding"

@@ -10,7 +10,6 @@ from fidelitylab.behavior import (
     PurposefulNonTeleological,
     Reactive,
     behavior_from_spec,
-    behavior_order,
     behavior_to_spec,
 )
 from fidelitylab.errors import ConfigurationError
@@ -32,7 +31,7 @@ class TestPassive:
             assert passive.act(obs(d)).is_zero()
 
     def test_order_zero(self):
-        assert behavior_order(Passive()) == 0
+        assert Passive().order == 0
 
 
 class TestActiveNonPurposeful:
@@ -67,7 +66,7 @@ class TestReactive:
         assert not Reactive(feedback_gain=2.0).validate()
 
     def test_order_zero(self):
-        assert behavior_order(Reactive()) == 0
+        assert Reactive().order == 0
 
 
 class TestPredictive:
@@ -93,7 +92,7 @@ class TestPredictive:
         assert action.bias == pytest.approx(-0.7)
 
     def test_order_reports_k(self):
-        assert behavior_order(Predictive(k=2, window=5)) == 2
+        assert Predictive(k=2, window=5).order == 2
 
     def test_validation(self):
         assert Predictive(k=0, window=3).validate()

@@ -123,15 +123,33 @@ class TestPoolMechanics:
         pool.join("a")
         pool.join("b")
         assert pool.conserved()
-        pool._reserve += Fraction(1, 7)
+        # Each exact cache in turn: reserve, slack total, one member's slack,
+        # free capacity.
+        caches = pool.__dict__
+        for owner, name in ((caches, "_reserve"), (caches, "_slack_total"),
+                            (pool._slack, "a"), (caches, "_capacity")):
+            good = owner[name]
+            owner[name] = good + Fraction(1, 7)
+            assert not pool.conserved(), name
+            owner[name] = good
+            assert pool.conserved(), name
+
+    def test_over_allocation_breaks_conservation_check(self):
+        pool = make_pool(total=2, join_allocation=1, members=["a"])
+        pool._set("a", Fraction(3))  # caches agree, but the reserve is -1
+        assert pool.reserve == -1
         assert not pool.conserved()
-        pool._reserve -= Fraction(1, 7)
-        pool._slack_total += Fraction(1, 7)
+
+    def test_slack_cache_must_name_exactly_the_members_with_slack(self):
+        pool = ResourcePool(total=2, floor=Fraction(1, 2), join_allocation=1)
+        pool.join("a")
+        pool.join("b")
+        slack = pool._slack.pop("a")
         assert not pool.conserved()
-        pool._slack_total -= Fraction(1, 7)
-        pool._slack_members.discard("a")
+        pool._slack["a"] = slack
+        pool._slack["ghost"] = Fraction(0)
         assert not pool.conserved()
-        pool._slack_members.add("a")
+        del pool._slack["ghost"]
         assert pool.conserved()
 
     def test_assist_needs_balance(self):
@@ -189,12 +207,26 @@ class TestApplySocialAction:
                 action = SocialAction.assist(target, Fraction(amount, 3))
             before = (pool.snapshot(), pool_views(pool, names))
             ok = apply_social_action(pool, actor, action)
-            assert pool.conserved()
+            assert pool.conserved() and pool.reserve >= 0
             if not ok:
                 assert (pool.snapshot(), pool_views(pool, names)) == before
+            elif verb == "grab":
+                # Reserve first, then the same share of every other member's slack.
+                old = before[0]
+                reserve = pool.total - sum(old.values(), Fraction(0))
+                remainder = max(Fraction(0), action.amount - reserve)
+                others = {n: max(Fraction(0), a - floor) for n, a in old.items() if n != actor}
+                share = remainder / sum(others.values()) if remainder else Fraction(0)
+                expected = {n: old[n] - others[n] * share for n in others}
+                expected[actor] = old[actor] + action.amount
+                assert pool.snapshot() == expected
             assert pool_views(pool, names) == summed_views(
                 pool.snapshot(), pool.total, floor, names
             )
+            assert pool.float_reserve == float(pool.reserve)
+            assert dict(pool.float_allocations) == {
+                n: float(a) for n, a in pool.snapshot().items()
+            }
 
 
 class TestDecide:
@@ -329,6 +361,40 @@ class TestDecide:
                         == apply_social_action(twin, name, decided[1], states=twin_states))
         assert pool.snapshot() == twin.snapshot()
         assert states == twin_states
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_donor_picks_the_highest_score_then_the_poorest_then_the_name(self, data):
+        # Few distinct utilizations, debts and allocations, so every tier of
+        # the ranking is reached; the oracle ranks by the whole key at once.
+        count = data.draw(st.integers(1, 8))
+        names = data.draw(st.permutations([f"n{i}" for i in range(count)]))
+        utilizations = data.draw(st.lists(
+            st.one_of(st.none(), st.sampled_from([0.5, 0.9, 1.0, 1.8])),
+            min_size=count, max_size=count))
+        statuses = data.draw(st.lists(st.sampled_from(NEEDY), min_size=count, max_size=count))
+        owed = data.draw(st.sets(st.sampled_from(names)))
+        grants = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=count, max_size=count))
+        pool = make_pool(total=2 * count + 1, join_allocation=1, members=["donor", *names])
+        for name, grant in zip(names, grants):
+            if grant == 0:
+                pool.assist(name, "donor", Fraction(1))
+            elif grant == 2:
+                pool.grab(name, Fraction(1))
+        state = SocialState(debts={n: Fraction(1, 4) for n in owed})
+        needy = [NeighborView(name=n, status=s, utilization=u)
+                 for n, s, u in zip(names, statuses, utilizations)]
+
+        def score(n):
+            need = 1.0 if n.utilization is None else n.utilization
+            return need * 2.0 if n.name in owed else need
+
+        expected = max(needy, key=lambda n: (score(n), -pool.allocation(n.name), n.name))
+        action = decide_social_action(
+            "donor", ContractStatus.HOLDING, SocialBehavior.COOPERATIVE, pool, needy,
+            state, utilization=0.1, assist_quantum=Fraction(1, 4),
+        )
+        assert action == SocialAction.assist(expected.name, Fraction(1, 4))
 
 
 class TestDiversity:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from fidelitylab.config import load_config, parse_config, scenario_to_config
 from fidelitylab.errors import ConfigurationError
 
 CONFIGS = Path(__file__).parent.parent / "configs"
+SRC = Path(__file__).parent.parent / "src"
 
 MINIMAL = {
     "schema_version": 1,
@@ -197,6 +201,50 @@ class TestCmdRun:
             for arm in regimes
         )
         assert total(resumed) > total(fresh)
+
+
+def run_cli(*args):
+    """The command line in a fresh interpreter, as a user runs it: its exit
+    code and its standard error."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "fidelitylab.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stderr
+
+
+class TestCliFailures:
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_a_file"])
+    def test_out_on_a_file_exits_1_naming_the_path(self, tmp_path, under):
+        config = write_config(tmp_path, MINIMAL)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "out" if under else blocker
+        code, err = run_cli("run", "--config", str(config), "--out", str(out))
+        assert code == EXIT_RUNTIME
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_batch_out_on_a_file_exits_1(self, tmp_path):
+        write_config(tmp_path, MINIMAL)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        code, err = run_cli("batch", "--glob", str(tmp_path / "*.yaml"), "--reps", "1",
+                            "--out", str(blocker))
+        assert code == EXIT_RUNTIME
+        assert f"error: cannot write the summary to {blocker}" in err
+        assert "Traceback" not in err
+
+    def test_truncated_resume_exits_2_naming_line_and_column(self, tmp_path):
+        config = write_config(tmp_path, LEARNING)
+        state = tmp_path / "state.json"
+        state.write_text('{\n  "n0": {"regimes": ')
+        code, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"),
+                            "--resume", str(state))
+        assert code == EXIT_CONFIG
+        assert err == f"error: {state}:2:21: Expecting value\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestCmdClassify:

@@ -19,9 +19,11 @@ from fidelitylab.controller import (
     monitor_step,
     replay_modes,
 )
+from fidelitylab.engine import RunResult
 from fidelitylab.errors import CatalogError, ConfigurationError, SequencingError
 from fidelitylab.identity import ContractStatus
 from fidelitylab.reflection import DeltaSample
+from fidelitylab.reporting import write_learning_state
 from fidelitylab.rng import substream
 
 
@@ -231,6 +233,19 @@ class TestEvaluation:
         assert learning.ranks["calm"][0] == 1  # b leads
 
 
+def save(learning, path):
+    """Persist one node's state as a run does."""
+    result = RunResult(scenario_name="s", seed=0, learning_docs={"n0": learning.to_document()})
+    write_learning_state(result, str(path))
+
+
+def load(path, catalog):
+    """Restore that node's state as ``--resume`` does."""
+    restored = LearningState(catalog)
+    restored.load_document(json.loads(path.read_text())["n0"])
+    return restored
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         learning = LearningState(catalog("a", "b"))
@@ -239,11 +254,11 @@ class TestPersistence:
             s = learning.select("calm", rng)
             learning.update("calm", s.id, 0.1 * ep, ep)
         path = tmp_path / "state.json"
-        learning.save(path)
-        restored = LearningState.load(path, catalog("a", "b"))
+        save(learning, path)
+        restored = load(path, catalog("a", "b"))
         assert restored.to_document() == learning.to_document()
         path2 = tmp_path / "state2.json"
-        restored.save(path2)
+        save(restored, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_restored_state_continues_identically(self, tmp_path):
@@ -252,8 +267,8 @@ class TestPersistence:
             s = learning.select("calm")
             learning.update("calm", s.id, [0.3, 0.9, 0.5, 0.6][ep], ep)
         path = tmp_path / "state.json"
-        learning.save(path)
-        restored = LearningState.load(path, catalog("a", "b"))
+        save(learning, path)
+        restored = load(path, catalog("a", "b"))
         for ep in range(4, 12):
             assert restored.select("calm").id == learning.select("calm").id
             sid = learning.select("calm").id
@@ -263,15 +278,15 @@ class TestPersistence:
     def test_catalog_mismatch_rejected(self, tmp_path):
         learning = LearningState(catalog("a"))
         path = tmp_path / "state.json"
-        learning.save(path)
+        save(learning, path)
         with pytest.raises(CatalogError):
-            LearningState.load(path, catalog("z"))
+            load(path, catalog("z"))
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps({"version": 99, "catalog": []}))
+        path.write_text(json.dumps({"n0": {"version": 99, "catalog": []}}))
         with pytest.raises(ConfigurationError):
-            LearningState.load(path, catalog("a"))
+            load(path, catalog("a"))
 
 
 class TestConvergence:

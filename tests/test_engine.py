@@ -1,6 +1,8 @@
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 from statistics import median
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from test_golden import DEMO, _ladder_cut
 
 from fidelitylab import engine
 from fidelitylab.behavior import CorrectiveAction, Passive, Predictive, Reactive
-from fidelitylab.collective import SocialBehavior
+from fidelitylab.collective import ResourcePool, SocialBehavior
 from fidelitylab.config import load_config
 from fidelitylab.controller import (
     Safety,
@@ -620,6 +622,82 @@ class TestPoolWiring:
         # exactly the allocation, not the full reactive correction
         assert deltas[shock_idx] == pytest.approx(1.0)
         assert deltas[shock_idx + 1] == pytest.approx(1.0 - 0.02)
+
+
+@st.composite
+def _pool_populations(draw):
+    """Up to twelve nodes of every social disposition, members or not, some
+    with controllers whose catalog grabs or assists, sharing a pool of random
+    size, floor, join allocation and assist quantum."""
+    count = draw(st.integers(1, 12))
+    names = [f"n{i}" for i in range(count)]
+    nodes = []
+    for name in names:
+        catalog = (
+            Strategy(id="grab", kind=StrategyKind.SOCIAL,
+                     social_spec={"kind": "grab", "amount": draw(st.sampled_from([0.05, 0.5]))}),
+            Strategy(id="assist", kind=StrategyKind.SOCIAL,
+                     social_spec={"kind": "assist", "amount": 0.1,
+                                  "target": draw(st.sampled_from(names))}),
+        )
+        social = draw(st.sampled_from([None, *SocialBehavior]))
+        nodes.append(NodeSpec(
+            name=name,
+            figure=draw(st.integers(0, 1)),
+            channel=ChannelSpec(gain=draw(st.sampled_from([0.9, 1.1, 1.5])),
+                                noise_std=draw(st.sampled_from([0.0, 0.05]))),
+            contract=hard_contract(draw(st.sampled_from([0.05, 0.3, 2.0]))),
+            behavior=draw(st.sampled_from([Passive(), Reactive(feedback_gain=0.5),
+                                           Reactive(feedback_gain=1.0)])),
+            social=social,
+            member=draw(st.booleans()),
+            controller=ControllerSpec(catalog=catalog) if social and draw(st.booleans())
+            else None,
+        ))
+    pool = PoolSpec(
+        total=draw(st.sampled_from([0.1, 0.7, 1.0, 3.3])),
+        join_allocation=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])),
+        solo_capacity=0.2,
+        floor=draw(st.sampled_from([0.0, 0.05, 0.1])),
+        assist_quantum=draw(st.sampled_from([0.02, 0.1, 0.3])),
+        calm_window=draw(st.sampled_from([1, 5, 20])),
+    )
+    shocks = [ShockEvent(at=float(at), figure=at % 2, magnitude=draw(st.sampled_from([-4.0, 6.0])),
+                         recovery_window=2.0)
+              for at in range(1, 9, 3)]
+    return Scenario(duration=10.0, dt=0.1, seed=draw(st.integers(0, 9)),
+                    figures=[FigureSpec(name="f0"), FigureSpec(name="f1")],
+                    shocks=shocks, nodes=nodes, pool=pool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_pool_populations())
+def test_the_pool_is_conserved_exactly_in_any_population(scenario):
+    """Whatever the population and the pool do, every tick's conservation
+    check passes, and the last allocations and reserve add up to the total
+    exactly, with float shadows equal to float() of the exact values."""
+    pools = []
+
+    class Recorded(ResourcePool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    with mock.patch.object(engine, "ResourcePool", Recorded):
+        result = run_scenario(scenario)
+    assert result.pool_violations == 0
+    pool = pools[-1]
+    allocations = pool.snapshot()
+    assert sum(allocations.values(), Fraction(0)) + pool.reserve == pool.total
+    assert pool.total == Fraction(str(scenario.pool.total))
+    assert all(a >= 0 for a in allocations.values()) and pool.reserve >= 0
+    assert dict(pool.float_allocations) == {n: float(a) for n, a in allocations.items()}
+    assert pool.float_reserve == float(pool.reserve)
+    last = [row for row in result.pool_log if row[0] == result.pool_log[-1][0]]
+    assert [(n, a, r) for _, n, a, r in last] == [
+        (node.name, float(allocations.get(node.name, 0)), float(pool.reserve))
+        for node in scenario.nodes
+    ]
 
 
 # -- the per-node trace ---------------------------------------------------------

@@ -18,13 +18,19 @@ Two corpora, each a SHA-256 digest of every file ``export_run`` writes:
   ``report.json``.
 
 Runs that record the identity timeline also pin it, under ``identities``.
-A change that moves a digest must say why in CHANGES.md. Regenerate both
-files with ``PYTHONPATH=src python tests/test_golden.py``.
+A change that moves a digest must say why in CHANGES.md.
+
+``PYTHONPATH=src python tests/test_golden.py`` recomputes both files and
+prints each digest that would move (``file: entry: export``); it exits 1
+if any would, and writes nothing. Add ``--write`` to record the new
+digests in both files.
 """
 
+import argparse
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -247,8 +253,62 @@ def _write(path, document):
         fh.write("\n")
 
 
+def corpora():
+    """Both digest files as this code computes them: path -> document."""
+    return {
+        GOLDEN: {str(seed): digests(pool_population(seed)) for seed in SEEDS},
+        SCENARIO_GOLDEN: {
+            name: digests(build(), echo=True) for name, build in SCENARIOS.items()
+        },
+    }
+
+
+def moved(old, new):
+    """``entry: export`` for every digest that differs, appears or goes."""
+    return [
+        f"{entry}: {name}"
+        for entry in sorted(old.keys() | new.keys())
+        for name in sorted(old.get(entry, {}).keys() | new.get(entry, {}).keys())
+        if old.get(entry, {}).get(name) != new.get(entry, {}).get(name)
+    ]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Check or rewrite the golden digests.")
+    parser.add_argument("--write", action="store_true", help="record the new digests")
+    args = parser.parse_args(argv)
+    count = 0
+    for path, document in corpora().items():
+        old = _load(path) if os.path.exists(path) else {}
+        for line in moved(old, document):
+            print(f"{os.path.basename(path)}: {line}")
+            count += 1
+        if args.write:
+            _write(path, document)
+    if count and not args.write:
+        print(f"error: {count} golden digests would move; rerun with --write "
+              "to record them", file=sys.stderr)
+        return 1
+    return 0
+
+
+def test_regeneration_reports_moves_and_writes_only_when_asked(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "golden.json"
+    _write(str(path), {"kept": {"a.csv": "1"}, "gone": {"a.csv": "2"}})
+    before = path.read_text()
+    document = {"kept": {"a.csv": "1", "b.csv": "3"}, "new": {"a.csv": "4"}}
+    monkeypatch.setattr(sys.modules[__name__], "corpora", lambda: {str(path): document})
+    assert main([]) == 1
+    assert capsys.readouterr().out == (
+        "golden.json: gone: a.csv\ngolden.json: kept: b.csv\ngolden.json: new: a.csv\n"
+    )
+    assert path.read_text() == before
+    assert main(["--write"]) == 0
+    assert _load(str(path)) == document
+    capsys.readouterr()
+    assert main([]) == 0
+    assert capsys.readouterr().out == ""
+
+
 if __name__ == "__main__":
-    _write(GOLDEN, {str(seed): digests(pool_population(seed)) for seed in SEEDS})
-    _write(SCENARIO_GOLDEN, {
-        name: digests(build(), echo=True) for name, build in SCENARIOS.items()
-    })
+    sys.exit(main())

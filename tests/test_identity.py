@@ -23,6 +23,7 @@ from fidelitylab.identity import (
     classify_trace,
     contract_utilization,
     detect_identity_failure,
+    magnitudes,
 )
 from fidelitylab.reflection import DeltaSample
 
@@ -242,7 +243,7 @@ class TestDeltaTrace:
         trace = DeltaTrace(figure=0)
         for s in samples([-1.0, 2.0]):
             trace.append(s)
-        assert list(trace.magnitudes()) == [1.0, 2.0]
+        assert list(magnitudes(trace)) == [1.0, 2.0]
 
 
 class TestIdentityClassValidation:
