@@ -228,65 +228,3 @@ class Predictive(Behavior):
             return CorrectiveAction(bias=correction, fallback=True)
         predicted = self._predict_next() + obs.correction
         return CorrectiveAction(bias=-predicted)
-
-
-def _action_from_spec(spec: dict) -> CorrectiveAction:
-    return CorrectiveAction(
-        bias=float(spec.get("bias", 0.0)),
-        gain=float(spec.get("gain", 1.0)),
-        resample=float(spec["resample"]) if "resample" in spec else None,
-    )
-
-
-def behavior_from_spec(spec: dict) -> Behavior:
-    """Build a fresh behavior from a plain mapping (config or catalog entry)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError("behavior spec needs a 'kind' key")
-    kind = spec["kind"]
-    known = {
-        "passive", "active_non_purposeful", "purposeful_non_teleological",
-        "reactive", "predictive",
-    }
-    if kind not in known:
-        raise ConfigurationError(f"unknown behavior kind {kind!r}")
-    extra = set(spec) - {"kind", "schedule", "policy", "gain", "k", "window"}
-    if extra:
-        raise ConfigurationError(f"unknown behavior keys {sorted(extra)}")
-    if kind == "passive":
-        return Passive()
-    if kind == "active_non_purposeful":
-        schedule = tuple(_action_from_spec(s) for s in spec.get("schedule", []))
-        return ActiveNonPurposeful(schedule=schedule)
-    if kind == "purposeful_non_teleological":
-        return PurposefulNonTeleological(policy=_action_from_spec(spec.get("policy", {})))
-    if kind == "reactive":
-        return Reactive(feedback_gain=float(spec.get("gain", 1.0)))
-    return Predictive(k=int(spec.get("k", 1)), window=int(spec.get("window", 8)))
-
-
-def _action_to_spec(action: CorrectiveAction) -> dict:
-    spec: dict = {"bias": action.bias, "gain": action.gain}
-    if action.resample is not None:
-        spec["resample"] = action.resample
-    return spec
-
-
-def behavior_to_spec(behavior: Behavior) -> dict:
-    """Inverse of behavior_from_spec, for the effective-config echo."""
-    if isinstance(behavior, Passive):
-        return {"kind": "passive"}
-    if isinstance(behavior, ActiveNonPurposeful):
-        return {
-            "kind": "active_non_purposeful",
-            "schedule": [_action_to_spec(a) for a in behavior.schedule],
-        }
-    if isinstance(behavior, PurposefulNonTeleological):
-        return {
-            "kind": "purposeful_non_teleological",
-            "policy": _action_to_spec(behavior.policy),
-        }
-    if isinstance(behavior, Reactive):
-        return {"kind": "reactive", "gain": behavior.feedback_gain}
-    if isinstance(behavior, Predictive):
-        return {"kind": "predictive", "k": behavior.k, "window": behavior.window}
-    raise ConfigurationError(f"cannot serialize behavior {type(behavior).__name__}")

@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional
 
-from .config import load_config, scenario_to_config
+from .config import check_learning_state, load_config, scenario_to_config
 from .engine import run_scenario
 from .errors import ConfigurationError, FidelityLabError, InsufficientDataError
 from .identity import DeltaSample, IdentityClass, classify_trace, magnitudes, mean_std
@@ -31,9 +31,7 @@ def _load_resume(path: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"])
-    if not isinstance(doc, dict):
-        raise ConfigurationError(["resume file: expected a node -> state mapping"])
-    return doc
+    return check_learning_state(doc, path)
 
 
 def cmd_run(
@@ -53,6 +51,7 @@ def cmd_run(
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        os.makedirs(out, exist_ok=True)  # an --out that cannot be a directory fails first
         result = run_scenario(scenario, resume_learning=resume_doc)
         result.config_echo = scenario_to_config(scenario)
         export_run(result, out)

@@ -3,7 +3,15 @@
 The document format is YAML (JSON documents parse too, YAML being a
 superset for this schema). Parsing is strict: unknown keys are rejected
 with their full section path, the schema version is checked, and every
-problem is collected before failing so one run reports them all.
+problem is collected before failing so one run reports them all, each
+once, under the path of its key.
+
+Each spec dataclass is the one place its keys, types and defaults are
+written: a section whose keys are a dataclass's own fields is read from
+``dataclasses.fields`` through the reader of each field's annotated type
+(``float``, ``int``, ``bool``, ``str``) and written back the same way.
+Behaviors, drift processes and catalog strategies are parsed here too, into
+the objects the engine runs, so the engine reads no document.
 
 ``scenario_to_config`` serializes a Scenario back into the canonical
 document form with every default materialized; the run report embeds that
@@ -13,15 +21,28 @@ run exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Any, Optional
+import sys
+from fractions import Fraction
+from functools import cache
+from typing import Any, Callable, Collection, Optional
 
 import yaml
 
-from .behavior import behavior_from_spec, behavior_to_spec
-from .collective import SocialBehavior
+from .behavior import (
+    ActiveNonPurposeful,
+    Behavior,
+    CorrectiveAction,
+    Passive,
+    Predictive,
+    PurposefulNonTeleological,
+    Reactive,
+)
+from .collective import SocialAction, SocialActionKind, SocialBehavior
 from .controller import SafetyPredicate, Strategy, StrategyKind
 from .engine import (
+    RESTAGEABLE,
     ChannelSpec,
     ContractSpec,
     ControllerSpec,
@@ -31,7 +52,14 @@ from .engine import (
     Scenario,
     validate_scenario,
 )
-from .environment import ShockEvent, process_from_spec, process_to_spec
+from .environment import (
+    Constant,
+    DriftProcess,
+    LinearDrift,
+    RandomWalk,
+    RegimeSwitching,
+    ShockEvent,
+)
 from .errors import ConfigurationError
 from .identity import DetectorConfig, IdentityClass, IdentityKind
 
@@ -41,11 +69,40 @@ SCHEMA_VERSION = 1
 #: faster on a large population); both decode a document to equal objects.
 SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-_UCB_DEFAULT_EXPLORATION = math.sqrt(2.0)
+#: The parser's reader of each scalar field annotation.
+_READERS = {"float": "number", "int": "integer", "bool": "boolean", "str": "string"}
+
+_FLOAT_MAX = sys.float_info.max
+
+
+@cache
+def _keys(cls) -> frozenset:
+    """The document keys of a spec dataclass: its constructor's fields."""
+    return frozenset(f.name for f in dataclasses.fields(cls) if f.init)
+
+
+@cache
+def _scalars(cls) -> tuple[tuple[str, Callable, Any], ...]:
+    """(name, _Parser reader, default) of each scalar constructor field of cls."""
+    return tuple(
+        (f.name, getattr(_Parser, _READERS[f.type]), f.default)
+        for f in dataclasses.fields(cls)
+        if f.init and f.type in _READERS
+    )
+
+
+def _echo(spec) -> dict:
+    """The scalar fields of a spec dataclass, as its document section."""
+    return {name: getattr(spec, name) for name, _, _ in _scalars(type(spec))}
 
 
 class _Parser:
-    """Strict mapping walker that records every problem with its path."""
+    """Strict document walker that records every problem with its path.
+
+    Each reader returns its default for an absent (None) value. A value it
+    rejects is recorded once, and reads as one that no validation check
+    flags under another key: a number as NaN, anything else as its default.
+    """
 
     def __init__(self):
         self.errors: list[str] = []
@@ -53,15 +110,16 @@ class _Parser:
     def fail(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
-    def mapping(self, value: Any, path: str, allowed: set[str]) -> dict:
+    def mapping(self, value: Any, path: str, allowed: Optional[Collection] = None) -> dict:
         if value is None:
             return {}
         if not isinstance(value, dict):
             self.fail(path, "expected a mapping")
             return {}
-        for key in value:
-            if key not in allowed:
-                self.fail(f"{path}.{key}", "unknown key")
+        if allowed is not None:
+            for key in value:
+                if key not in allowed:
+                    self.fail(f"{path}.{key}", "unknown key")
         return value
 
     def sequence(self, value: Any, path: str) -> list:
@@ -72,15 +130,19 @@ class _Parser:
             return []
         return value
 
-    def number(self, value: Any, path: str, default: float) -> float:
+    def number(self, value: Any, path: str, default: Optional[float]) -> Optional[float]:
         if value is None:
             return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(path, f"expected a number, got {value!r}")
-            return default
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not -_FLOAT_MAX <= value <= _FLOAT_MAX
+        ):
+            self.fail(path, f"expected a finite number, got {value!r}")
+            return math.nan
         return float(value)
 
-    def integer(self, value: Any, path: str, default: int) -> int:
+    def integer(self, value: Any, path: str, default: Optional[int]) -> Optional[int]:
         if value is None:
             return default
         if isinstance(value, bool) or not isinstance(value, int):
@@ -96,7 +158,7 @@ class _Parser:
             return default
         return value
 
-    def string(self, value: Any, path: str, default: str) -> str:
+    def string(self, value: Any, path: str, default: Optional[str]) -> Optional[str]:
         if value is None:
             return default
         if not isinstance(value, str):
@@ -104,294 +166,340 @@ class _Parser:
             return default
         return value
 
+    def choice(self, value: Any, path: str, options: Collection[str]) -> Optional[str]:
+        if isinstance(value, str) and value in options:
+            return value
+        self.fail(path, f"expected {' | '.join(options)}, got {value!r}")
+        return None
 
-def _parse_process(p: _Parser, spec: Any, path: str):
+    def kinded(self, value: Any, path: str, kinds: dict) -> tuple[Optional[str], dict]:
+        """A mapping whose ``kind`` names the other keys it may hold
+        (``kinds``: kind -> keys); the kind is None once a problem is
+        recorded."""
+        if not isinstance(value, dict):
+            self.fail(path, "expected a mapping")
+            return None, {}
+        kind = self.choice(value.get("kind"), f"{path}.kind", kinds)
+        if kind is not None:
+            self.mapping(value, path, {"kind", *kinds[kind]})
+        return kind, value
+
+    def scalars(self, cls, section: dict, path: str, names=None, **defaults) -> dict:
+        """The scalar fields of the dataclass cls (only ``names``, if given)
+        read from ``section`` by their annotated types; a missing one takes
+        its dataclass default, or the one given in ``defaults``."""
+        prefix = f"{path}." if path else ""
+        return {
+            name: read(self, section.get(name), prefix + name, defaults.get(name, default))
+            for name, read, default in _scalars(cls)
+            if names is None or name in names
+        }
+
+    def spec(self, cls, value: Any, path: str):
+        """The spec dataclass cls read from a mapping of its scalar fields."""
+        return cls(**self.scalars(cls, self.mapping(value, path, _keys(cls)), path))
+
+
+# -- behaviors and processes --------------------------------------------------
+
+_BEHAVIOR_KEYS = {
+    "passive": (),
+    "active_non_purposeful": ("schedule",),
+    "purposeful_non_teleological": ("policy",),
+    "reactive": ("gain",),
+    "predictive": ("k", "window"),
+}
+
+_PROCESSES = {
+    "constant": Constant,
+    "linear": LinearDrift,
+    "random_walk": RandomWalk,
+    "regime_switching": RegimeSwitching,
+}
+_PROCESS_KEYS = {kind: _keys(cls) for kind, cls in _PROCESSES.items()}
+_PROCESS_KINDS = {cls: kind for kind, cls in _PROCESSES.items()}
+
+
+def _action_from_spec(p: _Parser, spec: Any, path: str) -> CorrectiveAction:
+    section = p.mapping(spec, path, ("bias", "gain", "resample"))
+    return CorrectiveAction(
+        **p.scalars(CorrectiveAction, section, path, names=("bias", "gain")),
+        resample=p.number(section.get("resample"), f"{path}.resample", None),
+    )
+
+
+def behavior_from_spec(p: _Parser, spec: Any, path: str) -> Optional[Behavior]:
+    """A fresh behavior from its document mapping: None when absent, and a
+    passive one once a problem is recorded."""
     if spec is None:
         return None
-    if not isinstance(spec, dict):
-        p.fail(path, "expected a process mapping")
-        return None
-    try:
-        return process_from_spec(spec)
-    except ConfigurationError as exc:
-        p.fail(path, str(exc))
-        return None
+    kind, section = p.kinded(spec, path, _BEHAVIOR_KEYS)
+    if kind == "active_non_purposeful":
+        schedule = p.sequence(section.get("schedule"), f"{path}.schedule")
+        return ActiveNonPurposeful(schedule=tuple(
+            _action_from_spec(p, action, f"{path}.schedule[{i}]")
+            for i, action in enumerate(schedule)
+        ))
+    if kind == "purposeful_non_teleological":
+        return PurposefulNonTeleological(
+            policy=_action_from_spec(p, section.get("policy"), f"{path}.policy")
+        )
+    if kind == "reactive":
+        return Reactive(
+            feedback_gain=p.number(section.get("gain"), f"{path}.gain", Reactive.feedback_gain)
+        )
+    if kind == "predictive":
+        return Predictive(**p.scalars(Predictive, section, path))
+    return Passive()
 
 
-def _parse_behavior(p: _Parser, spec: Any, path: str):
+def _action_to_spec(action: CorrectiveAction) -> dict:
+    spec: dict = {"bias": action.bias, "gain": action.gain}
+    if action.resample is not None:
+        spec["resample"] = action.resample
+    return spec
+
+
+def behavior_to_spec(behavior: Behavior) -> dict:
+    """Inverse of behavior_from_spec, for the effective-config echo."""
+    if isinstance(behavior, Passive):
+        return {"kind": "passive"}
+    if isinstance(behavior, ActiveNonPurposeful):
+        return {
+            "kind": "active_non_purposeful",
+            "schedule": [_action_to_spec(a) for a in behavior.schedule],
+        }
+    if isinstance(behavior, PurposefulNonTeleological):
+        return {
+            "kind": "purposeful_non_teleological",
+            "policy": _action_to_spec(behavior.policy),
+        }
+    if isinstance(behavior, Reactive):
+        return {"kind": "reactive", "gain": behavior.feedback_gain}
+    if isinstance(behavior, Predictive):
+        return {"kind": "predictive", **_echo(behavior)}
+    raise ConfigurationError(f"cannot serialize behavior {type(behavior).__name__}")
+
+
+def process_from_spec(p: _Parser, spec: Any, path: str) -> Optional[DriftProcess]:
+    """A drift process from its document mapping: None when absent, and a
+    constant one once a problem is recorded."""
     if spec is None:
         return None
-    if not isinstance(spec, dict):
-        p.fail(path, "expected a behavior mapping")
-        return None
-    try:
-        return behavior_from_spec(spec)
-    except ConfigurationError as exc:
-        p.fail(path, str(exc))
-        return None
+    kind, section = p.kinded(spec, path, _PROCESS_KEYS)
+    if kind == "regime_switching":
+        return RegimeSwitching(
+            calm=process_from_spec(p, section.get("calm"), f"{path}.calm") or Constant(),
+            turbulent=(
+                process_from_spec(p, section.get("turbulent"), f"{path}.turbulent")
+                or Constant()
+            ),
+            **p.scalars(RegimeSwitching, section, path),
+        )
+    cls = _PROCESSES.get(kind, Constant)
+    return cls(**p.scalars(cls, section, path))
 
 
-_CONTRACT_KEYS = {"kind", "threshold", "mean", "std", "bound", "window", "at_risk_margin"}
+def process_to_spec(process: DriftProcess) -> dict:
+    """Inverse of process_from_spec, for the effective-config echo."""
+    kind = _PROCESS_KINDS.get(type(process))
+    if kind is None:
+        raise ConfigurationError(f"cannot serialize process {type(process).__name__}")
+    spec = {"kind": kind, **_echo(process)}
+    if isinstance(process, RegimeSwitching):
+        spec["calm"] = process_to_spec(process.calm)
+        spec["turbulent"] = process_to_spec(process.turbulent)
+    return spec
 
 
-def _parse_contract(p: _Parser, raw: Any, path: str) -> Optional[ContractSpec]:
+# -- scenario sections ----------------------------------------------------------
+
+_CONTRACT_KINDS = dict.fromkeys(
+    ("hard", "soft", "best_effort"),
+    ("threshold", "mean", "std", "bound", "window", "at_risk_margin"),
+)
+_STRATEGY_KINDS = dict.fromkeys(("reconfigure", "social"), ("id", "behavior", "channel", "action"))
+_ACTION_KINDS = dict.fromkeys((k.value for k in SocialActionKind), ("amount", "target"))
+_DISPOSITIONS = tuple(s.value for s in SocialBehavior)
+
+#: Where the document keeps each scalar field of Scenario ("" is the top level).
+_SCENARIO_SECTIONS = {
+    "": ("name", "duration", "dt", "seed"),
+    "environment": ("turbulence_threshold", "regime_window"),
+    "report": ("antifragility_threshold", "record_identity"),
+}
+
+
+def _contract(p: _Parser, raw: Any, path: str) -> Optional[ContractSpec]:
     if raw is None:
         return None
-    section = p.mapping(raw, path, _CONTRACT_KEYS)
-    kind = p.string(section.get("kind"), f"{path}.kind", "")
-    window = p.integer(section.get("window"), f"{path}.window", 100)
-    margin = p.number(section.get("at_risk_margin"), f"{path}.at_risk_margin", 0.8)
+    kind, section = p.kinded(raw, path, _CONTRACT_KINDS)
+
+    def level(key: str) -> float:
+        return p.number(section.get(key), f"{path}.{key}", 0.1)
+
     if kind == "hard":
-        identity = IdentityClass.hard(p.number(section.get("threshold"), f"{path}.threshold", 0.1))
+        identity = IdentityClass.hard(level("threshold"))
     elif kind == "soft":
-        identity = IdentityClass.soft(
-            p.number(section.get("mean"), f"{path}.mean", 0.1),
-            p.number(section.get("std"), f"{path}.std", 0.1),
-        )
+        identity = IdentityClass.soft(level("mean"), level("std"))
     elif kind == "best_effort":
-        identity = IdentityClass.best_effort(
-            p.number(section.get("bound"), f"{path}.bound", 0.1)
-        )
+        identity = IdentityClass.best_effort(level("bound"))
     else:
-        p.fail(f"{path}.kind", f"expected hard | soft | best_effort, got {kind!r}")
+        # A rejected kind reads as the unconstrained class: validation flags
+        # that at this same path, and finds a contract for the detector.
+        identity = IdentityClass.non_rt()
+    return ContractSpec(identity=identity, **p.scalars(ContractSpec, section, path))
+
+
+def _social_action(p: _Parser, raw: Any, path: str) -> Optional[SocialAction]:
+    kind, section = p.kinded(raw, path, _ACTION_KINDS)
+    amount = p.number(section.get("amount"), f"{path}.amount", None)
+    target = p.string(section.get("target"), f"{path}.target", SocialAction.target)
+    if kind is None or amount is not None and math.isnan(amount):
         return None
-    return ContractSpec(identity=identity, window=window, at_risk_margin=margin)
+    return SocialAction(
+        SocialActionKind(kind),
+        amount=SocialAction.amount if amount is None else Fraction(str(amount)),
+        target=target,
+    )
 
 
-def _parse_strategy(p: _Parser, raw: Any, path: str) -> Optional[Strategy]:
-    section = p.mapping(raw, path, {"id", "kind", "behavior", "channel", "action"})
-    sid = p.string(section.get("id"), f"{path}.id", "")
-    if not sid:
+def _strategy(p: _Parser, raw: Any, path: str) -> Optional[Strategy]:
+    kind, section = p.kinded(raw, path, _STRATEGY_KINDS)
+    if kind is None:
+        return None
+    if not section.get("id"):
         p.fail(f"{path}.id", "strategy id is required")
-    kind = p.string(section.get("kind"), f"{path}.kind", "")
-    if kind == "reconfigure":
-        behavior_spec = section.get("behavior")
-        if behavior_spec is not None:
-            _parse_behavior(p, behavior_spec, f"{path}.behavior")
-        channel_spec = section.get("channel")
-        if channel_spec is not None:
-            p.mapping(channel_spec, f"{path}.channel",
-                      {"gain", "bias", "noise_std", "quantization",
-                       "sampling_period", "latency"})
-        return Strategy(
-            id=sid, kind=StrategyKind.RECONFIGURE,
-            behavior_spec=behavior_spec, channel_spec=channel_spec,
-        )
+        return None
+    sid = p.string(section["id"], f"{path}.id", "")
     if kind == "social":
-        action = p.mapping(section.get("action"), f"{path}.action",
-                           {"kind", "amount", "target"})
-        if "kind" not in action:
-            p.fail(f"{path}.action.kind", "social action kind is required")
-        return Strategy(id=sid, kind=StrategyKind.SOCIAL, social_spec=dict(action))
-    p.fail(f"{path}.kind", f"expected reconfigure | social, got {kind!r}")
-    return None
-
-
-def _parse_node(p: _Parser, raw: Any, path: str, index: int) -> NodeSpec:
-    section = p.mapping(
-        raw, path,
-        {"name", "figure", "channel", "contract", "detector", "behavior",
-         "social", "member", "controller"},
+        action = _social_action(p, section.get("action"), f"{path}.action")
+        return None if action is None else Strategy(sid, StrategyKind.SOCIAL, social=action)
+    channel = None
+    if section.get("channel") is not None:
+        cpath = f"{path}.channel"
+        given = p.mapping(section["channel"], cpath, RESTAGEABLE)
+        restaged = [key for key in RESTAGEABLE if given.get(key) is not None]
+        channel = p.scalars(ChannelSpec, given, cpath, names=restaged)
+    return Strategy(
+        sid, StrategyKind.RECONFIGURE,
+        behavior=behavior_from_spec(p, section.get("behavior"), f"{path}.behavior"),
+        channel=channel,
     )
-    name = p.string(section.get("name"), f"{path}.name", f"node{index}")
-    figure = p.integer(section.get("figure"), f"{path}.figure", 0)
 
-    ch = p.mapping(
-        section.get("channel"), f"{path}.channel",
-        {"gain", "bias", "noise_std", "quantization", "sampling_period",
-         "latency", "nominal_gain", "nominal_bias", "bias_drift"},
+
+def _controller(p: _Parser, raw: Any, path: str) -> ControllerSpec:
+    section = p.mapping(raw, path, {"smoothing", "safety", "hysteresis", "learning", "catalog"})
+    lpath = f"{path}.learning"
+    learning = p.mapping(
+        section.get("learning"), lpath, {"enabled", "algorithm", "exploration", "epsilon"}
     )
-    channel = ChannelSpec(
-        gain=p.number(ch.get("gain"), f"{path}.channel.gain", 1.0),
-        bias=p.number(ch.get("bias"), f"{path}.channel.bias", 0.0),
-        noise_std=p.number(ch.get("noise_std"), f"{path}.channel.noise_std", 0.0),
-        quantization=p.number(ch.get("quantization"), f"{path}.channel.quantization", 0.0),
-        sampling_period=p.number(
-            ch.get("sampling_period"), f"{path}.channel.sampling_period", 0.1
+    catalog = [
+        _strategy(p, entry, f"{path}.catalog[{j}]")
+        for j, entry in enumerate(p.sequence(section.get("catalog"), f"{path}.catalog"))
+    ]
+    return ControllerSpec(
+        **p.scalars(ControllerSpec, section, path, names=("smoothing", "hysteresis")),
+        safety=p.spec(SafetyPredicate, section.get("safety"), f"{path}.safety"),
+        learning_enabled=p.boolean(
+            learning.get("enabled"), f"{lpath}.enabled", ControllerSpec.learning_enabled
         ),
-        latency=p.number(ch.get("latency"), f"{path}.channel.latency", 0.0),
-        nominal_gain=p.number(ch.get("nominal_gain"), f"{path}.channel.nominal_gain", 1.0),
-        nominal_bias=p.number(ch.get("nominal_bias"), f"{path}.channel.nominal_bias", 0.0),
-        bias_drift=_parse_process(p, ch.get("bias_drift"), f"{path}.channel.bias_drift"),
+        algorithm=p.string(
+            learning.get("algorithm"), f"{lpath}.algorithm", ControllerSpec.algorithm
+        ),
+        exploration=p.number(
+            learning.get("exploration"), f"{lpath}.exploration", ControllerSpec.exploration
+        ),
+        epsilon=p.number(learning.get("epsilon"), f"{lpath}.epsilon", ControllerSpec.epsilon),
+        # A catalog holding a rejected entry is left out whole, so that no
+        # check on the rest reports under a shifted index.
+        catalog=() if None in catalog else tuple(catalog),
     )
 
-    contract = _parse_contract(p, section.get("contract"), f"{path}.contract")
 
-    detector = None
-    if section.get("detector") is not None:
-        det = p.mapping(section.get("detector"), f"{path}.detector",
-                        {"slack", "threshold", "reference", "window"})
-        detector = DetectorConfig(
-            slack=p.number(det.get("slack"), f"{path}.detector.slack", 0.02),
-            threshold=p.number(det.get("threshold"), f"{path}.detector.threshold", 0.2),
-            reference=p.number(det.get("reference"), f"{path}.detector.reference", 0.0),
-            window=p.integer(det.get("window"), f"{path}.detector.window", 100),
-        )
-
-    behavior = _parse_behavior(p, section.get("behavior"), f"{path}.behavior")
-    if behavior is None:
-        behavior = behavior_from_spec({"kind": "passive"})
-
-    social = None
-    social_raw = section.get("social")
-    if social_raw is not None:
-        try:
-            social = SocialBehavior(p.string(social_raw, f"{path}.social", ""))
-        except ValueError:
-            p.fail(
-                f"{path}.social",
-                f"expected neutral | individualistic | cooperative, got {social_raw!r}",
-            )
-
-    controller = None
-    if section.get("controller") is not None:
-        ctrl = p.mapping(
-            section.get("controller"), f"{path}.controller",
-            {"smoothing", "safety", "hysteresis", "learning", "catalog"},
-        )
-        safety_raw = p.mapping(
-            ctrl.get("safety"), f"{path}.controller.safety",
-            {"turbulence_threshold", "horizon"},
-        )
-        safety = SafetyPredicate(
-            turbulence_threshold=p.number(
-                safety_raw.get("turbulence_threshold"),
-                f"{path}.controller.safety.turbulence_threshold", 0.05,
-            ),
-            horizon=p.integer(
-                safety_raw.get("horizon"), f"{path}.controller.safety.horizon", 10
-            ),
-        )
-        learning = p.mapping(
-            ctrl.get("learning"), f"{path}.controller.learning",
-            {"enabled", "algorithm", "exploration", "epsilon"},
-        )
-        catalog = []
-        for j, entry in enumerate(p.sequence(ctrl.get("catalog"), f"{path}.controller.catalog")):
-            strategy = _parse_strategy(p, entry, f"{path}.controller.catalog[{j}]")
-            if strategy is not None:
-                catalog.append(strategy)
-        controller = ControllerSpec(
-            smoothing=p.number(ctrl.get("smoothing"), f"{path}.controller.smoothing", 0.1),
-            safety=safety,
-            hysteresis=p.integer(ctrl.get("hysteresis"), f"{path}.controller.hysteresis", 10),
-            learning_enabled=p.boolean(
-                learning.get("enabled"), f"{path}.controller.learning.enabled", True
-            ),
-            algorithm=p.string(
-                learning.get("algorithm"), f"{path}.controller.learning.algorithm", "ucb1"
-            ),
-            exploration=p.number(
-                learning.get("exploration"),
-                f"{path}.controller.learning.exploration", _UCB_DEFAULT_EXPLORATION,
-            ),
-            epsilon=p.number(
-                learning.get("epsilon"), f"{path}.controller.learning.epsilon", 0.1
-            ),
-            catalog=tuple(catalog),
-        )
-
+def _node(p: _Parser, raw: Any, path: str, index: int) -> NodeSpec:
+    section = p.mapping(raw, path, _keys(NodeSpec))
+    cpath = f"{path}.channel"
+    ch = p.mapping(section.get("channel"), cpath, _keys(ChannelSpec))
+    social = section.get("social")
+    if social is not None:
+        # A rejected disposition reads as neutral, which no other check flags.
+        social = SocialBehavior(p.choice(social, f"{path}.social", _DISPOSITIONS) or "neutral")
+    detector = section.get("detector")
+    controller = section.get("controller")
     return NodeSpec(
-        name=name, figure=figure, channel=channel, contract=contract,
-        detector=detector, behavior=behavior, social=social,
-        member=p.boolean(section.get("member"), f"{path}.member", False),
-        controller=controller,
+        **p.scalars(NodeSpec, section, path, name=f"node{index}"),
+        channel=ChannelSpec(
+            **p.scalars(ChannelSpec, ch, cpath),
+            bias_drift=process_from_spec(p, ch.get("bias_drift"), f"{cpath}.bias_drift"),
+        ),
+        contract=_contract(p, section.get("contract"), f"{path}.contract"),
+        detector=None if detector is None else p.spec(DetectorConfig, detector, f"{path}.detector"),
+        behavior=behavior_from_spec(p, section.get("behavior"), f"{path}.behavior") or Passive(),
+        social=social,
+        controller=None if controller is None else _controller(p, controller, f"{path}.controller"),
     )
+
+
+def _unreported(problems: list[str], reported: list[str]) -> list[str]:
+    """The problems under whose key nothing is reported yet: a value the
+    parser rejected is not checked again."""
+    rejected = [problem.split(": ", 1)[0] for problem in reported]
+    kept = []
+    for problem in problems:
+        key = problem.split(": ", 1)[0]
+        if not any(r == key or r.startswith((f"{key}.", f"{key}[")) for r in rejected):
+            kept.append(problem)
+    return kept
 
 
 def parse_config(doc: Any, seed_override: Optional[int] = None) -> Scenario:
     """Build a Scenario from a parsed document; raise with every problem."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(["config: expected a mapping"])
     p = _Parser()
-    top = p.mapping(
-        doc, "config",
-        {"schema_version", "name", "duration", "dt", "seed", "environment",
-         "shocks", "pool", "nodes", "report"},
-    )
-    version = top.get("schema_version")
-    if version != SCHEMA_VERSION:
-        p.fail("config.schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+    p.mapping(doc, "config", {"schema_version", *_SCENARIO_SECTIONS[""], "environment",
+                              "shocks", "pool", "nodes", "report"})
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        p.fail("config.schema_version",
+               f"expected {SCHEMA_VERSION}, got {doc.get('schema_version')!r}")
+    sections = {
+        "": doc,
+        "environment": p.mapping(doc.get("environment"), "environment",
+                                 {"figures", *_SCENARIO_SECTIONS["environment"]}),
+        "report": p.mapping(doc.get("report"), "report", _SCENARIO_SECTIONS["report"]),
+    }
+    values: dict = {}
+    for name, keys in _SCENARIO_SECTIONS.items():
+        values |= p.scalars(Scenario, sections[name], name, names=keys)
 
-    env = p.mapping(
-        top.get("environment"), "environment",
-        {"figures", "turbulence_threshold", "regime_window"},
-    )
     figures = []
-    for i, raw in enumerate(p.sequence(env.get("figures"), "environment.figures")):
-        section = p.mapping(raw, f"environment.figures[{i}]",
-                            {"name", "unit", "initial", "process"})
-        process = _parse_process(p, section.get("process"), f"environment.figures[{i}].process")
-        figures.append(
-            FigureSpec(
-                name=p.string(section.get("name"), f"environment.figures[{i}].name", f"figure{i}"),
-                unit=p.string(section.get("unit"), f"environment.figures[{i}].unit", ""),
-                initial=p.number(section.get("initial"), f"environment.figures[{i}].initial", 0.0),
-                process=process if process is not None else process_from_spec({"kind": "constant"}),
-            )
-        )
-
-    shocks = []
-    for i, raw in enumerate(p.sequence(top.get("shocks"), "shocks")):
-        section = p.mapping(raw, f"shocks[{i}]",
-                            {"at", "figure", "magnitude", "recovery_window"})
-        shocks.append(
-            ShockEvent(
-                at=p.number(section.get("at"), f"shocks[{i}].at", 0.0),
-                figure=p.integer(section.get("figure"), f"shocks[{i}].figure", 0),
-                magnitude=p.number(section.get("magnitude"), f"shocks[{i}].magnitude", 0.0),
-                recovery_window=p.number(
-                    section.get("recovery_window"), f"shocks[{i}].recovery_window", 1.0
-                ),
-            )
-        )
-
-    pool = None
-    if top.get("pool") is not None:
-        section = p.mapping(
-            top.get("pool"), "pool",
-            {"total", "join_allocation", "solo_capacity", "floor",
-             "assist_quantum", "reciprocation_weight", "calm_window"},
-        )
-        pool = PoolSpec(
-            total=p.number(section.get("total"), "pool.total", 1.0),
-            join_allocation=p.number(section.get("join_allocation"), "pool.join_allocation", 1.0),
-            solo_capacity=p.number(section.get("solo_capacity"), "pool.solo_capacity", 0.5),
-            floor=p.number(section.get("floor"), "pool.floor", 0.0),
-            assist_quantum=p.number(section.get("assist_quantum"), "pool.assist_quantum", 0.25),
-            reciprocation_weight=p.number(
-                section.get("reciprocation_weight"), "pool.reciprocation_weight", 2.0
-            ),
-            calm_window=p.integer(section.get("calm_window"), "pool.calm_window", 20),
-        )
-
-    nodes = [
-        _parse_node(p, raw, f"nodes[{i}]", i)
-        for i, raw in enumerate(p.sequence(top.get("nodes"), "nodes"))
-    ]
-
-    report = p.mapping(top.get("report"), "report",
-                       {"antifragility_threshold", "record_identity"})
-
+    figure_list = p.sequence(sections["environment"].get("figures"), "environment.figures")
+    for i, raw in enumerate(figure_list):
+        path = f"environment.figures[{i}]"
+        section = p.mapping(raw, path, _keys(FigureSpec))
+        process = process_from_spec(p, section.get("process"), f"{path}.process")
+        figures.append(FigureSpec(
+            **p.scalars(FigureSpec, section, path, name=f"figure{i}"),
+            process=process or Constant(),
+        ))
+    pool = doc.get("pool")
     scenario = Scenario(
-        name=p.string(top.get("name"), "name", "scenario"),
-        duration=p.number(top.get("duration"), "duration", 10.0),
-        dt=p.number(top.get("dt"), "dt", 0.1),
-        seed=p.integer(top.get("seed"), "seed", 0),
+        **values,
         figures=figures,
-        shocks=shocks,
-        nodes=nodes,
-        pool=pool,
-        turbulence_threshold=p.number(
-            env.get("turbulence_threshold"), "environment.turbulence_threshold", 0.05
-        ),
-        regime_window=p.integer(env.get("regime_window"), "environment.regime_window", 20),
-        antifragility_threshold=p.number(
-            report.get("antifragility_threshold"), "report.antifragility_threshold", 0.02
-        ),
-        record_identity=p.boolean(report.get("record_identity"), "report.record_identity", True),
+        shocks=[
+            p.spec(ShockEvent, raw, f"shocks[{i}]")
+            for i, raw in enumerate(p.sequence(doc.get("shocks"), "shocks"))
+        ],
+        nodes=[
+            _node(p, raw, f"nodes[{i}]", i)
+            for i, raw in enumerate(p.sequence(doc.get("nodes"), "nodes"))
+        ],
+        pool=None if pool is None else p.spec(PoolSpec, pool, "pool"),
     )
     if seed_override is not None:
         scenario.seed = seed_override
-    problems = p.errors + validate_scenario(scenario)
+    problems = p.errors + _unreported(validate_scenario(scenario), p.errors)
     if problems:
         raise ConfigurationError(problems)
     return scenario
@@ -406,12 +514,42 @@ def load_config(path, seed_override: Optional[int] = None) -> Scenario:
     return parse_config(doc, seed_override=seed_override)
 
 
+def check_learning_state(doc: Any, source: str) -> dict:
+    """A ``--resume`` document (node name -> learning state), checked for
+    the shape ``LearningState.load_document`` reads; raise with every
+    problem, each named by ``source`` and its path."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError([f"{source}: expected a node -> state mapping"])
+    p = _Parser()
+    for node, state in doc.items():
+        state = p.mapping(state, node)
+        for regime, arms in p.mapping(state.get("regimes"), f"{node}.regimes").items():
+            for i, arm in enumerate(p.sequence(arms, f"{node}.regimes.{regime}")):
+                path = f"{node}.regimes.{regime}[{i}]"
+                if not isinstance(arm, dict):
+                    p.fail(path, "expected a mapping")
+                    continue
+                for key, read in (("strategy_id", p.string), ("pulls", p.integer),
+                                  ("mean", p.number)):
+                    if arm.get(key) is None:
+                        p.fail(f"{path}.{key}", "required")
+                    else:
+                        read(arm[key], f"{path}.{key}", None)
+        for regime, order in p.mapping(state.get("ranks"), f"{node}.ranks").items():
+            for j, index in enumerate(p.sequence(order, f"{node}.ranks.{regime}")):
+                p.integer(index, f"{node}.ranks.{regime}[{j}]", None)
+        p.sequence(state.get("history"), f"{node}.history")
+    if p.errors:
+        raise ConfigurationError([f"{source}: {problem}" for problem in p.errors])
+    return doc
+
+
 # -- echo ---------------------------------------------------------------------
 
 
 def _contract_to_config(contract: ContractSpec) -> dict:
     identity = contract.identity
-    out: dict = {"window": contract.window, "at_risk_margin": contract.at_risk_margin}
+    out = _echo(contract)
     if identity.kind is IdentityKind.HARD_RT:
         out |= {"kind": "hard", "threshold": identity.hard_threshold}
     elif identity.kind is IdentityKind.SOFT_RT:
@@ -422,112 +560,62 @@ def _contract_to_config(contract: ContractSpec) -> dict:
 
 
 def _strategy_to_config(strategy: Strategy) -> dict:
-    if strategy.kind is StrategyKind.RECONFIGURE:
-        out: dict = {"id": strategy.id, "kind": "reconfigure"}
-        if strategy.behavior_spec is not None:
-            out["behavior"] = dict(strategy.behavior_spec)
-        if strategy.channel_spec is not None:
-            out["channel"] = dict(strategy.channel_spec)
-        return out
-    return {"id": strategy.id, "kind": "social", "action": dict(strategy.social_spec or {})}
+    out: dict = {"id": strategy.id, "kind": strategy.kind.value}
+    if strategy.behavior is not None:
+        out["behavior"] = behavior_to_spec(strategy.behavior)
+    if strategy.channel is not None:
+        out["channel"] = dict(strategy.channel)
+    action = strategy.social
+    if action is not None:
+        out["action"] = {"kind": action.kind.value, "amount": float(action.amount)}
+        if action.target is not None:
+            out["action"]["target"] = action.target
+    return out
+
+
+def _node_to_config(node: NodeSpec) -> dict:
+    channel = _echo(node.channel)
+    if node.channel.bias_drift is not None:
+        channel["bias_drift"] = process_to_spec(node.channel.bias_drift)
+    entry = _echo(node) | {"channel": channel, "behavior": behavior_to_spec(node.behavior)}
+    if node.contract is not None:
+        entry["contract"] = _contract_to_config(node.contract)
+    if node.detector is not None:
+        entry["detector"] = _echo(node.detector)
+    if node.social is not None:
+        entry["social"] = node.social.value
+    if node.controller is not None:
+        ctrl = node.controller
+        entry["controller"] = {
+            "smoothing": ctrl.smoothing,
+            "safety": _echo(ctrl.safety),
+            "hysteresis": ctrl.hysteresis,
+            "learning": {
+                "enabled": ctrl.learning_enabled,
+                "algorithm": ctrl.algorithm,
+                "exploration": ctrl.exploration,
+                "epsilon": ctrl.epsilon,
+            },
+            "catalog": [_strategy_to_config(s) for s in ctrl.catalog],
+        }
+    return entry
 
 
 def scenario_to_config(scenario: Scenario) -> dict:
     """Canonical, fully-defaulted document for this scenario."""
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
-        "name": scenario.name,
-        "duration": scenario.duration,
-        "dt": scenario.dt,
-        "seed": scenario.seed,
         "environment": {
-            "turbulence_threshold": scenario.turbulence_threshold,
-            "regime_window": scenario.regime_window,
             "figures": [
-                {
-                    "name": f.name,
-                    "unit": f.unit,
-                    "initial": f.initial,
-                    "process": process_to_spec(f.process),
-                }
-                for f in scenario.figures
+                _echo(f) | {"process": process_to_spec(f.process)} for f in scenario.figures
             ],
         },
-        "shocks": [
-            {
-                "at": s.at,
-                "figure": s.figure,
-                "magnitude": s.magnitude,
-                "recovery_window": s.recovery_window,
-            }
-            for s in scenario.shocks
-        ],
-        "report": {
-            "antifragility_threshold": scenario.antifragility_threshold,
-            "record_identity": scenario.record_identity,
-        },
-        "nodes": [],
+        "shocks": [_echo(s) for s in scenario.shocks],
+        "report": {},
+        "nodes": [_node_to_config(node) for node in scenario.nodes],
     }
+    for section, keys in _SCENARIO_SECTIONS.items():
+        (doc[section] if section else doc).update({k: getattr(scenario, k) for k in keys})
     if scenario.pool is not None:
-        pool = scenario.pool
-        doc["pool"] = {
-            "total": pool.total,
-            "join_allocation": pool.join_allocation,
-            "solo_capacity": pool.solo_capacity,
-            "floor": pool.floor,
-            "assist_quantum": pool.assist_quantum,
-            "reciprocation_weight": pool.reciprocation_weight,
-            "calm_window": pool.calm_window,
-        }
-    for node in scenario.nodes:
-        ch = node.channel
-        channel: dict = {
-            "gain": ch.gain,
-            "bias": ch.bias,
-            "noise_std": ch.noise_std,
-            "quantization": ch.quantization,
-            "sampling_period": ch.sampling_period,
-            "latency": ch.latency,
-            "nominal_gain": ch.nominal_gain,
-            "nominal_bias": ch.nominal_bias,
-        }
-        if ch.bias_drift is not None:
-            channel["bias_drift"] = process_to_spec(ch.bias_drift)
-        entry: dict = {
-            "name": node.name,
-            "figure": node.figure,
-            "channel": channel,
-            "behavior": behavior_to_spec(node.behavior),
-            "member": node.member,
-        }
-        if node.contract is not None:
-            entry["contract"] = _contract_to_config(node.contract)
-        if node.detector is not None:
-            det = node.detector
-            entry["detector"] = {
-                "slack": det.slack,
-                "threshold": det.threshold,
-                "reference": det.reference,
-                "window": det.window,
-            }
-        if node.social is not None:
-            entry["social"] = node.social.value
-        if node.controller is not None:
-            ctrl = node.controller
-            entry["controller"] = {
-                "smoothing": ctrl.smoothing,
-                "safety": {
-                    "turbulence_threshold": ctrl.safety.turbulence_threshold,
-                    "horizon": ctrl.safety.horizon,
-                },
-                "hysteresis": ctrl.hysteresis,
-                "learning": {
-                    "enabled": ctrl.learning_enabled,
-                    "algorithm": ctrl.algorithm,
-                    "exploration": ctrl.exploration,
-                    "epsilon": ctrl.epsilon,
-                },
-                "catalog": [_strategy_to_config(s) for s in ctrl.catalog],
-            }
-        doc["nodes"].append(entry)
+        doc["pool"] = _echo(scenario.pool)
     return doc

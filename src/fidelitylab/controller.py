@@ -28,6 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .behavior import Behavior
+from .collective import SocialAction
 from .errors import CatalogError, ConfigurationError, SequencingError
 from .identity import ContractStatus
 from .reflection import DeltaSample
@@ -151,16 +153,17 @@ class StrategyKind(Enum):
 class Strategy:
     """One catalog entry: either reshape the node itself or act socially.
 
-    ``behavior_spec`` / ``channel_spec`` / ``social_spec`` are plain
-    mappings interpreted by the engine at enactment time, which keeps the
-    catalog serializable and the learning state portable.
+    A reconfiguration restages the node's ``behavior`` (a prototype, which
+    the engine copies at each enactment), its ``channel`` (channel key ->
+    new value, for the keys in ``engine.RESTAGEABLE``), or both. A social
+    strategy hands its ``social`` action to the pool.
     """
 
     id: str
     kind: StrategyKind
-    behavior_spec: Optional[dict] = None
-    channel_spec: Optional[dict] = None
-    social_spec: Optional[dict] = None
+    behavior: Optional[Behavior] = None
+    channel: Optional[dict[str, float]] = None
+    social: Optional[SocialAction] = None
 
 
 @dataclass

@@ -37,14 +37,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import behavior as behavior_mod
 from .behavior import Behavior, CorrectiveAction, Observation, Passive
 from .collective import (
     NEEDY,
     NeighborView,
     ResourcePool,
     SocialAction,
-    SocialActionKind,
     SocialBehavior,
     SocialState,
     apply_social_action,
@@ -123,6 +121,10 @@ class ChannelSpec:
     bias_drift: Optional[DriftProcess] = None  # disturbance process on the bias
 
 
+#: The channel keys a catalog strategy may restage (``Strategy.channel``).
+RESTAGEABLE = ("gain", "bias", "noise_std", "quantization", "sampling_period", "latency")
+
+
 @dataclass
 class ContractSpec:
     identity: IdentityClass
@@ -174,7 +176,7 @@ class NodeSpec:
 
 @dataclass
 class PoolSpec:
-    total: float
+    total: float = 1.0
     join_allocation: float = 1.0
     solo_capacity: float = 0.5
     floor: float = 0.0
@@ -278,35 +280,68 @@ class RunResult:
 # -- validation ---------------------------------------------------------------
 
 
+def _whole_ticks(span: float, dt: float) -> Optional[int]:
+    """The number of dt ticks in span, or None when it is not a whole one."""
+    ticks = span / dt
+    if math.isfinite(ticks) and abs(ticks - round(ticks)) <= 1e-6:
+        return round(ticks)
+    return None
+
+
+def _period_ticks(period: float, dt: float) -> int:
+    """Ticks between samples of a channel sampled every ``period`` seconds."""
+    return max(1, round(period / dt))
+
+
+def _under(path: str, messages: list[str]) -> list[str]:
+    """An object's own validation messages, under its document path."""
+    return [f"{path}: {msg}" for msg in messages]
+
+
+def _channel_problems(channel: dict, dt: Optional[float], path: str) -> list[str]:
+    """The rules on channel values, for a node's channel and a catalog
+    strategy's restaged keys alike: a key absent from ``channel`` is not
+    checked, nor a sampling period against an invalid (None) dt."""
+    problems = [
+        f"{path}.{key}: must be >= 0"
+        for key in ("noise_std", "quantization", "latency")
+        if channel.get(key, 0.0) < 0
+    ]
+    period = channel.get("sampling_period")
+    if period is not None and not period > 0:
+        problems.append(f"{path}.sampling_period: must be > 0")
+    elif period is not None and dt is not None and not _whole_ticks(period, dt):
+        problems.append(f"{path}.sampling_period: must be a positive integer multiple of dt")
+    return problems
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """Collect every configuration problem, not just the first."""
+    """Collect every value and cross-reference problem, not just the first,
+    each once under the document path of its key."""
     problems: list[str] = []
-    if scenario.dt <= 0:
-        problems.append("dt: must be > 0")
-    if scenario.duration < 0:
-        problems.append("duration: must be >= 0")
-    if scenario.dt > 0:
-        ticks = scenario.duration / scenario.dt
-        if abs(ticks - round(ticks)) > 1e-6:
-            problems.append("duration: must be an integer number of dt ticks")
+    dt = scenario.dt if 0 < scenario.dt < math.inf else None
+    if dt is None:
+        problems.append("dt: must be finite and > 0")
+    if not 0 <= scenario.duration < math.inf:
+        problems.append("duration: must be finite and >= 0")
+    elif dt is not None and _whole_ticks(scenario.duration, dt) is None:
+        problems.append("duration: must be an integer number of dt ticks")
     if not scenario.figures:
-        problems.append("figures: at least one figure is required")
+        problems.append("environment.figures: at least one figure is required")
     if scenario.turbulence_threshold <= 0:
-        problems.append("turbulence_threshold: must be > 0")
+        problems.append("environment.turbulence_threshold: must be > 0")
     if scenario.regime_window < 1:
-        problems.append("regime_window: must be >= 1")
+        problems.append("environment.regime_window: must be >= 1")
 
     n = len(scenario.figures)
     for i, fig in enumerate(scenario.figures):
-        for msg in fig.process.validate():
-            problems.append(f"figures[{i}].process: {msg}")
+        problems += _under(f"environment.figures[{i}].process", fig.process.validate())
 
     figure_end: dict[int, float] = {}
     last_at = -math.inf
     for i, shock in enumerate(scenario.shocks):
         prefix = f"shocks[{i}]"
-        for msg in shock.validate():
-            problems.append(f"{prefix}: {msg}")
+        problems += _under(prefix, shock.validate())
         if not 0 <= shock.figure < max(n, 1):
             problems.append(f"{prefix}.figure: index {shock.figure} out of range")
         if shock.at <= last_at:
@@ -339,31 +374,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         names.add(node.name)
         if not 0 <= node.figure < max(n, 1):
             problems.append(f"{prefix}.figure: index {node.figure} out of range")
-        ch = node.channel
-        cmap = ReflectiveMap(
-            figure=node.figure,
-            gain=ch.gain,
-            bias=ch.bias,
-            noise_std=ch.noise_std,
-            quantization=ch.quantization,
-            sampling_period=ch.sampling_period,
-            latency=ch.latency,
-        )
-        for msg in cmap.validate():
-            problems.append(f"{prefix}.channel: {msg}")
-        if ch.sampling_period > 0 and scenario.dt > 0:
-            ratio = ch.sampling_period / scenario.dt
-            if abs(ratio - round(ratio)) > 1e-6 or round(ratio) < 1:
-                problems.append(
-                    f"{prefix}.channel.sampling_period: must be a positive "
-                    "integer multiple of dt"
-                )
-        if ch.bias_drift is not None:
-            for msg in ch.bias_drift.validate():
-                problems.append(f"{prefix}.channel.bias_drift: {msg}")
+        problems += _channel_problems(vars(node.channel), dt, f"{prefix}.channel")
+        if node.channel.bias_drift is not None:
+            problems += _under(f"{prefix}.channel.bias_drift", node.channel.bias_drift.validate())
         if node.contract is not None:
-            for msg in node.contract.identity.validate():
-                problems.append(f"{prefix}.contract: {msg}")
+            problems += _under(f"{prefix}.contract", node.contract.identity.validate())
             if node.contract.window < 1:
                 problems.append(f"{prefix}.contract.window: must be >= 1")
             if node.contract.identity.kind is IdentityKind.NON_RT:
@@ -372,12 +387,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     "by omitting the contract"
                 )
         if node.detector is not None:
-            for msg in node.detector.validate():
-                problems.append(f"{prefix}.detector: {msg}")
+            problems += _under(f"{prefix}.detector", node.detector.validate())
             if node.contract is None:
                 problems.append(f"{prefix}.detector: requires a contract")
-        for msg in node.behavior.validate(context_variables=1 + n):
-            problems.append(f"{prefix}.behavior: {msg}")
+        problems += _under(f"{prefix}.behavior", node.behavior.validate(context_variables=1 + n))
         if node.social is not None and scenario.pool is None:
             problems.append(f"{prefix}.social: requires a pool section")
         if node.member and scenario.pool is None:
@@ -386,13 +399,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             ctrl = node.controller
             if not 0 < ctrl.smoothing <= 1:
                 problems.append(f"{prefix}.controller.smoothing: must be in (0, 1]")
-            for msg in ctrl.safety.validate():
-                problems.append(f"{prefix}.controller.safety: {msg}")
+            problems += _under(f"{prefix}.controller.safety", ctrl.safety.validate())
             if ctrl.hysteresis < 1:
                 problems.append(f"{prefix}.controller.hysteresis: must be >= 1")
             if ctrl.algorithm not in ("ucb1", "epsilon_greedy"):
                 problems.append(
-                    f"{prefix}.controller.algorithm: unknown {ctrl.algorithm!r}"
+                    f"{prefix}.controller.learning.algorithm: "
+                    f"expected ucb1 | epsilon_greedy, got {ctrl.algorithm!r}"
                 )
             ids = [s.id for s in ctrl.catalog]
             if len(set(ids)) != len(ids):
@@ -400,20 +413,20 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             for j, strategy in enumerate(ctrl.catalog):
                 sp = f"{prefix}.controller.catalog[{j}]"
                 if strategy.kind is StrategyKind.RECONFIGURE:
-                    if strategy.behavior_spec is None and strategy.channel_spec is None:
+                    if strategy.behavior is None and strategy.channel is None:
                         problems.append(f"{sp}: reconfigure needs a behavior or channel")
-                    if strategy.behavior_spec is not None:
-                        try:
-                            beh = behavior_mod.behavior_from_spec(strategy.behavior_spec)
-                            for msg in beh.validate(context_variables=1 + n):
-                                problems.append(f"{sp}.behavior: {msg}")
-                        except ConfigurationError as exc:
-                            problems.append(f"{sp}.behavior: {exc}")
-                elif strategy.kind is StrategyKind.SOCIAL:
-                    if strategy.social_spec is None:
-                        problems.append(f"{sp}: social strategy needs an action")
-                    elif node.social is None:
-                        problems.append(f"{sp}: social strategy on an asocial node")
+                    if strategy.behavior is not None:
+                        problems += _under(
+                            f"{sp}.behavior", strategy.behavior.validate(context_variables=1 + n)
+                        )
+                    if strategy.channel is not None:
+                        problems += _channel_problems(strategy.channel, dt, f"{sp}.channel")
+                        problems += [f"{sp}.channel.{key}: not restageable"
+                                     for key in strategy.channel if key not in RESTAGEABLE]
+                elif strategy.social is None:
+                    problems.append(f"{sp}: social strategy needs an action")
+                elif node.social is None:
+                    problems.append(f"{sp}: social strategy on an asocial node")
     return problems
 
 
@@ -434,7 +447,7 @@ class SimNode:
         self.noise_std = ch.noise_std
         self.quantization = ch.quantization
         self.latency = ch.latency
-        self.period_ticks = max(1, round(ch.sampling_period / scenario.dt))
+        self.period_ticks = _period_ticks(ch.sampling_period, scenario.dt)
         self.bias_drift = copy.deepcopy(ch.bias_drift)
         self.nominal_gain = ch.nominal_gain
         self.nominal_bias = ch.nominal_bias
@@ -539,13 +552,12 @@ class SimNode:
             self.behavior = self.pending_behavior
             self.pending_behavior = None
         if self.pending_channel is not None:
-            spec = self.pending_channel
+            for key, value in self.pending_channel.items():
+                if key == "sampling_period":
+                    self.period_ticks = _period_ticks(value, self.dt)
+                else:
+                    setattr(self, key, value)
             self.pending_channel = None
-            for key in ("gain", "bias", "noise_std", "quantization", "latency"):
-                if key in spec:
-                    setattr(self, key, float(spec[key]))
-            if "sampling_period" in spec:
-                self.period_ticks = max(1, round(float(spec["sampling_period"]) / self.dt))
             self.channel = self.reflective_map()
 
     def apply_action(self, action: CorrectiveAction, capacity: float) -> float:
@@ -553,7 +565,7 @@ class SimNode:
         self.correction_bias += applied
         self.correction_gain *= action.gain
         if action.resample is not None:
-            self.period_ticks = max(1, round(action.resample / self.dt))
+            self.period_ticks = _period_ticks(action.resample, self.dt)
             self.channel = self.reflective_map()
         return applied
 
@@ -573,16 +585,14 @@ def enact_strategy(
     """
     pre = f"behavior={_behavior_label(node.behavior)} period_ticks={node.period_ticks}"
     if strategy.kind is StrategyKind.RECONFIGURE:
-        if strategy.behavior_spec is not None:
-            node.pending_behavior = behavior_mod.behavior_from_spec(strategy.behavior_spec)
-        if strategy.channel_spec is not None:
-            node.pending_channel = dict(strategy.channel_spec)
+        if strategy.behavior is not None:
+            node.pending_behavior = copy.deepcopy(strategy.behavior)
+        if strategy.channel is not None:
+            node.pending_channel = strategy.channel
         next_behavior = node.pending_behavior or node.behavior
         next_period = node.period_ticks
         if node.pending_channel and "sampling_period" in node.pending_channel:
-            next_period = max(
-                1, round(float(node.pending_channel["sampling_period"]) / node.dt)
-            )
+            next_period = _period_ticks(node.pending_channel["sampling_period"], node.dt)
         post = f"behavior={_behavior_label(next_behavior)} period_ticks={next_period}"
         record = ChangeRecord(
             time=t, node=node.name, strategy_id=strategy.id,
@@ -590,13 +600,10 @@ def enact_strategy(
         )
         return record, None
 
-    spec = strategy.social_spec or {}
-    kind = SocialActionKind(spec["kind"])
-    amount = Fraction(str(spec["amount"])) if "amount" in spec else Fraction(0)
-    action = SocialAction(kind=kind, amount=amount, target=spec.get("target"))
+    action = strategy.social
     record = ChangeRecord(
         time=t, node=node.name, strategy_id=strategy.id,
-        kind="social", ok=True, pre=pre, post=f"social={spec}",
+        kind="social", ok=True, pre=pre, post=f"social={action.kind.value}",
     )
     return record, action
 

@@ -53,7 +53,7 @@ class Constant(DriftProcess):
 
 @dataclass
 class LinearDrift(DriftProcess):
-    rate: float  # figure units per second
+    rate: float = 0.0  # figure units per second
 
     def step(self, value, dt, rng):
         return value + self.rate * dt
@@ -61,7 +61,7 @@ class LinearDrift(DriftProcess):
 
 @dataclass
 class RandomWalk(DriftProcess):
-    std: float  # increment standard deviation per unit time
+    std: float = 0.0  # increment standard deviation per unit time
 
     def step(self, value, dt, rng):
         return value + self.std * np.sqrt(dt) * rng.standard_normal()
@@ -80,8 +80,8 @@ class RegimeSwitching(DriftProcess):
 
     calm: DriftProcess
     turbulent: DriftProcess
-    hazard: float  # switch probability per second
-    active_turbulent: bool = field(default=False)
+    hazard: float = 0.0  # switch probability per second
+    active_turbulent: bool = field(default=False, init=False)
 
     def step(self, value, dt, rng):
         if rng.uniform() < self.hazard * dt:
@@ -106,10 +106,10 @@ class ShockEvent:
     which the response to the jump is measured.
     """
 
-    at: float
-    figure: int
-    magnitude: float
-    recovery_window: float
+    at: float = 0.0
+    figure: int = 0
+    magnitude: float = 0.0
+    recovery_window: float = 1.0
 
     def validate(self) -> list[str]:
         return ["shock recovery window must be > 0"] if self.recovery_window <= 0 else []
@@ -148,54 +148,6 @@ def apply_shock(state: EnvState, shock: ShockEvent) -> EnvState:
     figures = list(state.figures)
     figures[shock.figure] += shock.magnitude
     return EnvState(time=state.time, figures=tuple(figures))
-
-
-def process_from_spec(spec: dict) -> DriftProcess:
-    """Build a drift process from a plain mapping (scenario config)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError("process spec needs a 'kind' key")
-    kind = spec["kind"]
-    if kind == "constant":
-        _reject_extra(spec, {"kind"})
-        return Constant()
-    if kind == "linear":
-        _reject_extra(spec, {"kind", "rate"})
-        return LinearDrift(rate=float(spec.get("rate", 0.0)))
-    if kind == "random_walk":
-        _reject_extra(spec, {"kind", "std"})
-        return RandomWalk(std=float(spec.get("std", 0.0)))
-    if kind == "regime_switching":
-        _reject_extra(spec, {"kind", "calm", "turbulent", "hazard"})
-        return RegimeSwitching(
-            calm=process_from_spec(spec.get("calm", {"kind": "constant"})),
-            turbulent=process_from_spec(spec.get("turbulent", {"kind": "constant"})),
-            hazard=float(spec.get("hazard", 0.0)),
-        )
-    raise ConfigurationError(f"unknown process kind {kind!r}")
-
-
-def _reject_extra(spec: dict, allowed: set) -> None:
-    extra = set(spec) - allowed
-    if extra:
-        raise ConfigurationError(f"unknown process keys {sorted(extra)}")
-
-
-def process_to_spec(process: DriftProcess) -> dict:
-    """Inverse of process_from_spec, for the effective-config echo."""
-    if isinstance(process, Constant):
-        return {"kind": "constant"}
-    if isinstance(process, LinearDrift):
-        return {"kind": "linear", "rate": process.rate}
-    if isinstance(process, RandomWalk):
-        return {"kind": "random_walk", "std": process.std}
-    if isinstance(process, RegimeSwitching):
-        return {
-            "kind": "regime_switching",
-            "calm": process_to_spec(process.calm),
-            "turbulent": process_to_spec(process.turbulent),
-            "hazard": process.hazard,
-        }
-    raise ConfigurationError(f"cannot serialize process {type(process).__name__}")
 
 
 def regime_increments(history: Sequence[EnvState]) -> np.ndarray:

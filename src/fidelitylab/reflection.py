@@ -38,18 +38,6 @@ class ReflectiveMap:
     sampling_period: float = 0.1
     latency: float = 0.0
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.sampling_period <= 0:
-            problems.append("sampling_period must be > 0")
-        if self.noise_std < 0:
-            problems.append("noise_std must be >= 0")
-        if self.quantization < 0:
-            problems.append("quantization must be >= 0")
-        if self.latency < 0:
-            problems.append("latency must be >= 0")
-        return problems
-
 
 @dataclass(frozen=True)
 class Quale:

@@ -138,7 +138,7 @@ def test_criterion_3_isomorphism_limit():
             behavior=Passive(),
             controller=ControllerSpec(catalog=(
                 Strategy(id="spare", kind=StrategyKind.RECONFIGURE,
-                         behavior_spec={"kind": "reactive", "gain": 1.0}),
+                         behavior=Reactive(feedback_gain=1.0)),
             )),
         )],
     )
@@ -250,9 +250,9 @@ def _learning_node(catalog, learning_enabled=True):
 def _two_arm_scenario(seed):
     catalog = (
         Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                 behavior_spec={"kind": "reactive", "gain": 1.0}),
+                 behavior=Reactive(feedback_gain=1.0)),
         Strategy(id="weak", kind=StrategyKind.RECONFIGURE,
-                 behavior_spec={"kind": "reactive", "gain": 0.005}),
+                 behavior=Reactive(feedback_gain=0.005)),
     )
     return Scenario(
         name="two-arm", duration=455.0, dt=0.1, seed=seed, record_identity=False,
@@ -302,7 +302,7 @@ def _ladder_scenario(seed, learning_enabled):
     # aggressive; per-episode recovery cost declines as experience accrues.
     catalog = tuple(
         Strategy(id=f"effort{i:02d}", kind=StrategyKind.RECONFIGURE,
-                 behavior_spec={"kind": "reactive", "gain": gain})
+                 behavior=Reactive(feedback_gain=gain))
         for i, gain in enumerate(LADDER_GAINS)
     )
     return Scenario(
@@ -453,10 +453,9 @@ def _determinism_scenario():
                 member=True,
                 controller=ControllerSpec(catalog=(
                     Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                             behavior_spec={"kind": "reactive", "gain": 1.0}),
+                             behavior=Reactive(feedback_gain=1.0)),
                     Strategy(id="careful", kind=StrategyKind.RECONFIGURE,
-                             behavior_spec={"kind": "predictive", "k": 1,
-                                            "window": 8}),
+                             behavior=Predictive(k=1, window=8)),
                 )),
             ),
         ],

@@ -9,9 +9,8 @@ from fidelitylab.behavior import (
     Predictive,
     PurposefulNonTeleological,
     Reactive,
-    behavior_from_spec,
-    behavior_to_spec,
 )
+from fidelitylab.config import _Parser, behavior_from_spec, behavior_to_spec
 from fidelitylab.errors import ConfigurationError
 from fidelitylab.reflection import DeltaSample
 
@@ -200,12 +199,19 @@ class TestSpecRoundTrip:
         ],
     )
     def test_round_trip(self, spec):
-        assert behavior_to_spec(behavior_from_spec(spec)) == spec
+        p = _Parser()
+        assert behavior_to_spec(behavior_from_spec(p, spec, "behavior")) == spec
+        assert p.errors == []
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            behavior_from_spec({"kind": "mpc"})
+        p = _Parser()
+        assert behavior_from_spec(p, {"kind": "mpc"}, "b") == Passive()
+        assert p.errors == [
+            "b.kind: expected passive | active_non_purposeful | "
+            "purposeful_non_teleological | reactive | predictive, got 'mpc'"
+        ]
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError):
-            behavior_from_spec({"kind": "reactive", "kp": 0.5})
+        p = _Parser()
+        behavior_from_spec(p, {"kind": "reactive", "kp": 0.5}, "b")
+        assert p.errors == ["b.kp: unknown key"]

@@ -1,13 +1,20 @@
+import copy
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import SCENARIOS
 
+from fidelitylab import cli
 from fidelitylab import config as config_mod
 
 from fidelitylab.cli import (
@@ -16,8 +23,11 @@ from fidelitylab.cli import (
 from fidelitylab.config import load_config, parse_config, scenario_to_config
 from fidelitylab.errors import ConfigurationError
 
-CONFIGS = Path(__file__).parent.parent / "configs"
-SRC = Path(__file__).parent.parent / "src"
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
+SRC = ROOT / "src"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's config generator)
 
 MINIMAL = {
     "schema_version": 1,
@@ -125,11 +135,26 @@ class TestParseConfig:
         scenario = parse_config(MINIMAL, seed_override=123)
         assert scenario.seed == 123
 
-    def test_echo_round_trips_exactly(self):
-        scenario = parse_config(LEARNING)
-        echo = scenario_to_config(scenario)
-        again = parse_config(echo)
-        assert scenario_to_config(again) == echo
+    @pytest.mark.parametrize("source", ["learning", *sorted(SCENARIOS), *workloads.WORKLOADS])
+    def test_echo_round_trips_exactly(self, source, tmp_path):
+        if source == "learning":
+            scenarios = [parse_config(LEARNING)]
+        elif source in SCENARIOS:
+            scenarios = [SCENARIOS[source]()]
+        else:  # every config one round of the benchmark workload runs
+            runs = workloads.generate(source, 1, str(ROOT), str(tmp_path))
+            scenarios = [load_config(path) for path in sorted({run.config for run in runs})]
+        for scenario in scenarios:
+            echo = scenario_to_config(scenario)
+            again = parse_config(echo)
+            assert scenario_to_config(again) == echo
+
+    @pytest.mark.parametrize("key, value", [("dt", math.nan), ("duration", math.inf),
+                                            ("duration", -math.inf), ("dt", 10 ** 400)])
+    def test_non_finite_number_rejected_with_its_path(self, key, value):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(dict(MINIMAL, **{key: value}))
+        assert exc.value.problems == [f"{key}: expected a finite number, got {value!r}"]
 
 
 class TestCmdRun:
@@ -235,6 +260,47 @@ class TestCliFailures:
         assert code == EXIT_RUNTIME
         assert f"error: cannot write the summary to {blocker}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_a_file"])
+    def test_out_on_a_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys, under):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        config = write_config(tmp_path, MINIMAL)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "out" if under else blocker
+        assert cmd_run(str(config), out=str(out)) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(f"error: cannot write exports to {out}: ")
+
+    @pytest.mark.parametrize("damage", ["missing_key", "node_entry_list",
+                                        "arm_entry_not_mapping", "pulls_string"])
+    def test_malformed_resume_exits_2_naming_the_key(self, tmp_path, damage):
+        config = write_config(tmp_path, LEARNING)
+        assert cmd_run(str(config), out=str(tmp_path / "a")) == EXIT_OK
+        doc = json.loads((tmp_path / "a" / "learning_state.json").read_text())
+        regime, arms = next(iter(doc["n0"]["regimes"].items()))
+        arm = f"n0.regimes.{regime}[0]"
+        if damage == "missing_key":
+            del arms[0]["mean"]
+            expected = f"{arm}.mean: required"
+        elif damage == "node_entry_list":
+            doc["n0"] = [doc["n0"]]
+            expected = "n0: expected a mapping"
+        elif damage == "arm_entry_not_mapping":
+            arms[0] = 3
+            expected = f"{arm}: expected a mapping"
+        else:
+            arms[0]["pulls"] = "3"
+            expected = f"{arm}.pulls: expected an integer, got '3'"
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc))
+        code, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "b"),
+                            "--resume", str(state))
+        assert code == EXIT_CONFIG
+        assert err == f"error: {state}: {expected}\n"
+        assert not (tmp_path / "b").exists()
 
     def test_truncated_resume_exits_2_naming_line_and_column(self, tmp_path):
         config = write_config(tmp_path, LEARNING)
@@ -433,3 +499,185 @@ class TestLoadFromDiskFormats:
             monkeypatch.setattr(config_mod, "SAFE_LOADER", loader)
             echoes.append(repr(scenario_to_config(load_config(path))))
         assert echoes[0] == echoes[1]
+
+
+#: A small population touching every section of the schema: a regime-
+#: switching figure, a drifting channel, every contract kind, a detector, and
+#: a controller whose catalog restages a behavior and a channel, grabs and
+#: assists.
+SOCIAL_POPULATION = {
+    "schema_version": 1,
+    "name": "social",
+    "duration": 20.0,
+    "dt": 0.1,
+    "seed": 5,
+    "environment": {
+        "turbulence_threshold": 0.05,
+        "regime_window": 10,
+        "figures": [
+            {"name": "load", "unit": "rps", "initial": 0.0,
+             "process": {"kind": "regime_switching", "calm": {"kind": "constant"},
+                         "turbulent": {"kind": "random_walk", "std": 0.1}, "hazard": 0.05}},
+            {"name": "heat", "initial": 1.0, "process": {"kind": "linear", "rate": 0.01}},
+        ],
+    },
+    "shocks": [{"at": 5.0, "figure": 0, "magnitude": 5.0, "recovery_window": 4.0}],
+    "pool": {"total": 1.0, "join_allocation": 0.25, "solo_capacity": 0.5, "floor": 0.0,
+             "assist_quantum": 0.1, "reciprocation_weight": 2.0, "calm_window": 20},
+    "nodes": [
+        {"name": "a", "figure": 0, "social": "cooperative", "member": True,
+         "channel": {"gain": 1.1, "nominal_gain": 1.0, "noise_std": 0.01,
+                     "bias_drift": {"kind": "random_walk", "std": 0.01}},
+         "contract": {"kind": "hard", "threshold": 0.1, "window": 20},
+         "detector": {"slack": 0.02, "threshold": 0.2, "reference": 0.0, "window": 50},
+         "behavior": {"kind": "predictive", "k": 1, "window": 8},
+         "controller": {
+             "smoothing": 0.1, "hysteresis": 5,
+             "safety": {"turbulence_threshold": 0.05, "horizon": 10},
+             "learning": {"enabled": True, "algorithm": "ucb1", "exploration": 1.0,
+                          "epsilon": 0.1},
+             "catalog": [
+                 {"id": "firm", "kind": "reconfigure",
+                  "behavior": {"kind": "reactive", "gain": 1.0},
+                  "channel": {"gain": 1.0, "sampling_period": 0.2}},
+                 {"id": "grab", "kind": "social", "action": {"kind": "grab", "amount": 0.25}},
+                 {"id": "help", "kind": "social",
+                  "action": {"kind": "assist", "amount": 0.1, "target": "b"}},
+             ]}},
+        {"name": "b", "figure": 1, "social": "individualistic", "member": True,
+         "contract": {"kind": "soft", "mean": 0.1, "std": 0.1, "at_risk_margin": 0.7},
+         "behavior": {"kind": "active_non_purposeful",
+                      "schedule": [{"bias": 0.01, "gain": 1.0, "resample": 0.2}]}},
+        {"name": "c", "figure": 1,
+         "contract": {"kind": "best_effort", "bound": 0.2},
+         "behavior": {"kind": "purposeful_non_teleological", "policy": {"bias": 0.0}}},
+    ],
+    "report": {"antifragility_threshold": 0.02, "record_identity": False},
+}
+
+MUTATION_BASES = {
+    "demo": yaml.safe_load((CONFIGS / "demo.yaml").read_text()),
+    "social": SOCIAL_POPULATION,
+}
+
+#: Replacement values: a string, a list, a mapping, a bool, None, NaN, and a
+#: float where an integer goes.
+RETYPES = ["x", [1], {"a": 1}, True, None, math.nan, 1.5]
+
+#: A problem line: a document path (a top-level key, then keys and indexes),
+#: ": ", a message.
+PROBLEM = re.compile(
+    r"(config|schema_version|name|duration|dt|seed|environment|shocks|pool|nodes|report)"
+    r"(\.\w+|\[\d+\])*: \S"
+)
+
+
+def _locations(node, path=()):
+    """The path of every value in a document, at any depth."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutants(draw):
+    """A base document with one key deleted, one value retyped or one
+    unknown key added, at any depth."""
+    doc = copy.deepcopy(MUTATION_BASES[draw(st.sampled_from(sorted(MUTATION_BASES)))])
+    op = draw(st.sampled_from(["delete", "retype", "add"]))
+    if op == "add":
+        mappings = [p for p in _locations(doc) if isinstance(_at(doc, p), dict)]
+        _at(doc, draw(st.sampled_from(mappings)))["zz_unknown"] = 1
+        return doc
+    path = draw(st.sampled_from([p for p in _locations(doc) if p]))
+    parent = _at(doc, path[:-1])
+    if op == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(RETYPES))
+    return doc
+
+
+class TestConfigMutations:
+    def test_bases_parse(self):
+        for doc in MUTATION_BASES.values():
+            parse_config(doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_mutants())
+    def test_a_mutant_parses_or_names_each_problem_once(self, doc):
+        try:
+            parse_config(doc)
+        except ConfigurationError as exc:
+            problems = exc.problems
+            assert problems and len(set(problems)) == len(problems), problems
+            for problem in problems:
+                assert PROBLEM.match(problem), problem
+
+    #: The single changes to configs/demo.yaml that each give one problem:
+    #: (description, path to the changed key, new value, expected error path).
+    CATALOG = ("nodes", 0, "controller", "catalog")
+    DEMO_MUTANTS = {
+        "catalog_behavior_kind": (CATALOG + (0, "behavior"), {"kind": "nope"},
+                                  "nodes[0].controller.catalog[0].behavior.kind"),
+        "catalog_channel_gain": (CATALOG + (0, "channel"), {"gain": "abc"},
+                                 "nodes[0].controller.catalog[0].channel.gain"),
+        "catalog_channel_period": (CATALOG + (0, "channel"), {"sampling_period": -1},
+                                   "nodes[0].controller.catalog[0].channel.sampling_period"),
+        "social_action_kind": (CATALOG + (3,), {"id": "s", "kind": "social",
+                                                "action": {"kind": "steal"}},
+                               "nodes[0].controller.catalog[3].action.kind"),
+        "social_action_amount": (CATALOG + (3,), {"id": "s", "kind": "social",
+                                                  "action": {"kind": "grab", "amount": "lots"}},
+                                 "nodes[0].controller.catalog[3].action.amount"),
+        "node_behavior_gain": (("nodes", 0, "behavior"), {"kind": "reactive", "gain": "x"},
+                               "nodes[0].behavior.gain"),
+        "figure_process_rate": (("environment", "figures", 0, "process"),
+                                {"kind": "linear", "rate": "x"},
+                                "environment.figures[0].process.rate"),
+        "schedule_entry": (("nodes", 0, "behavior"),
+                           {"kind": "active_non_purposeful", "schedule": ["a"]},
+                           "nodes[0].behavior.schedule[0]"),
+        "predictive_k": (CATALOG + (2, "behavior", "k"), 1.5,
+                         "nodes[0].controller.catalog[2].behavior.k"),
+        "dt_nan": (("dt",), math.nan, "dt"),
+        "duration_inf": (("duration",), math.inf, "duration"),
+        "learning_algorithm": (("nodes", 0, "controller", "learning", "algorithm"), "greedy",
+                               "nodes[0].controller.learning.algorithm"),
+    }
+
+    @staticmethod
+    def demo_mutant(tmp_path, name):
+        path, value, _ = TestConfigMutations.DEMO_MUTANTS[name]
+        doc = copy.deepcopy(MUTATION_BASES["demo"])
+        if path[-1] == 3:  # a social strategy, on a cooperative pool member
+            doc["pool"] = {"total": 1.0}
+            doc["nodes"][0] |= {"social": "cooperative", "member": True}
+            _at(doc, path[:-1]).append(value)
+        else:
+            _at(doc, path[:-1])[path[-1]] = value
+        return write_config(tmp_path, doc)
+
+    @pytest.mark.parametrize("name", sorted(DEMO_MUTANTS))
+    def test_one_change_to_the_demo_is_one_error_line(self, tmp_path, capsys, name):
+        config = self.demo_mutant(tmp_path, name)
+        assert cmd_run(str(config), out=str(tmp_path / "out")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1
+        assert err.startswith(f"error: {self.DEMO_MUTANTS[name][2]}: ")
+
+    @pytest.mark.parametrize("name", ["catalog_behavior_kind", "social_action_amount",
+                                      "duration_inf"])
+    def test_a_mutant_run_prints_no_traceback(self, tmp_path, name):
+        config = self.demo_mutant(tmp_path, name)
+        code, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        assert "Traceback" not in err

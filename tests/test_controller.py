@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fidelitylab.behavior import Passive
 from fidelitylab.controller import (
     LearningState,
     Mode,
@@ -130,7 +131,7 @@ class TestModeSwitch:
 
 def catalog(*ids):
     return [
-        Strategy(id=i, kind=StrategyKind.RECONFIGURE, behavior_spec={"kind": "passive"})
+        Strategy(id=i, kind=StrategyKind.RECONFIGURE, behavior=Passive())
         for i in ids
     ]
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 from statistics import median
@@ -11,7 +12,7 @@ from test_golden import DEMO, _ladder_cut
 
 from fidelitylab import engine
 from fidelitylab.behavior import CorrectiveAction, Passive, Predictive, Reactive
-from fidelitylab.collective import ResourcePool, SocialBehavior
+from fidelitylab.collective import ResourcePool, SocialAction, SocialBehavior
 from fidelitylab.config import load_config
 from fidelitylab.controller import (
     Safety,
@@ -96,7 +97,7 @@ class TestRunBasics:
             figures=[FigureSpec(name="f", initial=5.0)],
             nodes=[perfect_node(controller=ControllerSpec(
                 catalog=(Strategy(id="s", kind=StrategyKind.RECONFIGURE,
-                                  behavior_spec={"kind": "reactive", "gain": 1.0}),),
+                                  behavior=Reactive(feedback_gain=1.0)),),
             ))],
         )
         result = run_scenario(scenario)
@@ -127,9 +128,9 @@ class TestRunBasics:
                         member=True,
                         controller=ControllerSpec(catalog=(
                             Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                                     behavior_spec={"kind": "reactive", "gain": 1.0}),
+                                     behavior=Reactive(feedback_gain=1.0)),
                             Strategy(id="weak", kind=StrategyKind.RECONFIGURE,
-                                     behavior_spec={"kind": "reactive", "gain": 0.1}),
+                                     behavior=Reactive(feedback_gain=0.1)),
                         )),
                     ),
                 ],
@@ -196,6 +197,49 @@ class TestRunBasics:
         assert "sampling_period" in text
         assert "duplicate node name" in text
         assert "feedback gain" in text
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("sampling_period", -1.0, "must be > 0"),
+        ("sampling_period", 0.15, "must be a positive integer multiple of dt"),
+        ("noise_std", -0.1, "must be >= 0"),
+        ("quantization", -0.1, "must be >= 0"),
+        ("latency", -0.1, "must be >= 0"),
+    ], ids=["period_negative", "period_off_grid", "noise_std", "quantization", "latency"])
+    def test_channel_rules_hold_for_nodes_and_catalog_channels(self, key, value, problem):
+        def scenario(channel):
+            catalog = (Strategy(id="s", kind=StrategyKind.RECONFIGURE, channel=channel),)
+            return Scenario(duration=1.0, dt=0.1, figures=[FigureSpec(name="f")], nodes=[
+                NodeSpec(name="n", channel=ChannelSpec(**channel),
+                         controller=ControllerSpec(catalog=catalog)),
+            ])
+
+        assert validate_scenario(scenario({key: value})) == [
+            f"nodes[0].channel.{key}: {problem}",
+            f"nodes[0].controller.catalog[0].channel.{key}: {problem}",
+        ]
+        assert validate_scenario(scenario({"sampling_period": 0.2})) == []
+
+    def test_a_catalog_channel_restages_only_channel_keys(self):
+        catalog = (Strategy(id="s", kind=StrategyKind.RECONFIGURE,
+                            channel={"nominal_gain": 2.0}),)
+        scenario = Scenario(duration=1.0, dt=0.1, figures=[FigureSpec(name="f")], nodes=[
+            NodeSpec(name="n", controller=ControllerSpec(catalog=catalog)),
+        ])
+        assert validate_scenario(scenario) == [
+            "nodes[0].controller.catalog[0].channel.nominal_gain: not restageable"
+        ]
+
+    @pytest.mark.parametrize("dt, duration, problem", [
+        (math.nan, 1.0, "dt: must be finite and > 0"),
+        (math.inf, 1.0, "dt: must be finite and > 0"),
+        (0.1, math.inf, "duration: must be finite and >= 0"),
+        (0.1, math.nan, "duration: must be finite and >= 0"),
+    ])
+    def test_non_finite_dt_and_duration_rejected(self, dt, duration, problem):
+        scenario = Scenario(duration=duration, dt=dt, figures=[FigureSpec(name="f")],
+                            shocks=[ShockEvent(at=0.5, recovery_window=0.2)],
+                            nodes=[perfect_node()])
+        assert validate_scenario(scenario) == [problem]
 
     def test_run_scenario_raises_on_invalid(self):
         scenario = Scenario(duration=1.0, dt=0.1, figures=[], nodes=[])
@@ -378,7 +422,7 @@ class TestScaleEquivariance:
                 controller=ControllerSpec(
                     safety=SafetyPredicate(turbulence_threshold=0.05 * scale),
                     catalog=(Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                                      behavior_spec={"kind": "reactive", "gain": 1.0}),),
+                                      behavior=Reactive(feedback_gain=1.0)),),
                 ),
             )],
         )
@@ -464,7 +508,7 @@ class TestStrategyEnactment:
 
     def test_identical_reconfigure_records_pre_equals_post(self):
         catalog = (Strategy(id="same", kind=StrategyKind.RECONFIGURE,
-                            behavior_spec={"kind": "reactive", "gain": 1.0}),)
+                            behavior=Reactive(feedback_gain=1.0)),)
         result = run_scenario(self.scenario(catalog))
         records = [c for c in result.changes if c.strategy_id == "same"]
         assert records
@@ -474,7 +518,7 @@ class TestStrategyEnactment:
         # Join submitted by a node that is already a member: rejected, and the
         # episode it was meant to serve is credited zero reward.
         catalog = (Strategy(id="rally", kind=StrategyKind.SOCIAL,
-                            social_spec={"kind": "join"}),)
+                            social=SocialAction.join()),)
         result = run_scenario(self.scenario(catalog))
         failed = [c for c in result.changes if c.kind == "social" and not c.ok]
         assert failed
@@ -486,9 +530,9 @@ class TestStrategyEnactment:
         # of the shock that hit its own figure.
         catalog = (
             Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                     behavior_spec={"kind": "reactive", "gain": 1.0}),
+                     behavior=Reactive(feedback_gain=1.0)),
             Strategy(id="weak", kind=StrategyKind.RECONFIGURE,
-                     behavior_spec={"kind": "reactive", "gain": 0.005}),
+                     behavior=Reactive(feedback_gain=0.005)),
         )
         scenario = Scenario(
             duration=30.0, dt=0.1, seed=0,
@@ -524,12 +568,12 @@ def _pool_social_scenario():
     grab), and a plain non-member."""
     catalog = (
         Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                 behavior_spec={"kind": "reactive", "gain": 1.0}),
+                 behavior=Reactive(feedback_gain=1.0)),
         Strategy(id="weak", kind=StrategyKind.RECONFIGURE,
-                 behavior_spec={"kind": "reactive", "gain": 0.05}),
+                 behavior=Reactive(feedback_gain=0.05)),
     )
     grab = Strategy(id="grab", kind=StrategyKind.SOCIAL,
-                    social_spec={"kind": "grab", "amount": 0.25})
+                    social=SocialAction.grab(Fraction("0.25")))
 
     def node(name, figure, social, member, node_catalog):
         return NodeSpec(
@@ -635,10 +679,9 @@ def _pool_populations(draw):
     for name in names:
         catalog = (
             Strategy(id="grab", kind=StrategyKind.SOCIAL,
-                     social_spec={"kind": "grab", "amount": draw(st.sampled_from([0.05, 0.5]))}),
+                     social=SocialAction.grab(Fraction(draw(st.sampled_from(["0.05", "0.5"]))))),
             Strategy(id="assist", kind=StrategyKind.SOCIAL,
-                     social_spec={"kind": "assist", "amount": 0.1,
-                                  "target": draw(st.sampled_from(names))}),
+                     social=SocialAction.assist(draw(st.sampled_from(names)), Fraction("0.1"))),
         )
         social = draw(st.sampled_from([None, *SocialBehavior]))
         nodes.append(NodeSpec(
@@ -706,7 +749,7 @@ def test_the_pool_is_conserved_exactly_in_any_population(scenario):
 def _contract_controller_scenario(record_identity=True):
     """One node for each combination of contract and controller, two shocks."""
     catalog = (Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                        behavior_spec={"kind": "reactive", "gain": 1.0}),)
+                        behavior=Reactive(feedback_gain=1.0)),)
     nodes = [
         NodeSpec(
             name=f"n{i}",
@@ -767,13 +810,13 @@ def _small_nodes(draw, name, figures, pool):
     social = draw(st.sampled_from([None, *SocialBehavior])) if pool else None
     catalog = (
         Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                 behavior_spec={"kind": "reactive", "gain": 1.0}),
+                 behavior=Reactive(feedback_gain=1.0)),
         Strategy(id="slow", kind=StrategyKind.RECONFIGURE,
-                 channel_spec={"sampling_period": 0.3}),
+                 channel={"sampling_period": 0.3}),
     )
     if social is not None:
         catalog += (Strategy(id="grab", kind=StrategyKind.SOCIAL,
-                             social_spec={"kind": "grab", "amount": 0.25}),)
+                             social=SocialAction.grab(Fraction("0.25"))),)
     controller = None
     if draw(st.booleans()):
         controller = ControllerSpec(catalog=catalog, learning_enabled=draw(st.booleans()))

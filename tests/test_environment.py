@@ -15,11 +15,10 @@ from fidelitylab.environment import (
     ShockEvent,
     apply_shock,
     label_regime,
-    process_from_spec,
-    process_to_spec,
     regime_increments,
     step_environment,
 )
+from fidelitylab.config import _Parser, process_from_spec, process_to_spec
 from fidelitylab.errors import ConfigurationError
 from fidelitylab.identity import WindowRing
 from fidelitylab.rng import substream
@@ -222,19 +221,28 @@ class TestProcessSpecs:
         ],
     )
     def test_round_trip(self, spec):
-        assert process_to_spec(process_from_spec(spec)) == spec
+        p = _Parser()
+        assert process_to_spec(process_from_spec(p, spec, "process")) == spec
+        assert p.errors == []
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            process_from_spec({"kind": "brownian-bridge"})
+        p = _Parser()
+        assert process_from_spec(p, {"kind": "brownian-bridge"}, "process") == Constant()
+        assert p.errors == [
+            "process.kind: expected constant | linear | random_walk | regime_switching, "
+            "got 'brownian-bridge'"
+        ]
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError):
-            process_from_spec({"kind": "linear", "slope": 1.0})
+        p = _Parser()
+        process_from_spec(p, {"kind": "linear", "slope": 1.0}, "process")
+        assert p.errors == ["process.slope: unknown key"]
 
     def test_invalid_hazard_flagged(self):
         proc = process_from_spec(
+            _Parser(),
             {"kind": "regime_switching", "calm": {"kind": "constant"},
-             "turbulent": {"kind": "constant"}, "hazard": 1.5}
+             "turbulent": {"kind": "constant"}, "hazard": 1.5},
+            "process",
         )
         assert proc.validate()

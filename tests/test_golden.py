@@ -148,10 +148,10 @@ def channel_changes():
     behavior resamples its channel."""
     catalog = (
         Strategy(id="retune", kind=StrategyKind.RECONFIGURE,
-                 channel_spec={"gain": 1.3, "sampling_period": 0.2}),
+                 channel={"gain": 1.3, "sampling_period": 0.2}),
         Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                 behavior_spec={"kind": "reactive", "gain": 1.0},
-                 channel_spec={"gain": 1.05, "sampling_period": 0.1}),
+                 behavior=Reactive(feedback_gain=1.0),
+                 channel={"gain": 1.05, "sampling_period": 0.1}),
     )
     return Scenario(
         name="channel_changes", duration=60.0, dt=0.1, seed=3,

@@ -162,10 +162,3 @@ class TestInvariants:
     def test_delta_sample_rejects_non_finite(self):
         with pytest.raises(Exception):
             DeltaSample(time=0.0, figure=0, delta=math.nan)
-
-    def test_channel_validation(self):
-        assert channel(sampling_period=-1.0).validate()
-        assert channel(noise_std=-0.1).validate()
-        assert channel(quantization=-0.1).validate()
-        assert channel(latency=-0.1).validate()
-        assert not channel().validate()
