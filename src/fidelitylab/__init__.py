@@ -57,6 +57,7 @@ from .engine import (
     compute_recovery_metrics,
     enact_strategy,
     run_scenario,
+    validate_resume,
     validate_scenario,
 )
 from .environment import (
@@ -85,7 +86,6 @@ from .errors import (
 )
 from .identity import (
     ContractStatus,
-    DeltaTrace,
     DetectorConfig,
     IdentityClass,
     IdentityFailureDetector,
@@ -94,8 +94,6 @@ from .identity import (
     WindowRing,
     check_contract,
     classify_trace,
-    detect_identity_failure,
-    magnitudes,
 )
 from .reflection import (
     DeltaSample,

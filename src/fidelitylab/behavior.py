@@ -184,9 +184,6 @@ class Predictive(Behavior):
             )
         return problems
 
-    def reset(self) -> None:
-        self._history.clear()
-
     def _ingest(self, obs: Observation) -> None:
         deviation = obs.latest.delta - obs.correction
         self._history.append(

@@ -14,10 +14,12 @@ import os
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .config import check_learning_state, load_config, scenario_to_config
 from .engine import run_scenario
-from .errors import ConfigurationError, FidelityLabError, InsufficientDataError
-from .identity import DeltaSample, IdentityClass, classify_trace, magnitudes, mean_std
+from .errors import ConfigurationError, FidelityLabError
+from .identity import IdentityClass, classify_trace, mean_std
 from .reporting import export_run
 
 EXIT_OK = 0
@@ -52,7 +54,7 @@ def cmd_run(
         return EXIT_CONFIG
     try:
         os.makedirs(out, exist_ok=True)  # an --out that cannot be a directory fails first
-        result = run_scenario(scenario, resume_learning=resume_doc)
+        result = run_scenario(scenario, resume_learning=resume_doc, resume_source=resume)
         result.config_echo = scenario_to_config(scenario)
         export_run(result, out)
     except ConfigurationError as exc:
@@ -68,9 +70,10 @@ def cmd_run(
     return EXIT_OK
 
 
-def _parse_trace_csv(path: str) -> list[DeltaSample]:
-    """Read a delta trace; needs a header with time and delta columns."""
-    samples = []
+def _parse_trace_csv(path: str) -> list[float]:
+    """Read the deltas of a trace; needs a header with time and delta
+    columns, and checks every row."""
+    deltas = []
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline().strip()
         if not header_line:
@@ -89,17 +92,18 @@ def _parse_trace_csv(path: str) -> list[DeltaSample]:
                 continue
             cells = line.split(",")
             try:
-                time = float(cells[t_idx])
-                figure = int(cells[f_idx]) if f_idx is not None else 0
+                float(cells[t_idx])
+                if f_idx is not None:
+                    int(cells[f_idx])
                 delta = float(cells[d_idx])
             except (IndexError, ValueError):
                 raise ConfigurationError([f"{path}:{lineno}: malformed trace row"])
             if not math.isfinite(delta):
                 raise ConfigurationError([f"{path}:{lineno}: non-finite delta"])
-            samples.append(DeltaSample(time=time, figure=figure, delta=delta))
-    if not samples:
+            deltas.append(delta)
+    if not deltas:
         raise ConfigurationError([f"{path}: trace holds no samples"])
-    return samples
+    return deltas
 
 
 def cmd_classify(
@@ -123,20 +127,24 @@ def cmd_classify(
         candidate = IdentityClass.best_effort(best_effort)
         params = {"bound": best_effort}
     problems = candidate.validate()
+    if window is not None and window < 1:
+        problems.append("--window must be >= 1")
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        samples = _parse_trace_csv(trace_path)
-        effective_window = window if window is not None else len(samples)
-        result = classify_trace(samples, candidate, window=effective_window)
-        mags = magnitudes(samples[-effective_window:])
+        deltas = _parse_trace_csv(trace_path)
+        if window is not None:
+            if window > len(deltas):
+                raise ConfigurationError([f"window {window} exceeds trace length {len(deltas)}"])
+            deltas = deltas[-window:]
+        mags = np.abs(deltas)
         mean, std = mean_std(mags)
         print(
             json.dumps(
                 {
-                    "class": result.label(),
+                    "class": classify_trace(mags, candidate).value,
                     "parameters": params,
                     "window_stats": {
                         "samples": len(mags),
@@ -151,9 +159,6 @@ def cmd_classify(
     except ConfigurationError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

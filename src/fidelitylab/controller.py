@@ -287,15 +287,8 @@ class LearningState:
         }
 
     def load_document(self, doc: dict) -> None:
-        """Restore persisted statistics; the catalog must match exactly."""
-        if doc.get("version") != LEARNING_STATE_VERSION:
-            raise ConfigurationError(
-                f"unsupported learning state version {doc.get('version')!r}"
-            )
-        if doc.get("catalog") != [s.id for s in self.catalog]:
-            raise CatalogError(
-                "persisted learning state belongs to a different catalog"
-            )
+        """Restore persisted statistics from a document that
+        ``engine.validate_resume`` has matched to this catalog."""
         self.arms = {}
         self.ranks = {}
         for regime, entries in doc.get("regimes", {}).items():

@@ -49,6 +49,7 @@ from .collective import (
     decide_social_action,
 )
 from .controller import (
+    LEARNING_STATE_VERSION,
     LearningState,
     Mode,
     ModeController,
@@ -131,23 +132,6 @@ class ContractSpec:
     window: int = 100
     at_risk_margin: float = 0.8
 
-    def timeline_candidate(self) -> IdentityClass:
-        """Thresholds for the per-tick identity timeline: the contract's own,
-        with each level it leaves unset at the first one it sets."""
-        base = (
-            self.identity.hard_threshold
-            or self.identity.soft_mean
-            or self.identity.acceptability_bound
-            or 1.0
-        )
-        return IdentityClass(
-            kind=self.identity.kind,
-            hard_threshold=self.identity.hard_threshold or base,
-            soft_mean=self.identity.soft_mean or base,
-            soft_std=self.identity.soft_std or base,
-            acceptability_bound=self.identity.acceptability_bound or base,
-        )
-
 
 @dataclass
 class ControllerSpec:
@@ -209,9 +193,10 @@ class NodeTrace:
     """One node's per-tick record, one list per column.
 
     Every column holds one entry per tick, except ``verdicts`` (controller
-    nodes only) and ``identities`` (only when the scenario records the
-    identity timeline). The calibration pre-run fills only ``times``,
-    ``raws``, ``quales`` and ``deltas``.
+    nodes only) and ``identities`` (which ``run_scenario`` fills after the
+    run, only when the scenario records the identity timeline). The
+    calibration pre-run fills only ``times``, ``raws``, ``quales`` and
+    ``deltas``.
     """
 
     figure: int
@@ -430,6 +415,29 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     return problems
 
 
+def validate_resume(scenario: Scenario, docs: dict[str, dict]) -> list[str]:
+    """Check a resume document (node name -> learning state) against the
+    scenario: every node it names must exist and learn, from a state of this
+    version over the same catalog. Each problem is under its key path."""
+    specs = {node.name: node for node in scenario.nodes}
+    problems = []
+    for name, doc in docs.items():
+        spec = specs.get(name)
+        if spec is None:
+            problems.append(f"{name}: no node of that name in the scenario")
+        elif spec.controller is None or not spec.controller.catalog:
+            problems.append(f"{name}: the node has no strategy catalog to learn over")
+        else:
+            if doc.get("version") != LEARNING_STATE_VERSION:
+                problems.append(
+                    f"{name}.version: expected {LEARNING_STATE_VERSION}, got {doc.get('version')!r}"
+                )
+            catalog = [s.id for s in spec.controller.catalog]
+            if doc.get("catalog") != catalog:
+                problems.append(f"{name}.catalog: expected the scenario's {catalog}")
+    return problems
+
+
 # -- per-node runtime state ---------------------------------------------------
 
 
@@ -471,10 +479,8 @@ class SimNode:
         self.contract = spec.contract
         # |delta| over the contract window, read by every contract reader.
         self.window: Optional[WindowRing] = None
-        self.timeline_candidate: Optional[IdentityClass] = None
         if spec.contract is not None:
             self.window = WindowRing(spec.contract.window)
-            self.timeline_candidate = spec.contract.timeline_candidate()
         # Best-effort systems do not watch their own error: the guard is
         # withheld from them even when a detector section is configured.
         self.detector: Optional[IdentityFailureDetector] = None
@@ -747,10 +753,18 @@ def antifragility_score(
 
 
 def run_scenario(
-    scenario: Scenario, resume_learning: Optional[dict[str, dict]] = None
+    scenario: Scenario,
+    resume_learning: Optional[dict[str, dict]] = None,
+    resume_source: str = "resume state",
 ) -> RunResult:
-    """Validate, calibrate if learning needs a reward baseline, and execute."""
+    """Validate, calibrate if learning needs a reward baseline, execute, and
+    label the identity timeline if the scenario records it.
+
+    Problems with ``resume_learning`` are reported under ``resume_source``.
+    """
     problems = validate_scenario(scenario)
+    if resume_learning:
+        problems += _under(resume_source, validate_resume(scenario, resume_learning))
     if problems:
         raise ConfigurationError(problems)
     baselines: dict[str, float] = {}
@@ -772,7 +786,37 @@ def run_scenario(
         resume_learning=resume_learning,
     )
     result.baselines = baselines
+    if scenario.record_identity:
+        for spec in scenario.nodes:
+            trace = result.traces[spec.name]
+            trace.identities = identity_timeline(trace.deltas, spec.contract)
     return result
+
+
+def identity_timeline(deltas: Sequence[float], contract: Optional[ContractSpec]) -> list[str]:
+    """Each tick's identity: the strongest class that tick's trailing
+    contract window of |delta| supports, or NonRT throughout for a node
+    without a contract.
+
+    The thresholds tested are the contract's own, with each level it
+    leaves unset at the first one it sets.
+    """
+    if contract is None:
+        return [IdentityKind.NON_RT.value] * len(deltas)
+    own, window = contract.identity, contract.window
+    base = own.hard_threshold or own.soft_mean or own.acceptability_bound or 1.0
+    candidate = IdentityClass(
+        kind=own.kind,
+        hard_threshold=own.hard_threshold or base,
+        soft_mean=own.soft_mean or base,
+        soft_std=own.soft_std or base,
+        acceptability_bound=own.acceptability_bound or base,
+    )
+    mags = np.abs(deltas)
+    return [
+        classify_trace(mags[max(0, end - window):end], candidate).value
+        for end in range(1, len(mags) + 1)
+    ]
 
 
 def _execute(
@@ -843,8 +887,10 @@ class _Run:
         self.pending_social: list[tuple[SimNode, SocialAction, Optional[int]]] = []
 
         self.nodes = [SimNode(spec, scenario) for spec in scenario.nodes]
-        if resume_learning:
-            self._resume(resume_learning)
+        # run_scenario has matched every resumed state to a learning node.
+        for node in self.nodes:
+            if resume_learning and node.name in resume_learning:
+                node.learning.load_document(resume_learning[node.name])
 
         self.pool: Optional[ResourcePool] = None
         self.pool_spec = scenario.pool
@@ -864,16 +910,6 @@ class _Run:
         # Initial sensing at t=0 so slow channels have a value to hold.
         for node in self.nodes:
             node.sense_if_due(0, 0.0, self.env.figures[node.figure])
-
-    def _resume(self, docs: dict[str, dict]) -> None:
-        for node in self.nodes:
-            doc = docs.get(node.name)
-            if doc is not None:
-                if node.learning is None:
-                    raise ConfigurationError(
-                        [f"nodes[{node.name}]: resume state for a node without learning"]
-                    )
-                node.learning.load_document(doc)
 
     def boundary(self) -> None:
         for node in self.nodes:
@@ -927,24 +963,14 @@ class _Run:
         return sample
 
     def identity(self, node: SimNode, t: float, sample: DeltaSample) -> None:
-        if node.contract is None:
-            node.status = None
-            node.utilization = None
-            if self.scenario.record_identity:
-                node.trace.identities.append(IdentityKind.NON_RT.value)
-        else:
-            # One window, read in place by every reader; check_contract
-            # returns the utilization with the status.
+        if node.contract is not None:
+            # check_contract reads the window in place and returns the
+            # utilization with the status.
             node.window.push(abs(sample.delta))
-            window = node.window.view()
             contract = node.contract
             node.status, node.utilization = check_contract(
-                window, contract.identity, contract.at_risk_margin
+                node.window.view(), contract.identity, contract.at_risk_margin
             )
-            if self.scenario.record_identity:
-                node.trace.identities.append(
-                    classify_trace(window, node.timeline_candidate, window=len(window)).label()
-                )
             if node.detector is not None:
                 event = node.detector.update(sample)
                 if event is not None:

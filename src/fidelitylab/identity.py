@@ -20,18 +20,13 @@ reports whichever fires first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ContractFreeError,
-    InsufficientDataError,
-    SequencingError,
-)
+from .errors import ContractFreeError, InsufficientDataError, SequencingError
 from .reflection import DeltaSample
 
 #: Fraction of in-bound samples a best-effort contract requires.
@@ -105,24 +100,6 @@ class IdentityClass:
         return self.kind.value
 
 
-@dataclass
-class DeltaTrace:
-    """Ordered error samples for one figure."""
-
-    figure: int
-    samples: list[DeltaSample] = field(default_factory=list)
-
-    def append(self, sample: DeltaSample) -> None:
-        if self.samples and sample.time <= self.samples[-1].time:
-            raise ConfigurationError(
-                f"trace timestamps must strictly increase (got {sample.time})"
-            )
-        self.samples.append(sample)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
 class ContractStatus(Enum):
     HOLDING = "holding"
     AT_RISK = "at_risk"
@@ -182,17 +159,6 @@ class WindowRing:
         self._pos = 0
 
 
-Window = Union[np.ndarray, DeltaTrace, Sequence[DeltaSample]]
-
-
-def magnitudes(window: Window) -> np.ndarray:
-    """|delta| of a window. An array is taken to hold magnitudes already."""
-    if isinstance(window, np.ndarray):
-        return window
-    samples = window.samples if isinstance(window, DeltaTrace) else window
-    return np.abs([s.delta for s in samples])
-
-
 def mean_std(mags: np.ndarray) -> tuple[float, float]:
     """np.mean and np.std (ddof=0) to the bit, in one pass of numpy calls."""
     n = len(mags)
@@ -238,61 +204,45 @@ def _satisfies(mags: np.ndarray, candidate: IdentityClass, kind: IdentityKind) -
     return _assess(mags, candidate, kind)[0]
 
 
-def classify_trace(trace: Window, candidate: IdentityClass, window: int) -> IdentityClass:
-    """Return the strongest class the windowed trace satisfies.
+def classify_trace(mags: np.ndarray, candidate: IdentityClass) -> IdentityKind:
+    """Return the strongest class the |delta| array satisfies.
 
     ``candidate`` supplies the thresholds to test against; only threshold
     fields relevant to classes at or below the candidate's strength are
     consulted, so a candidate built with all thresholds filled tests the
-    full ladder.
+    full ladder. Callers pass the window itself, already sliced.
     """
-    mags = magnitudes(trace)
     if not len(mags):
         raise InsufficientDataError("cannot classify an empty trace")
-    if window > len(mags):
-        raise InsufficientDataError(
-            f"window {window} exceeds trace length {len(mags)}"
-        )
-    if window:
-        mags = mags[-window:]
-    for kind in CLASS_ORDER:
-        if _satisfies(mags, candidate, kind):
-            return IdentityClass(
-                kind=kind,
-                hard_threshold=candidate.hard_threshold,
-                soft_mean=candidate.soft_mean,
-                soft_std=candidate.soft_std,
-                acceptability_bound=candidate.acceptability_bound,
-            )
-    return IdentityClass.non_rt()
+    return next(kind for kind in CLASS_ORDER if _satisfies(mags, candidate, kind))
 
 
-def _checked(window: Window, contract: IdentityClass) -> np.ndarray:
+def _checked(mags: np.ndarray, contract: IdentityClass) -> np.ndarray:
     if contract.kind is IdentityKind.NON_RT:
         raise ContractFreeError("NonRT carries no contract to check")
-    mags = magnitudes(window)
     if not len(mags):
         raise InsufficientDataError("cannot check an empty window")
     return mags
 
 
-def contract_utilization(window: Window, contract: IdentityClass) -> float:
-    """How much of the contract's allowance the window consumes (1.0 = at the bound)."""
-    return _assess(_checked(window, contract), contract)[1]
+def contract_utilization(mags: np.ndarray, contract: IdentityClass) -> float:
+    """How much of the contract's allowance the |delta| window consumes
+    (1.0 = at the bound)."""
+    return _assess(_checked(mags, contract), contract)[1]
 
 
 def check_contract(
-    window: Window,
+    mags: np.ndarray,
     contract: IdentityClass,
     at_risk_margin: float = DEFAULT_AT_RISK_MARGIN,
 ) -> tuple[ContractStatus, float]:
-    """Self-check one window against the contract: its status and its
-    utilization, from one pass.
+    """Self-check one |delta| window against the contract: its status and
+    its utilization, from one pass.
 
     Violated when the window fails the contract predicate; at risk when it
     holds but utilization strictly exceeds the margin; holding otherwise.
     """
-    satisfied, utilization = _assess(_checked(window, contract), contract)
+    satisfied, utilization = _assess(_checked(mags, contract), contract)
     if not satisfied:
         return ContractStatus.VIOLATED, utilization
     if utilization > at_risk_margin:
@@ -372,16 +322,3 @@ class IdentityFailureDetector:
         self.reset()
         return event
 
-
-def detect_identity_failure(
-    stream: Iterable[DeltaSample],
-    contract: IdentityClass,
-    config: DetectorConfig,
-) -> Optional[IdentityFailureEvent]:
-    """Scan a whole stream; return the first failure event, if any."""
-    detector = IdentityFailureDetector(contract, config)
-    for sample in stream:
-        event = detector.update(sample)
-        if event is not None:
-            return event
-    return None

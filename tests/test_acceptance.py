@@ -31,9 +31,9 @@ from fidelitylab.identity import (
     BEST_EFFORT_COVERAGE,
     DetectorConfig,
     IdentityClass,
+    IdentityFailureDetector,
     IdentityKind,
     classify_trace,
-    detect_identity_failure,
 )
 from fidelitylab.reflection import DeltaSample, ReflectiveMap, preservation_distance
 from fidelitylab.reporting import export_run
@@ -109,11 +109,7 @@ def test_criterion_2_classifier_matches_bruteforce_reference():
             kind=IdentityKind.HARD_RT, hard_threshold=hard,
             soft_mean=soft_mean, soft_std=soft_std, acceptability_bound=bound,
         )
-        samples = [
-            DeltaSample(time=float(i), figure=0, delta=float(d))
-            for i, d in enumerate(deltas)
-        ]
-        got = classify_trace(samples, candidate, window=n).kind
+        got = classify_trace(np.abs(deltas), candidate)
         expected = _reference_classify(np.abs(deltas), hard, soft_mean, soft_std, bound)
         matches += got is expected
         assert got is expected, f"case {case}: {got} != {expected}"
@@ -209,10 +205,10 @@ def test_criterion_5_cusum_matches_recursion_oracle():
             for i, d in enumerate(deltas)
         ]
         contract = IdentityClass.hard(1e9)  # contract path silenced
-        event = detect_identity_failure(
-            stream, contract,
-            DetectorConfig(slack=slack, threshold=threshold, window=10),
+        detector = IdentityFailureDetector(
+            contract, DetectorConfig(slack=slack, threshold=threshold, window=10)
         )
+        event = next(filter(None, map(detector.update, stream)), None)
         assert event is not None
         assert event.time == float(oracle_tick)
         checked += 1

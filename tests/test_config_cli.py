@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import SCENARIOS
 
-from fidelitylab import cli
+from fidelitylab import cli, engine
 from fidelitylab import config as config_mod
 
 from fidelitylab.cli import (
@@ -302,6 +302,35 @@ class TestCliFailures:
         assert err == f"error: {state}: {expected}\n"
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("damage", ["ghost", "catalog", "version", "no_learning"])
+    def test_mismatched_resume_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                      damage):
+        config = write_config(tmp_path, LEARNING)
+        assert cmd_run(str(config), out=str(tmp_path / "a")) == EXIT_OK
+        doc = json.loads((tmp_path / "a" / "learning_state.json").read_text())
+        if damage == "ghost":
+            doc["ghost"] = doc.pop("n0")
+            expected = "ghost: no node of that name in the scenario"
+        elif damage == "catalog":
+            doc["n0"]["catalog"] = ["a", "b", "c"]
+            expected = "n0.catalog: expected the scenario's ['firm', 'weak']"
+        elif damage == "version":
+            doc["n0"]["version"] = 2
+            expected = "n0.version: expected 1, got 2"
+        else:
+            config = write_config(tmp_path, MINIMAL)
+            expected = "n0: the node has no strategy catalog to learn over"
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc))
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr(engine, "_execute", no_run)
+        code = cmd_run(str(config), out=str(tmp_path / "b"), resume=str(state))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {state}: {expected}\n"
+
     def test_truncated_resume_exits_2_naming_line_and_column(self, tmp_path):
         config = write_config(tmp_path, LEARNING)
         state = tmp_path / "state.json"
@@ -354,6 +383,25 @@ class TestCmdClassify:
         path.write_text(f"time,figure,raw,quale,delta\n0.0,0,0,0,0.1\n0.1,0,0,0,{cell}\n")
         assert main(["classify", "--trace", str(path), "--hard", "0.1"]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {path}:3: non-finite delta\n"
+
+    def test_window_takes_the_trailing_samples(self, tmp_path, capsys):
+        trace = self.write_trace(tmp_path, [5.0] * 50 + [0.0] * 50)
+        assert cmd_classify(str(trace), hard=0.1, window=50) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["class"] == "HardRT" and out["window_stats"]["samples"] == 50
+
+    def test_window_longer_than_trace_rejected(self, tmp_path, capsys):
+        trace = self.write_trace(tmp_path, [0.0] * 4)
+        assert cmd_classify(str(trace), hard=0.1, window=5) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: window 5 exceeds trace length 4\n"
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_exits_2(self, tmp_path, capsys, window):
+        trace = self.write_trace(tmp_path, [0.0] * 4)
+        code = main(["classify", "--trace", str(trace), "--hard", "0.1",
+                     "--window", str(window)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: --window must be >= 1\n")
 
     def test_exactly_one_contract_flag(self, tmp_path):
         trace = self.write_trace(tmp_path, [0.0])

@@ -20,8 +20,8 @@ from fidelitylab.controller import (
     monitor_step,
     replay_modes,
 )
-from fidelitylab.engine import RunResult
-from fidelitylab.errors import CatalogError, ConfigurationError, SequencingError
+from fidelitylab.engine import ControllerSpec, NodeSpec, RunResult, Scenario, validate_resume
+from fidelitylab.errors import CatalogError, SequencingError
 from fidelitylab.identity import ContractStatus
 from fidelitylab.reflection import DeltaSample
 from fidelitylab.reporting import write_learning_state
@@ -240,6 +240,12 @@ def save(learning, path):
     write_learning_state(result, str(path))
 
 
+def learner(catalog):
+    """A scenario whose one node, n0, learns over ``catalog``."""
+    controller = ControllerSpec(catalog=tuple(catalog))
+    return Scenario(nodes=[NodeSpec(name="n0", controller=controller)])
+
+
 def load(path, catalog):
     """Restore that node's state as ``--resume`` does."""
     restored = LearningState(catalog)
@@ -280,14 +286,15 @@ class TestPersistence:
         learning = LearningState(catalog("a"))
         path = tmp_path / "state.json"
         save(learning, path)
-        with pytest.raises(CatalogError):
-            load(path, catalog("z"))
+        docs = json.loads(path.read_text())
+        assert validate_resume(learner(catalog("a")), docs) == []
+        assert validate_resume(learner(catalog("z")), docs) == [
+            "n0.catalog: expected the scenario's ['z']"
+        ]
 
     def test_version_checked(self, tmp_path):
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps({"n0": {"version": 99, "catalog": []}}))
-        with pytest.raises(ConfigurationError):
-            load(path, catalog("a"))
+        docs = {"n0": {"version": 99, "catalog": ["a"]}}
+        assert validate_resume(learner(catalog("a")), docs) == ["n0.version: expected 1, got 99"]
 
 
 class TestConvergence:

@@ -3,7 +3,7 @@ import pytest
 import struct
 from collections import deque
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fidelitylab.errors import (
@@ -11,9 +11,9 @@ from fidelitylab.errors import (
     InsufficientDataError,
     SequencingError,
 )
+from fidelitylab.engine import ContractSpec, identity_timeline
 from fidelitylab.identity import (
     ContractStatus,
-    DeltaTrace,
     DetectorConfig,
     IdentityClass,
     IdentityFailureDetector,
@@ -22,8 +22,6 @@ from fidelitylab.identity import (
     check_contract,
     classify_trace,
     contract_utilization,
-    detect_identity_failure,
-    magnitudes,
 )
 from fidelitylab.reflection import DeltaSample
 
@@ -33,6 +31,12 @@ def samples(deltas, start=0.0, dt=1.0):
         DeltaSample(time=start + i * dt, figure=0, delta=float(d))
         for i, d in enumerate(deltas)
     ]
+
+
+def first_event(stream, contract, config):
+    """The detector's first event over a stream of samples, or None."""
+    detector = IdentityFailureDetector(contract, config)
+    return next(filter(None, map(detector.update, stream)), None)
 
 
 def full_candidate(hard, soft_mean, soft_std, bound):
@@ -47,12 +51,12 @@ def full_candidate(hard, soft_mean, soft_std, bound):
 
 class TestClassifyTrace:
     def test_all_zero_trace_is_hard(self):
-        result = classify_trace(samples([0.0] * 50), full_candidate(0.1, 0.1, 0.1, 0.1), window=50)
-        assert result.kind is IdentityKind.HARD_RT
+        result = classify_trace(np.zeros(50), full_candidate(0.1, 0.1, 0.1, 0.1))
+        assert result is IdentityKind.HARD_RT
 
     def test_within_hard_bound(self):
-        result = classify_trace(samples([0.05, -0.03, 0.01]), full_candidate(0.1, 0.1, 0.1, 0.1), window=3)
-        assert result.kind is IdentityKind.HARD_RT
+        result = classify_trace(np.abs([0.05, -0.03, 0.01]), full_candidate(0.1, 0.1, 0.1, 0.1))
+        assert result is IdentityKind.HARD_RT
 
     def test_soft_multiset_example(self):
         # 97 samples at 0.02 and 3 at 0.5: brute-force statistics oracle
@@ -61,40 +65,31 @@ class TestClassifyTrace:
         assert np.max(mags) > 0.1                      # not hard
         assert np.mean(mags) == pytest.approx(0.0344)  # within soft mean 0.1
         assert np.std(mags) == pytest.approx(0.0818, abs=1e-4)  # within soft std 0.12
-        result = classify_trace(
-            samples(values), full_candidate(0.1, 0.1, 0.12, 0.1), window=100
-        )
-        assert result.kind is IdentityKind.SOFT_RT
+        result = classify_trace(mags, full_candidate(0.1, 0.1, 0.12, 0.1))
+        assert result is IdentityKind.SOFT_RT
 
     def test_best_effort_via_coverage(self):
         # 96% within bound, but mean/std blown by huge outliers
         values = [0.01] * 96 + [5.0] * 4
-        result = classify_trace(
-            samples(values), full_candidate(0.1, 0.1, 0.12, 0.1), window=100
-        )
-        assert result.kind is IdentityKind.BEST_EFFORT
+        result = classify_trace(np.abs(values), full_candidate(0.1, 0.1, 0.12, 0.1))
+        assert result is IdentityKind.BEST_EFFORT
 
     def test_non_rt_when_nothing_holds(self):
         values = [1.0] * 50 + [2.0] * 50
-        result = classify_trace(
-            samples(values), full_candidate(0.1, 0.1, 0.12, 0.1), window=100
-        )
-        assert result.kind is IdentityKind.NON_RT
+        result = classify_trace(np.abs(values), full_candidate(0.1, 0.1, 0.12, 0.1))
+        assert result is IdentityKind.NON_RT
 
     def test_windowing_uses_trailing_samples(self):
-        values = [5.0] * 50 + [0.0] * 50
-        result = classify_trace(
-            samples(values), full_candidate(0.1, 0.1, 0.12, 0.1), window=50
-        )
-        assert result.kind is IdentityKind.HARD_RT
+        # The timeline labels each tick from its trailing contract window only.
+        contract = ContractSpec(identity=IdentityClass.hard(0.1), window=50)
+        labels = identity_timeline([5.0] * 50 + [0.0] * 50, contract)
+        assert labels[49] == "NonRT"
+        assert labels[98] == "BestEffort"  # one sample of 50 out of bound
+        assert labels[99] == "HardRT"
 
     def test_empty_trace_rejected(self):
         with pytest.raises(InsufficientDataError):
-            classify_trace([], full_candidate(0.1, 0.1, 0.1, 0.1), window=1)
-
-    def test_window_longer_than_trace_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            classify_trace(samples([0.0]), full_candidate(0.1, 0.1, 0.1, 0.1), window=2)
+            classify_trace(np.abs([]), full_candidate(0.1, 0.1, 0.1, 0.1))
 
     @given(st.lists(st.floats(-2, 2), min_size=5, max_size=60),
            st.sampled_from([2.0, 0.5, 8.0]))
@@ -102,17 +97,17 @@ class TestClassifyTrace:
     def test_scale_consistency(self, values, scale):
         base = full_candidate(0.3, 0.2, 0.25, 0.3)
         scaled = full_candidate(0.3 * scale, 0.2 * scale, 0.25 * scale, 0.3 * scale)
-        a = classify_trace(samples(values), base, window=len(values))
-        b = classify_trace(samples([v * scale for v in values]), scaled, window=len(values))
-        assert a.kind is b.kind
+        a = classify_trace(np.abs(values), base)
+        b = classify_trace(np.abs([v * scale for v in values]), scaled)
+        assert a is b
 
     @given(st.lists(st.floats(-0.09, 0.09), min_size=3, max_size=50))
     @settings(max_examples=50)
     def test_filtration_hard_implies_weaker_classes(self, values):
         # anything within the hard bound also satisfies soft and best-effort
         candidate = full_candidate(0.1, 0.1, 0.1, 0.1)
-        result = classify_trace(samples(values), candidate, window=len(values))
-        assert result.kind is IdentityKind.HARD_RT
+        result = classify_trace(np.abs(values), candidate)
+        assert result is IdentityKind.HARD_RT
         mags = np.abs(values)
         assert np.mean(mags) <= 0.1 and np.std(mags) <= 0.1
         assert np.mean(mags <= 0.1) >= 0.95
@@ -120,45 +115,45 @@ class TestClassifyTrace:
 
 class TestCheckContract:
     def test_holding_well_inside(self):
-        status, _ = check_contract(samples([0.05] * 10), IdentityClass.hard(0.1))
+        status, _ = check_contract(np.abs([0.05] * 10), IdentityClass.hard(0.1))
         assert status is ContractStatus.HOLDING
 
     def test_at_risk_above_margin(self):
-        status, _ = check_contract(samples([0.09] * 10), IdentityClass.hard(0.1))
+        status, _ = check_contract(np.abs([0.09] * 10), IdentityClass.hard(0.1))
         assert status is ContractStatus.AT_RISK
 
     def test_violated_above_bound(self):
-        status, _ = check_contract(samples([0.12] * 10), IdentityClass.hard(0.1))
+        status, _ = check_contract(np.abs([0.12] * 10), IdentityClass.hard(0.1))
         assert status is ContractStatus.VIOLATED
 
     def test_margin_boundary_is_strict(self):
         # exactly at 0.8 utilization stays holding
-        status, _ = check_contract(samples([0.08] * 10), IdentityClass.hard(0.1))
+        status, _ = check_contract(np.abs([0.08] * 10), IdentityClass.hard(0.1))
         assert status is ContractStatus.HOLDING
 
     def test_soft_contract_uses_mean_and_std(self):
         values = [0.02] * 97 + [0.5] * 3
-        status, _ = check_contract(samples(values), IdentityClass.soft(0.1, 0.12))
+        status, _ = check_contract(np.abs(values), IdentityClass.soft(0.1, 0.12))
         assert status is ContractStatus.HOLDING
 
     def test_best_effort_utilization_margins(self):
         contract = IdentityClass.best_effort(0.1)
         # 2% violating of a 5% allowance -> holding
-        ok = samples([0.01] * 196 + [0.5] * 4)
+        ok = np.abs([0.01] * 196 + [0.5] * 4)
         assert check_contract(ok, contract)[0] is ContractStatus.HOLDING
         # 4.5% violating -> 0.9 utilization -> at risk
-        risky = samples([0.01] * 191 + [0.5] * 9)
+        risky = np.abs([0.01] * 191 + [0.5] * 9)
         assert check_contract(risky, contract)[0] is ContractStatus.AT_RISK
         # 6% violating -> coverage below 95% -> violated
-        broken = samples([0.01] * 188 + [0.5] * 12)
+        broken = np.abs([0.01] * 188 + [0.5] * 12)
         assert check_contract(broken, contract)[0] is ContractStatus.VIOLATED
 
     def test_non_rt_has_no_contract(self):
         with pytest.raises(ContractFreeError):
-            check_contract(samples([0.0]), IdentityClass.non_rt())
+            check_contract(np.abs([0.0]), IdentityClass.non_rt())
 
     def test_utilization_comes_with_the_status(self):
-        window = samples([0.01] * 191 + [0.5] * 9)
+        window = np.abs([0.01] * 191 + [0.5] * 9)
         contract = IdentityClass.best_effort(0.1)
         status, utilization = check_contract(window, contract)
         assert status is ContractStatus.AT_RISK
@@ -172,12 +167,12 @@ class TestFailureDetector:
     def test_stream_at_half_margin_never_fires(self):
         contract = IdentityClass.hard(0.1)
         stream = samples([0.01] * 10_000)  # |delta| < slack, nothing accumulates
-        assert detect_identity_failure(stream, contract, self.config()) is None
+        assert first_event(stream, contract, self.config()) is None
 
     def test_step_change_fires_immediately_via_contract(self):
         contract = IdentityClass.hard(0.1)
         stream = samples([0.0] * 50 + [0.2] * 10)
-        event = detect_identity_failure(stream, contract, self.config(threshold=1e9))
+        event = first_event(stream, contract, self.config(threshold=1e9))
         assert event is not None
         assert event.time == 50.0  # tick index 50, unit spacing
         assert event.previous_class.kind is IdentityKind.HARD_RT
@@ -195,7 +190,7 @@ class TestFailureDetector:
                 break
         assert oracle_tick is not None
         contract = IdentityClass.hard(1e9)  # contract never trips; pure CUSUM path
-        event = detect_identity_failure(samples(deltas), contract, self.config(k, h))
+        event = first_event(samples(deltas), contract, self.config(k, h))
         assert event is not None
         assert event.time == float(oracle_tick)
 
@@ -211,8 +206,8 @@ class TestFailureDetector:
     def test_determinism(self):
         contract = IdentityClass.hard(0.5)
         stream = list(np.abs(np.sin(np.arange(200) * 0.3)) * 0.3)
-        a = detect_identity_failure(samples(stream), contract, self.config())
-        b = detect_identity_failure(samples(stream), contract, self.config())
+        a = first_event(samples(stream), contract, self.config())
+        b = first_event(samples(stream), contract, self.config())
         assert (a is None) == (b is None)
         if a is not None:
             assert a.time == b.time
@@ -229,21 +224,7 @@ class TestFailureDetector:
 
     def test_all_zero_stream_never_fires(self):
         contract = IdentityClass.hard(0.1)
-        assert detect_identity_failure(samples([0.0] * 1000), contract, self.config()) is None
-
-
-class TestDeltaTrace:
-    def test_appends_require_increasing_time(self):
-        trace = DeltaTrace(figure=0)
-        trace.append(DeltaSample(time=0.0, figure=0, delta=0.1))
-        with pytest.raises(Exception):
-            trace.append(DeltaSample(time=0.0, figure=0, delta=0.2))
-
-    def test_magnitudes(self):
-        trace = DeltaTrace(figure=0)
-        for s in samples([-1.0, 2.0]):
-            trace.append(s)
-        assert list(magnitudes(trace)) == [1.0, 2.0]
+        assert first_event(samples([0.0] * 1000), contract, self.config()) is None
 
 
 class TestIdentityClassValidation:
@@ -318,6 +299,14 @@ def _oracle_status(mags, contract, margin):
     return ContractStatus.HOLDING
 
 
+def _oracle_timeline_candidate(contract):
+    """The contract's thresholds, each one it leaves unset at the first it sets."""
+    levels = (contract.hard_threshold, contract.soft_mean, contract.soft_std,
+              contract.acceptability_bound)
+    first = next(x for x in levels if x is not None)
+    return full_candidate(*(first if x is None else x for x in levels))
+
+
 def _oracle_class(mags, candidate):
     for kind in (IdentityKind.HARD_RT, IdentityKind.SOFT_RT, IdentityKind.BEST_EFFORT):
         if _oracle_satisfies(mags, candidate, kind):
@@ -368,12 +357,22 @@ class TestRingMatchesListOracle:
     @settings(max_examples=300, deadline=None)
     @given(deltas=st.lists(_DELTAS, min_size=1, max_size=60),
            window=st.integers(1, 70), contract=_CONTRACTS,
-           margin=st.sampled_from([0.5, 0.8, 1.0]),
-           candidate=st.builds(full_candidate, _THRESHOLDS, _THRESHOLDS,
-                               _THRESHOLDS, _THRESHOLDS))
-    def test_status_utilization_and_label(self, deltas, window, contract, margin, candidate):
+           margin=st.sampled_from([0.5, 0.8, 1.0]))
+    @example(deltas=[0.05, -0.12, 0.08], window=3, margin=0.8,
+             contract=IdentityClass.soft(0.08, 0.02))
+    @example(deltas=[0.05, -0.12, 0.08], window=2, margin=0.8,
+             contract=IdentityClass.best_effort(0.1))
+    @example(deltas=[0.05, -0.12, 0.08], window=9, margin=0.8,
+             contract=IdentityClass.hard(0.1))
+    def test_status_utilization_and_label(self, deltas, window, contract, margin):
         # The window is shorter than, equal to or longer than the stream.
+        # The ring feeds the status; the post-pass labels each tick from its
+        # trailing window of one |delta| array of the whole run.
         ring = WindowRing(window)
+        run = np.abs(deltas)
+        labels = identity_timeline(deltas, ContractSpec(identity=contract, window=window))
+        assert len(labels) == len(deltas)
+        candidate = _oracle_timeline_candidate(contract)
         for i, delta in enumerate(deltas):
             ring.push(abs(delta))
             mags = _oracle_window(deltas[: i + 1], window)
@@ -383,10 +382,13 @@ class TestRingMatchesListOracle:
             assert status is _oracle_status(mags, contract, margin)
             assert _bits(utilization) == _bits(_oracle_utilization(mags, contract))
             assert _bits(contract_utilization(view, contract)) == _bits(utilization)
-            label = classify_trace(view, candidate, window=len(view))
-            assert label.kind is _oracle_class(mags, candidate)
-        tail = samples(deltas)[-window:]
-        assert check_contract(tail, contract, margin) == (status, utilization)
+            sliced = run[max(0, i + 1 - window): i + 1]
+            assert _bits(check_contract(sliced, contract, margin)[1]) == _bits(utilization)
+            assert labels[i] == _oracle_class(mags, candidate).value
+
+    @given(deltas=st.lists(_DELTAS, max_size=60))
+    def test_timeline_without_a_contract_is_non_rt(self, deltas):
+        assert identity_timeline(deltas, None) == ["NonRT"] * len(deltas)
 
     @settings(max_examples=200, deadline=None)
     @given(deltas=st.lists(_DELTAS, min_size=1, max_size=150),
