@@ -12,8 +12,10 @@ Two corpora, each a SHA-256 digest of every file ``export_run`` writes:
   with learning on and off at seeds 0 and 1, the criterion-9
   determinism scenario, the benchmark's population mix at 24 nodes (hard,
   soft and best-effort contracts, detectors that fire and reset), once
-  with the identity timeline, and a drifting-bias channel beside a node
-  that reconfigures its channel and one that resamples. These are
+  with the identity timeline, a drifting-bias channel beside a node
+  that reconfigures its channel and one that resamples, and guarded nodes
+  in contract groups that differ in one field each (window, threshold,
+  at-risk margin, detector window). These are
   exported as ``fidelity-lab run`` writes them, with the config echo in
   ``report.json``.
 
@@ -190,6 +192,57 @@ def channel_changes():
     )
 
 
+def contract_groups():
+    """Guarded nodes in contract groups that differ in one field each:
+    window, threshold or at-risk margin, and detector windows shorter than,
+    equal to and longer than the contract window. Rows of one group sit on
+    different figures, so their detectors reset on different ticks, while
+    nodes of different groups share a figure and fire on the same tick.
+    Also a best-effort node whose detector is withheld, a node without a
+    contract, and a learning node inside a group."""
+    def guarded(name, figure, identity, window=20, margin=0.8, detector=None, **kwargs):
+        return NodeSpec(
+            name=name, figure=figure,
+            channel=ChannelSpec(gain=1.1, nominal_gain=1.0, noise_std=0.01,
+                                sampling_period=0.1),
+            contract=ContractSpec(identity=identity, window=window, at_risk_margin=margin),
+            detector=None if detector is None else DetectorConfig(window=detector),
+            behavior=kwargs.pop("behavior", Reactive(feedback_gain=0.5)), **kwargs,
+        )
+
+    hard, soft = IdentityClass.hard(0.1), IdentityClass.soft(0.04, 0.05)
+    catalog = (
+        Strategy(id="firm", kind=StrategyKind.RECONFIGURE, behavior=Reactive(feedback_gain=1.0)),
+        Strategy(id="gentle", kind=StrategyKind.RECONFIGURE,
+                 behavior=Reactive(feedback_gain=0.05)),
+    )
+    return Scenario(
+        name="contract_groups", duration=40.0, dt=0.1, seed=11,
+        figures=[FigureSpec(name="a", initial=0.0),
+                 FigureSpec(name="b", initial=0.0, process=RandomWalk(std=0.01)),
+                 FigureSpec(name="c", initial=1.0)],
+        shocks=[ShockEvent(at=3.0 + 4.3 * i, figure=i % 3, magnitude=4.0 - 7.0 * (i % 2),
+                           recovery_window=4.0) for i in range(8)],
+        nodes=[
+            guarded("short0", 0, hard, detector=10),
+            guarded("equal0", 0, hard, detector=20),
+            guarded("long0", 0, hard, detector=40),
+            guarded("long1", 1, hard, detector=40, behavior=Reactive(feedback_gain=0.3)),
+            guarded("long2", 2, hard, detector=40),
+            guarded("tight0", 0, IdentityClass.hard(0.08), detector=40),
+            guarded("wide1", 1, hard, window=30, detector=40),
+            guarded("margin2", 2, hard, margin=0.5, detector=40),
+            guarded("soft0", 0, soft, detector=15),
+            guarded("soft1", 1, soft, detector=15, behavior=Predictive(k=1, window=8)),
+            guarded("soft2", 2, soft, window=12, detector=100),
+            guarded("best1", 1, IdentityClass.best_effort(0.1), detector=20),
+            NodeSpec(name="free2", figure=2, behavior=Reactive(feedback_gain=0.5)),
+            guarded("learner2", 2, hard, detector=40,
+                    controller=ControllerSpec(hysteresis=5, catalog=catalog)),
+        ],
+    )
+
+
 def _ladder_cut(seed, learning_enabled):
     scenario = _ladder_scenario(seed, learning_enabled)
     return replace(scenario, duration=225.0, shocks=scenario.shocks[:8])
@@ -206,6 +259,7 @@ SCENARIOS = {
     "population_mix": lambda: population_mix(False),
     "population_mix_identity": lambda: population_mix(True),
     "channel_changes": channel_changes,
+    "contract_groups": contract_groups,
 }
 
 
