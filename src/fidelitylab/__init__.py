@@ -54,6 +54,7 @@ from .engine import (
     Scenario,
     Verdict,
     antifragility_score,
+    check_run,
     compute_recovery_metrics,
     enact_strategy,
     run_scenario,
@@ -85,6 +86,7 @@ from .errors import (
     SequencingError,
 )
 from .identity import (
+    ContractGroup,
     ContractStatus,
     DetectorConfig,
     IdentityClass,

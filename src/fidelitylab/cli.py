@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .config import check_learning_state, load_config, scenario_to_config
-from .engine import run_scenario
+from .engine import check_run, run_scenario
 from .errors import ConfigurationError, FidelityLabError
 from .identity import IdentityClass, classify_trace, mean_std
 from .reporting import export_run
@@ -53,7 +53,10 @@ def cmd_run(
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        os.makedirs(out, exist_ok=True)  # an --out that cannot be a directory fails first
+        # The inputs are checked, and an --out that cannot be a directory
+        # fails, before the run; a failed check leaves no directory behind.
+        check_run(scenario, resume_doc, resume)
+        os.makedirs(out, exist_ok=True)
         result = run_scenario(scenario, resume_learning=resume_doc, resume_source=resume)
         result.config_echo = scenario_to_config(scenario)
         export_run(result, out)
@@ -149,8 +152,8 @@ def cmd_classify(
                     "window_stats": {
                         "samples": len(mags),
                         "max_abs": float(mags.max()),
-                        "mean_abs": mean,
-                        "std_abs": std,
+                        "mean_abs": float(mean),
+                        "std_abs": float(std),
                     },
                 },
                 sort_keys=True,

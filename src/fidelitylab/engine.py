@@ -2,12 +2,17 @@
 
 One tick runs the stage methods of the per-run state in a fixed order:
 ``boundary`` (staged reconfigurations land), ``environment`` (drift,
-shocks, regime label), then per node ``sensing``, ``delta`` (error
-measurement), ``identity`` (contract guard), ``controller`` and
-``behavior``, and finally ``collective`` (the social layer) and
-``metrics``, which also closes episodes. Everything downstream of the seed
-is deterministic, so a scenario and a seed fully determine every exported
-byte.
+shocks, regime label), then ``sensing`` and ``delta`` (error measurement)
+for every node, one ``identity`` stage (the contract guard) for all nodes,
+``controller`` and ``behavior`` for every node, and finally
+``collective`` (the social layer) and ``metrics``, which also closes
+episodes. Before ``collective`` no node reads another node's state, and
+each result list is appended by one stage in node order, so running the
+stages in this order gives the same result as running all of one node's
+before the next node's. The identity stage checks each contract group
+(nodes whose contract and detector config match) in one pass over one
+shared |delta| ring. Everything downstream of the seed is deterministic,
+so a scenario and a seed fully determine every exported byte.
 
 Episodes are defined by the shock schedule: each shock opens a recovery
 window over which the integrated |error| (trapezoid rule) and the time to
@@ -73,13 +78,14 @@ from .environment import (
     step_environment,
 )
 from .errors import ConfigurationError, DivergenceError, InsufficientDataError
-# contract_utilization is not called here, but stays bound so that
-# perfbench/tracer.py, which patches the engine's bindings, finds it.
+# check_contract and contract_utilization are not called here (ContractGroup
+# calls the first), but stay bound so that perfbench/tracer.py, which
+# patches the engine's bindings, finds them.
 from .identity import (  # noqa: F401
+    ContractGroup,
     ContractStatus,
     DetectorConfig,
     IdentityClass,
-    IdentityFailureDetector,
     IdentityFailureEvent,
     IdentityKind,
     WindowRing,
@@ -476,22 +482,6 @@ class SimNode:
         self.pending_behavior: Optional[Behavior] = None
         self.pending_channel: Optional[dict] = None
 
-        self.contract = spec.contract
-        # |delta| over the contract window, read by every contract reader.
-        self.window: Optional[WindowRing] = None
-        if spec.contract is not None:
-            self.window = WindowRing(spec.contract.window)
-        # Best-effort systems do not watch their own error: the guard is
-        # withheld from them even when a detector section is configured.
-        self.detector: Optional[IdentityFailureDetector] = None
-        if (
-            spec.detector is not None
-            and spec.contract is not None
-            and spec.contract.identity.kind
-            in (IdentityKind.HARD_RT, IdentityKind.SOFT_RT)
-        ):
-            self.detector = IdentityFailureDetector(spec.contract.identity, spec.detector)
-
         self.controller_spec = spec.controller
         self.monitor: Optional[MonitorState] = None
         self.mode_controller: Optional[ModeController] = None
@@ -752,21 +742,29 @@ def antifragility_score(
 # -- the loop -----------------------------------------------------------------
 
 
-def run_scenario(
+def check_run(
     scenario: Scenario,
     resume_learning: Optional[dict[str, dict]] = None,
     resume_source: str = "resume state",
-) -> RunResult:
-    """Validate, calibrate if learning needs a reward baseline, execute, and
-    label the identity timeline if the scenario records it.
-
-    Problems with ``resume_learning`` are reported under ``resume_source``.
-    """
+) -> None:
+    """Raise a ConfigurationError with every problem of the scenario and,
+    under ``resume_source``, of ``resume_learning``."""
     problems = validate_scenario(scenario)
     if resume_learning:
         problems += _under(resume_source, validate_resume(scenario, resume_learning))
     if problems:
         raise ConfigurationError(problems)
+
+
+def run_scenario(
+    scenario: Scenario,
+    resume_learning: Optional[dict[str, dict]] = None,
+    resume_source: str = "resume state",
+) -> RunResult:
+    """Validate (``check_run``), calibrate if learning needs a reward
+    baseline, execute, and label the identity timeline if the scenario
+    records it."""
+    check_run(scenario, resume_learning, resume_source)
     baselines: dict[str, float] = {}
     needs_baseline = scenario.shocks and any(
         node.controller is not None
@@ -843,15 +841,14 @@ def _execute(
             t = tick * scenario.dt
             run.boundary()
             run.environment(t)
-            if passive_override:
-                for node in run.nodes:
-                    run.sensing(node, tick, t)
-                    run.delta(node, tick, t)
-                continue
+            samples = []
             for node in run.nodes:
                 run.sensing(node, tick, t)
-                sample = run.delta(node, tick, t)
-                run.identity(node, t, sample)
+                samples.append(run.delta(node, tick, t))
+            if passive_override:
+                continue
+            run.identity(t)
+            for node, sample in zip(run.nodes, samples):
                 run.controller(node, t, sample)
                 run.behavior(node, t, sample)
             run.collective(t)
@@ -906,6 +903,20 @@ class _Run:
                     self.pool.join(node.name)
             self.social_states = {node.name: node.social_state for node in self.nodes}
             self.assist_quantum = Fraction(str(spec.assist_quantum))
+
+        # One ContractGroup per distinct guard, its rows in node order.
+        guards: dict[tuple, list[int]] = {}
+        for index, node in enumerate(self.nodes):
+            if node.spec.contract is not None:
+                guards.setdefault(_guard(node.spec), []).append(index)
+        self.groups: list[tuple[ContractGroup, list[SimNode], list[int]]] = []
+        for (identity, window, margin, detector), indices in guards.items():
+            nodes = [self.nodes[i] for i in indices]
+            group = ContractGroup(
+                identity, window, margin, detector, figures=[node.figure for node in nodes]
+            )
+            self.groups.append((group, nodes, indices))
+        self.unguarded = [node for node in self.nodes if node.spec.contract is None]
 
         # Initial sensing at t=0 so slow channels have a value to hold.
         for node in self.nodes:
@@ -962,20 +973,22 @@ class _Run:
         trace.deltas.append(delta)
         return sample
 
-    def identity(self, node: SimNode, t: float, sample: DeltaSample) -> None:
-        if node.contract is not None:
-            # check_contract reads the window in place and returns the
-            # utilization with the status.
-            node.window.push(abs(sample.delta))
-            contract = node.contract
-            node.status, node.utilization = check_contract(
-                node.window.view(), contract.identity, contract.at_risk_margin
+    def identity(self, t: float) -> None:
+        fired = []
+        for group, nodes, indices in self.groups:
+            statuses, utilizations, events = group.step(
+                t, [abs(node.trace.deltas[-1]) for node in nodes]
             )
-            if node.detector is not None:
-                event = node.detector.update(sample)
-                if event is not None:
-                    self.result.failure_events.append((node.name, event))
-        node.trace.statuses.append(node.status)
+            for node, status, utilization in zip(nodes, statuses, utilizations):
+                node.status, node.utilization = status, utilization
+                node.trace.statuses.append(status)
+            if events:
+                fired += [(indices[row], nodes[row].name, event) for row, event in events]
+        for node in self.unguarded:
+            node.trace.statuses.append(None)
+        if fired:
+            fired.sort()  # by node index, unique: scenario node order across groups
+            self.result.failure_events += [(name, event) for _, name, event in fired]
 
     def controller(self, node: SimNode, t: float, sample: DeltaSample) -> None:
         mode: Optional[Mode] = None
@@ -1133,6 +1146,19 @@ class _Run:
                 costs = [m.cost for m in result.recovery if m.node == node.name]
                 result.node_antifragility[node.name] = antifragility_score(costs, threshold)
         return result
+
+
+def _guard(spec: NodeSpec) -> tuple:
+    """What the nodes of one contract group share: the contract's class,
+    window and at-risk margin, and the detector config. Best-effort systems
+    do not watch their own error: the detector is withheld from them even
+    when a detector section is configured."""
+    contract = spec.contract
+    watched = contract.identity.kind in (IdentityKind.HARD_RT, IdentityKind.SOFT_RT)
+    return (
+        contract.identity, contract.window, contract.at_risk_margin,
+        spec.detector if watched else None,
+    )
 
 
 def _capacity(

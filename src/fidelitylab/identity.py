@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractFreeError, InsufficientDataError, SequencingError
-from .reflection import DeltaSample
 
 #: Fraction of in-bound samples a best-effort contract requires.
 BEST_EFFORT_COVERAGE = 0.95
@@ -123,69 +122,100 @@ class WindowRing:
     contiguous array.
 
     Every entry is written twice, at ``i`` and ``i + size`` of a buffer of
-    ``2 * size`` rows, so the full window is always ``buf[pos:pos + size]``
-    (``buf[:count]`` while filling): reading it copies nothing, and numpy
-    reduces the same values in the same order as over a fresh array.
-    ``width`` gives each entry that many columns.
+    ``2 * size`` slots, so the newest ``n`` entries are always one slice
+    ending at ``end`` (``buf[end - n:end]``): reading them copies nothing,
+    and numpy reduces the same values in the same order as over a fresh
+    array. ``width`` gives each entry that many columns (one row per
+    entry). ``rows`` instead keeps that many streams side by side,
+    node-major: the buffer is ``(rows, 2 * size)``, each entry is a column
+    of one value per stream, and a reduction along the last axis of a tail
+    gives each stream the bits it would get over its own 1-D window.
     """
 
-    __slots__ = ("size", "count", "_pos", "_buf")
+    __slots__ = ("size", "count", "_end", "_buf", "_entries", "_rows")
 
-    def __init__(self, size: int, width: Optional[int] = None):
+    def __init__(self, size: int, width: Optional[int] = None, rows: Optional[int] = None):
         self.size = size
         self.count = 0
-        self._pos = 0  # oldest entry once full
-        self._buf = np.zeros((2 * size,) if width is None else (2 * size, width))
+        self._end = 0  # one past the newest entry
+        self._rows = rows is not None
+        if self._rows:
+            self._buf = np.zeros((rows, 2 * size))
+            self._entries = self._buf.T  # entry i is column i
+        else:
+            self._buf = np.zeros((2 * size,) if width is None else (2 * size, width))
+            self._entries = self._buf
 
     def push(self, entry) -> None:
-        size, buf = self.size, self._buf
+        size, end = self.size, self._end
         if self.count < size:
             at = self.count
-            self.count += 1
+            self.count = self._end = at + 1
         else:
-            at = self._pos
-            self._pos = at + 1 if at + 1 < size else 0
-        buf[at] = entry
-        buf[at + size] = entry
+            at = end - size  # the oldest entry
+            self._end = end + 1 if end + 1 < 2 * size else size
+        entries = self._entries
+        entries[at] = entry
+        entries[at + size] = entries[at]
+
+    def tail(self, n: int) -> np.ndarray:
+        """The newest ``n`` entries (at most ``count``), oldest first; for a
+        ring of rows, ``(rows, n)``. Valid until the next push."""
+        end = self._end
+        return self._buf[:, end - n:end] if self._rows else self._buf[end - n:end]
 
     def view(self) -> np.ndarray:
         """The window, oldest first. Valid until the next push."""
-        if self.count < self.size:
-            return self._buf[: self.count]
-        return self._buf[self._pos : self._pos + self.size]
+        return self.tail(self.count)
 
     def clear(self) -> None:
-        self.count = 0
-        self._pos = 0
+        self.count = self._end = 0
 
 
-def mean_std(mags: np.ndarray) -> tuple[float, float]:
-    """np.mean and np.std (ddof=0) to the bit, in one pass of numpy calls."""
-    n = len(mags)
-    mean = mags.sum() / n
-    dev = mags - mean
-    return float(mean), math.sqrt((dev * dev).sum() / n)
+def mean_std(mags: np.ndarray):
+    """np.mean and np.std (ddof=0) along the last axis, to the bit, in one
+    pass of numpy calls: numpy scalars for a 1-D window, arrays for rows."""
+    n = mags.shape[-1]
+    mean = np.add.reduce(mags, axis=-1) / n
+    dev = mags - (mean[:, None] if mags.ndim > 1 else mean)
+    return mean, np.sqrt(np.add.reduce(dev * dev, axis=-1) / n)
+
+
+def _per_row(stat) -> list:
+    """A statistic along the last axis as a list: one entry per row, or the
+    one numpy scalar of a 1-D window."""
+    return stat.tolist() if stat.ndim else [stat]
 
 
 def _assess(
     mags: np.ndarray, contract: IdentityClass, kind: Optional[IdentityKind] = None
-) -> tuple[bool, float]:
-    """Whether the window satisfies ``kind`` (the contract's own by default)
-    at the contract's thresholds, and its utilization (1.0 = at the bound),
-    from one pass over the window."""
+) -> tuple[list[bool], list[float]]:
+    """Whether each row of ``mags`` (or a 1-D window, as one row) satisfies
+    ``kind`` (the contract's own by default) at the contract's thresholds,
+    and its utilization (1.0 = at the bound). One numpy pass along the last
+    axis gives each row's statistics; the thresholds apply to them as
+    Python floats."""
     kind = contract.kind if kind is None else kind
+    satisfied, utilization = [], []
     if kind is IdentityKind.HARD_RT:
-        peak = float(mags.max())
-        return peak <= contract.hard_threshold, peak / contract.hard_threshold
-    if kind is IdentityKind.SOFT_RT:
-        mean, std = mean_std(mags)
-        ok = mean <= contract.soft_mean and std <= contract.soft_std
-        return ok, max(mean / contract.soft_mean, std / contract.soft_std)
-    # Best effort: utilization is the violating fraction against the allowance.
-    n = len(mags)
-    over = int(np.count_nonzero(mags > contract.acceptability_bound))
-    covered = (n - over) / n
-    return covered >= BEST_EFFORT_COVERAGE, (over / n) / (1.0 - BEST_EFFORT_COVERAGE)
+        bound = contract.hard_threshold
+        for peak in _per_row(np.maximum.reduce(mags, axis=-1)):
+            satisfied.append(peak <= bound)
+            utilization.append(peak / bound)
+    elif kind is IdentityKind.SOFT_RT:
+        mean_bound, std_bound = contract.soft_mean, contract.soft_std
+        means, stds = mean_std(mags)
+        for mean, std in zip(_per_row(means), _per_row(stds)):
+            satisfied.append(mean <= mean_bound and std <= std_bound)
+            utilization.append(max(mean / mean_bound, std / std_bound))
+    else:
+        # Best effort: utilization is the violating fraction against the allowance.
+        n = mags.shape[-1]
+        over_bound = mags > contract.acceptability_bound
+        for over in _per_row(np.add.reduce(over_bound, axis=-1)):
+            satisfied.append((n - over) / n >= BEST_EFFORT_COVERAGE)
+            utilization.append((over / n) / (1.0 - BEST_EFFORT_COVERAGE))
+    return satisfied, utilization
 
 
 #: The thresholds each constrained class is tested against.
@@ -201,7 +231,7 @@ def _satisfies(mags: np.ndarray, candidate: IdentityClass, kind: IdentityKind) -
         return True  # NonRT holds vacuously
     if any(getattr(candidate, name) is None for name in _THRESHOLDS[kind]):
         return False
-    return _assess(mags, candidate, kind)[0]
+    return _assess(mags, candidate, kind)[0][0]
 
 
 def classify_trace(mags: np.ndarray, candidate: IdentityClass) -> IdentityKind:
@@ -217,37 +247,33 @@ def classify_trace(mags: np.ndarray, candidate: IdentityClass) -> IdentityKind:
     return next(kind for kind in CLASS_ORDER if _satisfies(mags, candidate, kind))
 
 
-def _checked(mags: np.ndarray, contract: IdentityClass) -> np.ndarray:
-    if contract.kind is IdentityKind.NON_RT:
-        raise ContractFreeError("NonRT carries no contract to check")
-    if not len(mags):
-        raise InsufficientDataError("cannot check an empty window")
-    return mags
+def contract_utilization(mags: np.ndarray, contract: IdentityClass) -> list[float]:
+    """How much of the contract's allowance each row of |delta| windows
+    consumes (1.0 = at the bound)."""
+    return _assess(mags, contract)[1]
 
 
-def contract_utilization(mags: np.ndarray, contract: IdentityClass) -> float:
-    """How much of the contract's allowance the |delta| window consumes
-    (1.0 = at the bound)."""
-    return _assess(_checked(mags, contract), contract)[1]
+_HOLDING, _AT_RISK, _VIOLATED = ContractStatus
 
 
 def check_contract(
     mags: np.ndarray,
     contract: IdentityClass,
     at_risk_margin: float = DEFAULT_AT_RISK_MARGIN,
-) -> tuple[ContractStatus, float]:
-    """Self-check one |delta| window against the contract: its status and
-    its utilization, from one pass.
+) -> tuple[list[ContractStatus], list[float]]:
+    """Self-check rows of |delta| windows against the contract, in one pass:
+    each row's status and its utilization. A single window is one row
+    (``mags[None]``); ``ContractGroup`` has checked the contract and the
+    window length.
 
-    Violated when the window fails the contract predicate; at risk when it
+    Violated when a window fails the contract predicate; at risk when it
     holds but utilization strictly exceeds the margin; holding otherwise.
     """
-    satisfied, utilization = _assess(_checked(mags, contract), contract)
-    if not satisfied:
-        return ContractStatus.VIOLATED, utilization
-    if utilization > at_risk_margin:
-        return ContractStatus.AT_RISK, utilization
-    return ContractStatus.HOLDING, utilization
+    satisfied, utilizations = _assess(mags, contract)
+    return [
+        (_AT_RISK if u > at_risk_margin else _HOLDING) if ok else _VIOLATED
+        for ok, u in zip(satisfied, utilizations)
+    ], utilizations
 
 
 @dataclass(frozen=True)
@@ -271,54 +297,150 @@ class DetectorConfig:
 
 
 class IdentityFailureDetector:
-    """Streaming identity-failure detector for one guarded figure.
+    """Streaming identity-failure detector for the rows of a ``ContractGroup``.
 
-    Each update feeds one error sample. An event is emitted at the first
+    Each update feeds one |delta| per row. A row emits an event at the first
     tick where either CUSUM side crosses the decision threshold or the
-    windowed contract check reports Violated, whichever comes first. The
-    detector resets after emitting, so at most one event fires per
-    recovery.
+    contract check over its window reports Violated, whichever comes first;
+    the row then resets, so at most one event fires per recovery. The
+    detector keeps no samples: a row's window is the trailing
+    ``min(window, ticks since its last reset)`` entries of the group's ring.
     """
 
-    def __init__(self, contract: IdentityClass, config: DetectorConfig):
-        if contract.kind is IdentityKind.NON_RT:
-            raise ContractFreeError("cannot guard the unconstrained class")
+    def __init__(self, contract: IdentityClass, config: DetectorConfig, figures: Sequence[int]):
         self.contract = contract
         self.config = config
-        self._high = 0.0
-        self._low = 0.0
-        self._window = WindowRing(config.window)
-        self._last_time: Optional[float] = None
+        self.figures = tuple(figures)
+        rows = len(self.figures)
+        self._high = [0.0] * rows
+        self._low = [0.0] * rows
+        self._ticks = 0
+        self._reset_at = [0] * rows  # the tick of each row's last reset
+        # Rows that last reset on one tick share a window length: (that
+        # tick, the rows as an index, or None for all of them, the rows as a
+        # list), oldest first.
+        self._cohorts = [self._cohort(0, list(range(rows)))]
 
-    def reset(self) -> None:
-        self._high = 0.0
-        self._low = 0.0
-        self._window.clear()
+    def _cohort(self, tick: int, rows: list[int]) -> tuple:
+        return tick, None if len(rows) == len(self.figures) else np.array(rows), rows
 
-    def update(self, sample: DeltaSample) -> Optional[IdentityFailureEvent]:
-        if self._last_time is not None and sample.time <= self._last_time:
-            raise SequencingError(
-                f"sample at t={sample.time} after t={self._last_time}"
-            )
-        self._last_time = sample.time
-        x = abs(sample.delta)
-        self._window.push(x)
-        config = self.config
-        self._high = max(0.0, self._high + (x - config.reference) - config.slack)
-        self._low = max(0.0, self._low + (config.reference - x) - config.slack)
-        crossed = self._high > config.threshold or self._low > config.threshold
-        mags = self._window.view()
-        if not crossed and _assess(mags, self.contract)[0]:
-            return None
-        mean, std = mean_std(mags)
-        event = IdentityFailureEvent(
-            time=sample.time,
-            figure=sample.figure,
-            previous_class=self.contract,
-            max_abs_delta=float(mags.max()),
-            window_mean=mean,
-            window_std=std,
+    def update(
+        self, time: float, mags: Sequence[float], ring: WindowRing
+    ) -> Optional[list[tuple[int, IdentityFailureEvent]]]:
+        """Feed each row's newest |delta|, already pushed onto ``ring``:
+        the rows that fired with their events, or None when none did."""
+        config, contract = self.config, self.contract
+        reference, slack, threshold = config.reference, config.slack, config.threshold
+        high, low = self._high, self._low
+        # A hard window fails only through its newest entry: an older one
+        # above the bound failed its own tick and emptied the window.
+        hard, bound = contract.kind is IdentityKind.HARD_RT, contract.hard_threshold
+        fired = []
+        for row, x in enumerate(mags):
+            high[row] = up = max(0.0, high[row] + (x - reference) - slack)
+            low[row] = down = max(0.0, low[row] + (reference - x) - slack)
+            if up > threshold or down > threshold or (hard and not x <= bound):
+                fired.append(row)
+        self._ticks = ticks = self._ticks + 1
+        if not hard:
+            fired += self._failing(ticks, ring)
+        return self._fire(time, sorted(set(fired)), ring) if fired else None
+
+    def _failing(self, ticks: int, ring: WindowRing) -> list[int]:
+        """The rows whose window fails the contract, from one pass per
+        cohort."""
+        window, cohorts = self.config.window, self._cohorts
+        if len(cohorts) > 1 and ticks - cohorts[1][0] >= window:
+            # Cohorts whose windows have all filled share a length again.
+            full = [c for c in cohorts if ticks - c[0] >= window]
+            self._cohorts = cohorts = [
+                self._cohort(full[0][0], sorted(r for c in full for r in c[2]))
+            ] + cohorts[len(full):]
+        failing = []
+        for tick, index, rows in cohorts:
+            windows = ring.tail(min(ticks - tick, window))
+            satisfied = _assess(windows if index is None else windows[index], self.contract)[0]
+            if False in satisfied:
+                failing += [row for row, ok in zip(rows, satisfied) if not ok]
+        return failing
+
+    def _fire(
+        self, time: float, rows: list[int], ring: WindowRing
+    ) -> list[tuple[int, IdentityFailureEvent]]:
+        ticks, window = self._ticks, self.config.window
+        events = []
+        for row in rows:
+            mags = ring.tail(min(ticks - self._reset_at[row], window))[row]
+            mean, std = mean_std(mags)
+            events.append((row, IdentityFailureEvent(
+                time=time,
+                figure=self.figures[row],
+                previous_class=self.contract,
+                max_abs_delta=float(np.maximum.reduce(mags)),
+                window_mean=float(mean),
+                window_std=float(std),
+            )))
+            self._high[row] = self._low[row] = 0.0
+            self._reset_at[row] = ticks
+        fired = set(rows)
+        cohorts = []
+        for tick, _, members in self._cohorts:
+            kept = [row for row in members if row not in fired]
+            if kept:
+                cohorts.append(self._cohort(tick, kept))
+        cohorts.append(self._cohort(ticks, rows))
+        self._cohorts = cohorts
+        return events
+
+
+class ContractGroup:
+    """Guarded streams that share a contract (class, window, at-risk
+    margin) and a detector config, checked together once per tick.
+
+    The rows share one node-major ``WindowRing`` of |delta|, as long as the
+    longer of the contract and the detector window. Each tick writes every
+    row's |delta| once; ``check_contract`` reduces all rows' trailing
+    contract windows in one pass, and the detector reads a tail of the same
+    ring. A single stream is a group of one row. What no single check needs
+    to repeat is checked here: a constrained class and a non-empty window
+    at construction, time moving forward at each step.
+    """
+
+    def __init__(
+        self,
+        contract: IdentityClass,
+        window: int,
+        at_risk_margin: float = DEFAULT_AT_RISK_MARGIN,
+        detector: Optional[DetectorConfig] = None,
+        figures: Sequence[int] = (0,),
+    ):
+        if contract.kind is IdentityKind.NON_RT:
+            raise ContractFreeError("NonRT carries no contract to check")
+        if window < 1 or not figures or (detector is not None and detector.window < 1):
+            raise InsufficientDataError("cannot check an empty window")
+        self.contract = contract
+        self.window = window
+        self.at_risk_margin = at_risk_margin
+        size = window if detector is None else max(window, detector.window)
+        self.ring = WindowRing(size, rows=len(figures))
+        self.detector = (
+            None if detector is None else IdentityFailureDetector(contract, detector, figures)
         )
-        self.reset()
-        return event
+        self._last_time = -math.inf
 
+    def step(
+        self, time: float, mags: Sequence[float]
+    ) -> tuple[list[ContractStatus], list[float], Optional[list[tuple[int, IdentityFailureEvent]]]]:
+        """Push each row's |delta| at ``time`` and check every row: the
+        statuses, the utilizations and the detector's ``(row, event)``
+        pairs (None when none fired or there is no detector)."""
+        if time <= self._last_time:
+            raise SequencingError(f"sample at t={time} after t={self._last_time}")
+        self._last_time = time
+        ring = self.ring
+        ring.push(mags)
+        statuses, utilizations = check_contract(
+            ring.tail(min(ring.count, self.window)), self.contract, self.at_risk_margin
+        )
+        events = None if self.detector is None else self.detector.update(time, mags, ring)
+        return statuses, utilizations, events

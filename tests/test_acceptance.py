@@ -29,13 +29,13 @@ from fidelitylab.engine import (
 from fidelitylab.environment import LinearDrift, ShockEvent
 from fidelitylab.identity import (
     BEST_EFFORT_COVERAGE,
+    ContractGroup,
     DetectorConfig,
     IdentityClass,
-    IdentityFailureDetector,
     IdentityKind,
     classify_trace,
 )
-from fidelitylab.reflection import DeltaSample, ReflectiveMap, preservation_distance
+from fidelitylab.reflection import ReflectiveMap, preservation_distance
 from fidelitylab.reporting import export_run
 
 
@@ -200,15 +200,15 @@ def test_criterion_5_cusum_matches_recursion_oracle():
                 oracle_tick = i
                 break
         assert oracle_tick is not None
-        stream = [
-            DeltaSample(time=float(i), figure=0, delta=d)
-            for i, d in enumerate(deltas)
-        ]
         contract = IdentityClass.hard(1e9)  # contract path silenced
-        detector = IdentityFailureDetector(
-            contract, DetectorConfig(slack=slack, threshold=threshold, window=10)
+        guard = ContractGroup(
+            contract, 10, detector=DetectorConfig(slack=slack, threshold=threshold, window=10)
         )
-        event = next(filter(None, map(detector.update, stream)), None)
+        event = next(
+            (fired[0][1] for i, d in enumerate(deltas)
+             if (fired := guard.step(float(i), [abs(d)])[2])),
+            None,
+        )
         assert event is not None
         assert event.time == float(oracle_tick)
         checked += 1

@@ -331,6 +331,25 @@ class TestCliFailures:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {state}: {expected}\n"
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+    def test_mismatched_resume_leaves_out_as_it_was(self, tmp_path, existing):
+        config = write_config(tmp_path, LEARNING)
+        assert cmd_run(str(config), out=str(tmp_path / "a")) == EXIT_OK
+        doc = json.loads((tmp_path / "a" / "learning_state.json").read_text())
+        doc["ghost"] = doc.pop("n0")
+        state = tmp_path / "ghost.json"
+        state.write_text(json.dumps(doc))
+        out = tmp_path / "b"
+        if existing:
+            out.mkdir()
+            (out / "kept.txt").write_text("kept")
+        assert cmd_run(str(config), out=str(out), resume=str(state)) == EXIT_CONFIG
+        if existing:
+            assert sorted(p.name for p in out.iterdir()) == ["kept.txt"]
+            assert (out / "kept.txt").read_text() == "kept"
+        else:
+            assert not out.exists()
+
     def test_truncated_resume_exits_2_naming_line_and_column(self, tmp_path):
         config = write_config(tmp_path, LEARNING)
         state = tmp_path / "state.json"

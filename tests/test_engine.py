@@ -160,9 +160,11 @@ class TestRunBasics:
         assert noisy_a != noisy_b
 
     def test_tick_stage_order_contract(self, monkeypatch):
-        per_node = ["sensing", "delta", "identity", "controller", "behavior"]
+        # Sensing and delta for every node, one identity stage for all of
+        # them, then controller and behavior for every node.
         expected_tick = (
-            ["boundary", "environment"] + per_node * 2 + ["collective", "metrics"]
+            ["boundary", "environment"] + ["sensing", "delta"] * 2 + ["identity"]
+            + ["controller", "behavior"] * 2 + ["collective", "metrics"]
         )
         stage_log = _log_stages(monkeypatch)
         scenario = Scenario(
@@ -173,6 +175,24 @@ class TestRunBasics:
         )
         run_scenario(scenario)
         assert stage_log == expected_tick * 2  # two ticks
+
+    def test_same_tick_failures_of_different_groups_in_node_order(self):
+        # Three contract groups whose rows interleave in the node list; one
+        # shock makes every detector fire on the same tick.
+        guards = [(0.1, 20), (0.2, 20), (0.1, 20), (0.1, 30), (0.2, 20)]
+        nodes = [
+            NodeSpec(name=f"n{i}", channel=ChannelSpec(gain=1.1, sampling_period=0.1),
+                     contract=hard_contract(threshold, window), detector=DetectorConfig())
+            for i, (threshold, window) in enumerate(guards)
+        ]
+        result = run_scenario(Scenario(
+            duration=3.0, dt=0.1, figures=[FigureSpec(name="f")],
+            shocks=[ShockEvent(at=1.0, figure=0, magnitude=5.0, recovery_window=1.0)],
+            nodes=nodes,
+        ))
+        first = min(event.time for _, event in result.failure_events)
+        same_tick = [name for name, event in result.failure_events if event.time == first]
+        assert same_tick == [node.name for node in nodes]
 
     def test_validation_enumerates_every_problem(self):
         scenario = Scenario(

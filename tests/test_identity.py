@@ -13,10 +13,10 @@ from fidelitylab.errors import (
 )
 from fidelitylab.engine import ContractSpec, identity_timeline
 from fidelitylab.identity import (
+    ContractGroup,
     ContractStatus,
     DetectorConfig,
     IdentityClass,
-    IdentityFailureDetector,
     IdentityKind,
     WindowRing,
     check_contract,
@@ -33,10 +33,28 @@ def samples(deltas, start=0.0, dt=1.0):
     ]
 
 
+def guard(contract, config, window=None):
+    """A one-row contract group with ``config``'s detector; the contract
+    window defaults to the detector's."""
+    return ContractGroup(contract, window or config.window, detector=config)
+
+
+def feed(group, sample):
+    """The event of a one-row group's detector for one sample, or None."""
+    events = group.step(sample.time, [abs(sample.delta)])[2]
+    return None if events is None else events[0][1]
+
+
 def first_event(stream, contract, config):
     """The detector's first event over a stream of samples, or None."""
-    detector = IdentityFailureDetector(contract, config)
-    return next(filter(None, map(detector.update, stream)), None)
+    group = guard(contract, config)
+    return next((event for event in (feed(group, s) for s in stream) if event), None)
+
+
+def check_one(mags, contract, margin=0.8):
+    """check_contract on one window, passed as one row."""
+    statuses, utilizations = check_contract(np.asarray(mags)[None], contract, margin)
+    return statuses[0], utilizations[0]
 
 
 def full_candidate(hard, soft_mean, soft_std, bound):
@@ -115,49 +133,56 @@ class TestClassifyTrace:
 
 class TestCheckContract:
     def test_holding_well_inside(self):
-        status, _ = check_contract(np.abs([0.05] * 10), IdentityClass.hard(0.1))
+        status, _ = check_one(np.abs([0.05] * 10), IdentityClass.hard(0.1))
         assert status is ContractStatus.HOLDING
 
     def test_at_risk_above_margin(self):
-        status, _ = check_contract(np.abs([0.09] * 10), IdentityClass.hard(0.1))
+        status, _ = check_one(np.abs([0.09] * 10), IdentityClass.hard(0.1))
         assert status is ContractStatus.AT_RISK
 
     def test_violated_above_bound(self):
-        status, _ = check_contract(np.abs([0.12] * 10), IdentityClass.hard(0.1))
+        status, _ = check_one(np.abs([0.12] * 10), IdentityClass.hard(0.1))
         assert status is ContractStatus.VIOLATED
 
     def test_margin_boundary_is_strict(self):
         # exactly at 0.8 utilization stays holding
-        status, _ = check_contract(np.abs([0.08] * 10), IdentityClass.hard(0.1))
+        status, _ = check_one(np.abs([0.08] * 10), IdentityClass.hard(0.1))
         assert status is ContractStatus.HOLDING
 
     def test_soft_contract_uses_mean_and_std(self):
         values = [0.02] * 97 + [0.5] * 3
-        status, _ = check_contract(np.abs(values), IdentityClass.soft(0.1, 0.12))
+        status, _ = check_one(np.abs(values), IdentityClass.soft(0.1, 0.12))
         assert status is ContractStatus.HOLDING
 
     def test_best_effort_utilization_margins(self):
         contract = IdentityClass.best_effort(0.1)
         # 2% violating of a 5% allowance -> holding
         ok = np.abs([0.01] * 196 + [0.5] * 4)
-        assert check_contract(ok, contract)[0] is ContractStatus.HOLDING
+        assert check_one(ok, contract)[0] is ContractStatus.HOLDING
         # 4.5% violating -> 0.9 utilization -> at risk
         risky = np.abs([0.01] * 191 + [0.5] * 9)
-        assert check_contract(risky, contract)[0] is ContractStatus.AT_RISK
+        assert check_one(risky, contract)[0] is ContractStatus.AT_RISK
         # 6% violating -> coverage below 95% -> violated
         broken = np.abs([0.01] * 188 + [0.5] * 12)
-        assert check_contract(broken, contract)[0] is ContractStatus.VIOLATED
+        assert check_one(broken, contract)[0] is ContractStatus.VIOLATED
 
     def test_non_rt_has_no_contract(self):
         with pytest.raises(ContractFreeError):
-            check_contract(np.abs([0.0]), IdentityClass.non_rt())
+            ContractGroup(IdentityClass.non_rt(), 1)
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(InsufficientDataError):
+            ContractGroup(IdentityClass.hard(0.1), 0)
+        with pytest.raises(InsufficientDataError):
+            ContractGroup(IdentityClass.hard(0.1), 5, figures=())
 
     def test_utilization_comes_with_the_status(self):
         window = np.abs([0.01] * 191 + [0.5] * 9)
         contract = IdentityClass.best_effort(0.1)
-        status, utilization = check_contract(window, contract)
+        status, utilization = check_one(window, contract)
         assert status is ContractStatus.AT_RISK
-        assert utilization == contract_utilization(window, contract) == pytest.approx(0.9)
+        assert [utilization] == contract_utilization(window[None], contract)
+        assert utilization == pytest.approx(0.9)
 
 
 class TestFailureDetector:
@@ -196,10 +221,10 @@ class TestFailureDetector:
 
     def test_detector_resets_after_emission(self):
         contract = IdentityClass.hard(0.1)
-        detector = IdentityFailureDetector(contract, self.config())
+        group = guard(contract, self.config())
         fired = []
         for s in samples([0.0] * 10 + [0.5] * 1 + [0.0] * 10 + [0.5] * 1):
-            if detector.update(s) is not None:
+            if feed(group, s) is not None:
                 fired.append(s.time)
         assert fired == [10.0, 21.0]
 
@@ -213,14 +238,14 @@ class TestFailureDetector:
             assert a.time == b.time
 
     def test_out_of_order_rejected(self):
-        detector = IdentityFailureDetector(IdentityClass.hard(0.1), self.config())
-        detector.update(DeltaSample(time=1.0, figure=0, delta=0.0))
+        group = guard(IdentityClass.hard(0.1), self.config())
+        feed(group, DeltaSample(time=1.0, figure=0, delta=0.0))
         with pytest.raises(SequencingError):
-            detector.update(DeltaSample(time=0.5, figure=0, delta=0.0))
+            feed(group, DeltaSample(time=0.5, figure=0, delta=0.0))
 
     def test_non_rt_cannot_be_guarded(self):
         with pytest.raises(ContractFreeError):
-            IdentityFailureDetector(IdentityClass.non_rt(), self.config())
+            guard(IdentityClass.non_rt(), self.config())
 
     def test_all_zero_stream_never_fires(self):
         contract = IdentityClass.hard(0.1)
@@ -378,12 +403,12 @@ class TestRingMatchesListOracle:
             mags = _oracle_window(deltas[: i + 1], window)
             view = ring.view()
             assert view.tolist() == mags.tolist()
-            status, utilization = check_contract(view, contract, margin)
+            status, utilization = check_one(view, contract, margin)
             assert status is _oracle_status(mags, contract, margin)
             assert _bits(utilization) == _bits(_oracle_utilization(mags, contract))
-            assert _bits(contract_utilization(view, contract)) == _bits(utilization)
+            assert _bits(contract_utilization(view[None], contract)[0]) == _bits(utilization)
             sliced = run[max(0, i + 1 - window): i + 1]
-            assert _bits(check_contract(sliced, contract, margin)[1]) == _bits(utilization)
+            assert _bits(check_one(sliced, contract, margin)[1]) == _bits(utilization)
             assert labels[i] == _oracle_class(mags, candidate).value
 
     @given(deltas=st.lists(_DELTAS, max_size=60))
@@ -398,13 +423,57 @@ class TestRingMatchesListOracle:
     def test_detector_events(self, deltas, window, contract, slack, threshold):
         # Low thresholds fire, and so reset the ring, mid-stream.
         config = DetectorConfig(slack=slack, threshold=threshold, window=window)
-        detector = IdentityFailureDetector(contract, config)
+        group = guard(contract, config)
         oracle = _OracleDetector(contract, config)
         for sample in samples(deltas):
-            event, expected = detector.update(sample), oracle.update(sample)
+            event, expected = feed(group, sample), oracle.update(sample)
             if expected is None:
                 assert event is None
                 continue
             assert event.previous_class is contract and event.figure == 0
             got = (event.time, event.max_abs_delta, event.window_mean, event.window_std)
             assert [_bits(x) for x in got] == [_bits(x) for x in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(streams=st.integers(1, 60).flatmap(
+               lambda n: st.lists(st.lists(_DELTAS, min_size=n, max_size=n),
+                                  min_size=1, max_size=6)),
+           window=st.integers(1, 30), detector_window=st.integers(1, 40),
+           contract=_CONTRACTS, margin=st.sampled_from([0.5, 0.8, 1.0]),
+           slack=st.sampled_from([0.0, 0.02, 0.05]),
+           threshold=st.sampled_from([0.05, 0.2, 1.0]))
+    # Soft rows that reset on different ticks, with a detector window
+    # longer than, then shorter than, the contract window.
+    @example(streams=[[0.01] * 8 + [0.3] + [0.01] * 20, [0.01] * 14 + [0.3] + [0.01] * 14,
+                      [0.01] * 29],
+             window=5, detector_window=12, contract=IdentityClass.soft(0.05, 0.05),
+             margin=0.8, slack=0.02, threshold=1.0)
+    @example(streams=[[0.01] * 8 + [0.3] + [0.01] * 20, [0.01] * 14 + [0.3] + [0.01] * 14],
+             window=12, detector_window=5, contract=IdentityClass.soft(0.05, 0.05),
+             margin=0.8, slack=0.02, threshold=1.0)
+    def test_group_rows_match_one_stream_oracles(self, streams, window, detector_window,
+                                                 contract, margin, slack, threshold):
+        # Each row of one group has its own delta stream; per row, the
+        # status, the utilization and the detector's events are those of
+        # the one-stream oracles.
+        config = DetectorConfig(slack=slack, threshold=threshold, window=detector_window)
+        group = ContractGroup(contract, window, margin, config, figures=range(len(streams)))
+        oracles = [_OracleDetector(contract, config) for _ in streams]
+        for i in range(len(streams[0])):
+            statuses, utilizations, events = group.step(float(i), [abs(s[i]) for s in streams])
+            assert events is None or events
+            fired = dict(events or ())
+            assert list(fired) == sorted(fired)
+            for row, stream in enumerate(streams):
+                mags = _oracle_window(stream[: i + 1], window)
+                assert statuses[row] is _oracle_status(mags, contract, margin)
+                assert _bits(utilizations[row]) == _bits(_oracle_utilization(mags, contract))
+                expected = oracles[row].update(DeltaSample(time=float(i), figure=row,
+                                                           delta=stream[i]))
+                event = fired.get(row)
+                if expected is None:
+                    assert event is None
+                    continue
+                assert event.previous_class is contract and event.figure == row
+                got = (event.time, event.max_abs_delta, event.window_mean, event.window_std)
+                assert [_bits(x) for x in got] == [_bits(x) for x in expected]
