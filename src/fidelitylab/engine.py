@@ -909,13 +909,14 @@ class _Run:
         for index, node in enumerate(self.nodes):
             if node.spec.contract is not None:
                 guards.setdefault(_guard(node.spec), []).append(index)
-        self.groups: list[tuple[ContractGroup, list[SimNode], list[int]]] = []
+        # Each group with its nodes, their indices and their delta columns.
+        self.groups: list[tuple[ContractGroup, list[SimNode], list[int], list[list[float]]]] = []
         for (identity, window, margin, detector), indices in guards.items():
             nodes = [self.nodes[i] for i in indices]
             group = ContractGroup(
                 identity, window, margin, detector, figures=[node.figure for node in nodes]
             )
-            self.groups.append((group, nodes, indices))
+            self.groups.append((group, nodes, indices, [node.trace.deltas for node in nodes]))
         self.unguarded = [node for node in self.nodes if node.spec.contract is None]
 
         # Initial sensing at t=0 so slow channels have a value to hold.
@@ -975,10 +976,8 @@ class _Run:
 
     def identity(self, t: float) -> None:
         fired = []
-        for group, nodes, indices in self.groups:
-            statuses, utilizations, events = group.step(
-                t, [abs(node.trace.deltas[-1]) for node in nodes]
-            )
+        for group, nodes, indices, deltas in self.groups:
+            statuses, utilizations, events = group.step(t, [abs(d[-1]) for d in deltas])
             for node, status, utilization in zip(nodes, statuses, utilizations):
                 node.status, node.utilization = status, utilization
                 node.trace.statuses.append(status)

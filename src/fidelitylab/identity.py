@@ -14,7 +14,9 @@ supports, in the strict order HardRT > SoftRT > BestEffort > NonRT:
 Guarded systems self-check their contract each tick. Undetected drift out
 of the contracted class is an identity failure; the streaming detector
 combines a two-sided CUSUM on |delta| with a direct contract check and
-reports whichever fires first.
+reports whichever fires first. Systems that share a contract and a
+detector config are checked together, as the rows of one
+``ContractGroup``: one |delta| ring, one numpy pass per check.
 """
 
 from __future__ import annotations
@@ -121,15 +123,16 @@ class WindowRing:
     """The last ``size`` entries of a stream, in time order, as one
     contiguous array.
 
-    Every entry is written twice, at ``i`` and ``i + size`` of a buffer of
-    ``2 * size`` slots, so the newest ``n`` entries are always one slice
-    ending at ``end`` (``buf[end - n:end]``): reading them copies nothing,
-    and numpy reduces the same values in the same order as over a fresh
-    array. ``width`` gives each entry that many columns (one row per
-    entry). ``rows`` instead keeps that many streams side by side,
-    node-major: the buffer is ``(rows, 2 * size)``, each entry is a column
-    of one value per stream, and a reduction along the last axis of a tail
-    gives each stream the bits it would get over its own 1-D window.
+    Entries are appended to a buffer of ``2 * size`` slots; when it is
+    full, the newest ``size - 1`` move to its front, once every ``size + 1``
+    pushes. So the newest ``n`` entries are always one slice ending at
+    ``end`` (``buf[end - n:end]``): reading them copies nothing, and numpy
+    reduces the same values in the same order as over a fresh array.
+    ``width`` gives each entry that many columns (one row per entry).
+    ``rows`` instead keeps that many streams side by side, node-major: the
+    buffer is ``(rows, 2 * size)``, each entry is a column of one value per
+    stream, and a reduction along the last axis of a tail gives each stream
+    the bits it would get over its own 1-D window.
     """
 
     __slots__ = ("size", "count", "_end", "_buf", "_entries", "_rows")
@@ -147,16 +150,15 @@ class WindowRing:
             self._entries = self._buf
 
     def push(self, entry) -> None:
-        size, end = self.size, self._end
-        if self.count < size:
-            at = self.count
-            self.count = self._end = at + 1
-        else:
-            at = end - size  # the oldest entry
-            self._end = end + 1 if end + 1 < 2 * size else size
-        entries = self._entries
-        entries[at] = entry
-        entries[at + size] = entries[at]
+        end, entries = self._end, self._entries
+        if end == len(entries):
+            keep = self.size - 1
+            entries[:keep] = entries[end - keep:end]
+            end = keep
+        entries[end] = entry
+        self._end = end + 1
+        if self.count < self.size:
+            self.count += 1
 
     def tail(self, n: int) -> np.ndarray:
         """The newest ``n`` entries (at most ``count``), oldest first; for a
@@ -182,9 +184,9 @@ def mean_std(mags: np.ndarray):
 
 
 def _per_row(stat) -> list:
-    """A statistic along the last axis as a list: one entry per row, or the
-    one numpy scalar of a 1-D window."""
-    return stat.tolist() if stat.ndim else [stat]
+    """A statistic along the last axis as a list of Python numbers: one per
+    row, or one for a 1-D window."""
+    return stat.tolist() if stat.ndim else [float(stat)]
 
 
 def _assess(
@@ -229,7 +231,7 @@ _THRESHOLDS = {
 def _satisfies(mags: np.ndarray, candidate: IdentityClass, kind: IdentityKind) -> bool:
     if kind is IdentityKind.NON_RT:
         return True  # NonRT holds vacuously
-    if any(getattr(candidate, name) is None for name in _THRESHOLDS[kind]):
+    if None in [getattr(candidate, name) for name in _THRESHOLDS[kind]]:
         return False
     return _assess(mags, candidate, kind)[0][0]
 
@@ -253,9 +255,6 @@ def contract_utilization(mags: np.ndarray, contract: IdentityClass) -> list[floa
     return _assess(mags, contract)[1]
 
 
-_HOLDING, _AT_RISK, _VIOLATED = ContractStatus
-
-
 def check_contract(
     mags: np.ndarray,
     contract: IdentityClass,
@@ -270,10 +269,15 @@ def check_contract(
     holds but utilization strictly exceeds the margin; holding otherwise.
     """
     satisfied, utilizations = _assess(mags, contract)
-    return [
-        (_AT_RISK if u > at_risk_margin else _HOLDING) if ok else _VIOLATED
-        for ok, u in zip(satisfied, utilizations)
-    ], utilizations
+    statuses = []
+    for ok, utilization in zip(satisfied, utilizations):
+        if not ok:
+            statuses.append(ContractStatus.VIOLATED)
+        elif utilization > at_risk_margin:
+            statuses.append(ContractStatus.AT_RISK)
+        else:
+            statuses.append(ContractStatus.HOLDING)
+    return statuses, utilizations
 
 
 @dataclass(frozen=True)
