@@ -875,8 +875,10 @@ class _Run:
             substream(scenario.seed, "figure", i, "drift")
             for i in range(len(scenario.figures))
         ]
-        # |figure increments| of the last regime_window steps, one row each.
+        # |figure increments| of the last regime_window steps, one row each,
+        # and the window at each end the ring can reach.
         self.increments = WindowRing(scenario.regime_window, len(scenario.figures))
+        self.regime_windows = self.increments.windows(scenario.regime_window)
         self.regime = Regime.CALM
         self.shocks = scenario.shocks
         self.next_shock = 0  # shocks before this index have landed
@@ -940,7 +942,9 @@ class _Run:
             self.next_shock += 1
         self.increments.push([abs(b - a) for a, b in zip(self.env.figures, env.figures)])
         self.env = env
-        self.regime = label_regime(self.increments.view(), self.scenario.turbulence_threshold)
+        self.regime = label_regime(
+            self.regime_windows[self.increments.end], self.scenario.turbulence_threshold
+        )
         for index in range(landed, self.next_shock):
             self.open.append(index)
             # A strategy already in force when the shock lands owns the episode.
@@ -979,12 +983,12 @@ class _Run:
         for group, nodes, indices, deltas in self.groups:
             statuses, utilizations, events = group.step(t, [abs(d[-1]) for d in deltas])
             for node, status, utilization in zip(nodes, statuses, utilizations):
-                node.status, node.utilization = status, utilization
-                node.trace.statuses.append(status)
+                node.status = status
+                node.utilization = utilization
             if events:
                 fired += [(indices[row], nodes[row].name, event) for row, event in events]
-        for node in self.unguarded:
-            node.trace.statuses.append(None)
+        for node in self.nodes:
+            node.trace.statuses.append(node.status)
         if fired:
             fired.sort()  # by node index, unique: scenario node order across groups
             self.result.failure_events += [(name, event) for _, name, event in fired]

@@ -135,12 +135,12 @@ class WindowRing:
     the bits it would get over its own 1-D window.
     """
 
-    __slots__ = ("size", "count", "_end", "_buf", "_entries", "_rows")
+    __slots__ = ("size", "count", "end", "_buf", "_entries", "_rows")
 
     def __init__(self, size: int, width: Optional[int] = None, rows: Optional[int] = None):
         self.size = size
         self.count = 0
-        self._end = 0  # one past the newest entry
+        self.end = 0  # one past the newest entry
         self._rows = rows is not None
         if self._rows:
             self._buf = np.zeros((rows, 2 * size))
@@ -150,28 +150,35 @@ class WindowRing:
             self._entries = self._buf
 
     def push(self, entry) -> None:
-        end, entries = self._end, self._entries
+        end, entries = self.end, self._entries
         if end == len(entries):
             keep = self.size - 1
             entries[:keep] = entries[end - keep:end]
             end = keep
         entries[end] = entry
-        self._end = end + 1
+        self.end = end + 1
         if self.count < self.size:
             self.count += 1
 
     def tail(self, n: int) -> np.ndarray:
         """The newest ``n`` entries (at most ``count``), oldest first; for a
         ring of rows, ``(rows, n)``. Valid until the next push."""
-        end = self._end
-        return self._buf[:, end - n:end] if self._rows else self._buf[end - n:end]
+        return self._slice(self.end - n, self.end)
+
+    def windows(self, n: int) -> list[np.ndarray]:
+        """``tail(min(n, count))`` for every ``end`` the ring can reach,
+        indexed by it: a reader of a fixed window slices once, up front."""
+        return [self._slice(max(0, end - n), end) for end in range(len(self._entries) + 1)]
+
+    def _slice(self, start: int, end: int) -> np.ndarray:
+        return self._buf[:, start:end] if self._rows else self._buf[start:end]
 
     def view(self) -> np.ndarray:
         """The window, oldest first. Valid until the next push."""
         return self.tail(self.count)
 
     def clear(self) -> None:
-        self.count = self._end = 0
+        self.count = self.end = 0
 
 
 def mean_std(mags: np.ndarray):
@@ -427,6 +434,7 @@ class ContractGroup:
         self.at_risk_margin = at_risk_margin
         size = window if detector is None else max(window, detector.window)
         self.ring = WindowRing(size, rows=len(figures))
+        self._windows = self.ring.windows(window)
         self.detector = (
             None if detector is None else IdentityFailureDetector(contract, detector, figures)
         )
@@ -444,7 +452,7 @@ class ContractGroup:
         ring = self.ring
         ring.push(mags)
         statuses, utilizations = check_contract(
-            ring.tail(min(ring.count, self.window)), self.contract, self.at_risk_margin
+            self._windows[ring.end], self.contract, self.at_risk_margin
         )
         events = None if self.detector is None else self.detector.update(time, mags, ring)
         return statuses, utilizations, events
