@@ -51,6 +51,9 @@ CLASS_ORDER = (
     IdentityKind.BEST_EFFORT,
     IdentityKind.NON_RT,
 )
+# The per-tick checks compare against these names: an enum attribute
+# lookup costs about ten times a module global's.
+_HARD_RT, _SOFT_RT, _NON_RT = IdentityKind.HARD_RT, IdentityKind.SOFT_RT, IdentityKind.NON_RT
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,9 @@ class ContractStatus(Enum):
     HOLDING = "holding"
     AT_RISK = "at_risk"
     VIOLATED = "violated"
+
+
+_HOLDING, _AT_RISK, _VIOLATED = ContractStatus
 
 
 @dataclass(frozen=True)
@@ -206,12 +212,12 @@ def _assess(
     Python floats."""
     kind = contract.kind if kind is None else kind
     satisfied, utilization = [], []
-    if kind is IdentityKind.HARD_RT:
+    if kind is _HARD_RT:
         bound = contract.hard_threshold
         for peak in _per_row(np.maximum.reduce(mags, axis=-1)):
             satisfied.append(peak <= bound)
             utilization.append(peak / bound)
-    elif kind is IdentityKind.SOFT_RT:
+    elif kind is _SOFT_RT:
         mean_bound, std_bound = contract.soft_mean, contract.soft_std
         means, stds = mean_std(mags)
         for mean, std in zip(_per_row(means), _per_row(stds)):
@@ -236,7 +242,7 @@ _THRESHOLDS = {
 
 
 def _satisfies(mags: np.ndarray, candidate: IdentityClass, kind: IdentityKind) -> bool:
-    if kind is IdentityKind.NON_RT:
+    if kind is _NON_RT:
         return True  # NonRT holds vacuously
     if None in [getattr(candidate, name) for name in _THRESHOLDS[kind]]:
         return False
@@ -276,15 +282,10 @@ def check_contract(
     holds but utilization strictly exceeds the margin; holding otherwise.
     """
     satisfied, utilizations = _assess(mags, contract)
-    statuses = []
-    for ok, utilization in zip(satisfied, utilizations):
-        if not ok:
-            statuses.append(ContractStatus.VIOLATED)
-        elif utilization > at_risk_margin:
-            statuses.append(ContractStatus.AT_RISK)
-        else:
-            statuses.append(ContractStatus.HOLDING)
-    return statuses, utilizations
+    return [
+        (_AT_RISK if utilization > at_risk_margin else _HOLDING) if ok else _VIOLATED
+        for ok, utilization in zip(satisfied, utilizations)
+    ], utilizations
 
 
 @dataclass(frozen=True)
@@ -345,7 +346,7 @@ class IdentityFailureDetector:
         high, low = self._high, self._low
         # A hard window fails only through its newest entry: an older one
         # above the bound failed its own tick and emptied the window.
-        hard, bound = contract.kind is IdentityKind.HARD_RT, contract.hard_threshold
+        hard, bound = contract.kind is _HARD_RT, contract.hard_threshold
         fired = []
         for row, x in enumerate(mags):
             high[row] = up = max(0.0, high[row] + (x - reference) - slack)

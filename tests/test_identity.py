@@ -263,13 +263,22 @@ class TestIdentityClassValidation:
 class TestWindowRing:
     def test_window_is_the_trailing_entries_in_order(self):
         ring = WindowRing(3)
+        shorter = ring.windows(2)  # sliced once, read at each end
         seen = []
         for value in range(1, 9):
             ring.push(float(value))
             seen.append(list(ring.view()))
+            assert list(shorter[ring.end]) == seen[-1][-2:] == list(ring.tail(min(2, ring.count)))
         assert seen[:3] == [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0]]
         assert seen[-1] == [6.0, 7.0, 8.0]
         assert all(len(window) == min(i + 1, 3) for i, window in enumerate(seen))
+
+    def test_rows_are_streams_side_by_side(self):
+        ring = WindowRing(3, rows=2)
+        for value in range(1, 6):
+            ring.push([value, -value])
+        assert ring.view().tolist() == [[3, 4, 5], [-3, -4, -5]]
+        assert ring.tail(2)[1].flags.c_contiguous
 
     def test_view_is_contiguous_and_clear_empties(self):
         ring = WindowRing(4, 2)
