@@ -431,7 +431,6 @@ class ContractGroup:
         if window < 1 or not figures or (detector is not None and detector.window < 1):
             raise InsufficientDataError("cannot check an empty window")
         self.contract = contract
-        self.window = window
         self.at_risk_margin = at_risk_margin
         size = window if detector is None else max(window, detector.window)
         self.ring = WindowRing(size, rows=len(figures))
