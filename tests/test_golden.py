@@ -15,7 +15,8 @@ Two corpora, each a SHA-256 digest of every file ``export_run`` writes:
   with the identity timeline, a drifting-bias channel beside a node
   that reconfigures its channel and one that resamples, and guarded nodes
   in contract groups that differ in one field each (window, threshold,
-  at-risk margin, detector window). These are
+  at-risk margin, detector window), and predictive nodes in three design
+  shapes beside learning nodes whose arms move them between shapes. These are
   exported as ``fidelity-lab run`` writes them, with the config echo in
   ``report.json``.
 
@@ -56,7 +57,7 @@ from fidelitylab.engine import (
     Scenario,
     run_scenario,
 )
-from fidelitylab.environment import RandomWalk, ShockEvent
+from fidelitylab.environment import LinearDrift, RandomWalk, ShockEvent
 from fidelitylab.identity import DetectorConfig, IdentityClass
 from fidelitylab.reporting import export_run
 
@@ -243,6 +244,59 @@ def contract_groups():
     )
 
 
+def predictive_groups():
+    """Predictive nodes in three design shapes: ``k=1`` over 8 ticks,
+    ``k=2`` over 6 (its third regressor is figure 0) and ``k=3`` over 10
+    (figure 1, which stays constant between shocks, so most of its designs
+    are rank-deficient). Two learning nodes move rows between groups: one
+    is elastically reactive and enacts a predictive arm, so a row joins
+    with a short history and leaves when the elastic design returns; the
+    other is elastically predictive and comes back to it after each
+    reactive or predictive arm."""
+    def node(name, figure, behavior, **kwargs):
+        return NodeSpec(
+            name=name, figure=figure,
+            channel=ChannelSpec(gain=1.1, nominal_gain=1.0, noise_std=0.01,
+                                sampling_period=0.1),
+            contract=ContractSpec(identity=IdentityClass.hard(0.1), window=20),
+            behavior=behavior, **kwargs,
+        )
+
+    joining = (
+        Strategy(id="careful", kind=StrategyKind.RECONFIGURE,
+                 behavior=Predictive(k=1, window=8)),
+        Strategy(id="gentle", kind=StrategyKind.RECONFIGURE,
+                 behavior=Reactive(feedback_gain=0.05)),
+    )
+    returning = (
+        Strategy(id="wide", kind=StrategyKind.RECONFIGURE,
+                 behavior=Predictive(k=2, window=6)),
+        Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
+                 behavior=Reactive(feedback_gain=1.0)),
+    )
+    return Scenario(
+        name="predictive_groups", duration=60.0, dt=0.1, seed=13,
+        figures=[FigureSpec(name="load", initial=1.0, process=RandomWalk(std=0.05)),
+                 FigureSpec(name="heat", initial=0.0),
+                 FigureSpec(name="ramp", initial=0.0, process=LinearDrift(rate=0.02))],
+        shocks=[ShockEvent(at=4.0 + 7.0 * i, figure=i % 3, magnitude=3.0 - 5.0 * (i % 2),
+                           recovery_window=6.0) for i in range(8)],
+        nodes=[
+            node("p1a", 0, Predictive(k=1, window=8)),
+            node("p1b", 1, Predictive(k=1, window=8)),
+            node("p1c", 2, Predictive(k=1, window=8)),
+            node("p2a", 0, Predictive(k=2, window=6)),
+            node("p2b", 2, Predictive(k=2, window=6)),
+            node("p3b", 1, Predictive(k=3, window=10)),
+            node("r0", 0, Reactive(feedback_gain=0.5)),
+            node("joiner", 0, Reactive(feedback_gain=0.2),
+                 controller=ControllerSpec(hysteresis=5, catalog=joining)),
+            node("returner", 2, Predictive(k=1, window=8),
+                 controller=ControllerSpec(hysteresis=5, catalog=returning)),
+        ],
+    )
+
+
 def _ladder_cut(seed, learning_enabled):
     scenario = _ladder_scenario(seed, learning_enabled)
     return replace(scenario, duration=225.0, shocks=scenario.shocks[:8])
@@ -260,6 +314,7 @@ SCENARIOS = {
     "population_mix_identity": lambda: population_mix(True),
     "channel_changes": channel_changes,
     "contract_groups": contract_groups,
+    "predictive_groups": predictive_groups,
 }
 
 
