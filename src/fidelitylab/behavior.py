@@ -26,12 +26,16 @@ proportional feedback settles at drift_rate * dt / gain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ConfigurationError
+from .identity import WindowRing
 from .reflection import DeltaSample
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -51,21 +55,8 @@ class CorrectiveAction:
             problems.append("new sampling period must be > 0")
         return problems
 
-    def is_zero(self) -> bool:
-        return self.bias == 0.0 and self.gain == 1.0 and self.resample is None
-
 
 ZERO_ACTION = CorrectiveAction()
-
-
-@dataclass(frozen=True)
-class HistoryEntry:
-    """One remembered tick of a predictive behavior: time, deviation and
-    context figures."""
-
-    time: float
-    delta: float
-    context: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -159,13 +150,19 @@ class Predictive(Behavior):
     where deviation = observed delta minus the correction already applied.
     Before k+1 samples exist it falls back to unit-gain feedback and flags
     the action, so warm-up ticks can be excluded from comparisons.
+    ``act`` returns the action ``stage_predictions`` staged for this
+    observation; unstaged, the behavior stages itself as a group of one.
     """
 
     k: int = 1
     window: int = 8  # history length m >= k + 1
 
     def __post_init__(self):
-        self._history: list[HistoryEntry] = []
+        # One row per remembered tick: 1 (the intercept), time, the k-1
+        # context figures, then the deviation. The newest rows are the
+        # design matrix beside its right-hand side.
+        self._history = WindowRing(self.window, width=self.k + 2)
+        self._staged: Optional[CorrectiveAction] = None
 
     @property
     def order(self) -> int:
@@ -184,44 +181,57 @@ class Predictive(Behavior):
             )
         return problems
 
-    def _ingest(self, obs: Observation) -> None:
-        deviation = obs.latest.delta - obs.correction
-        self._history.append(
-            HistoryEntry(
-                time=obs.latest.time,
-                delta=deviation,
-                context=tuple(obs.context),
-            )
-        )
-        if len(self._history) > self.window:
-            del self._history[: len(self._history) - self.window]
-
-    def _predict_next(self) -> float:
-        entries = self._history
-        times = np.array([e.time for e in entries])
-        y = np.array([e.delta for e in entries])
-        # Regressors: intercept, time, then k-1 extra context figures.
-        columns = [np.ones_like(times), times]
-        for j in range(self.k - 1):
-            columns.append(np.array([e.context[j] for e in entries]))
-        design = np.column_stack(columns)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        spacing = times[-1] - times[-2] if len(times) >= 2 else 0.0
-        # Context regressors are held at their last value for the one-step look-ahead.
-        next_row = [1.0, times[-1] + spacing]
-        for j in range(self.k - 1):
-            next_row.append(entries[-1].context[j])
-        return float(np.dot(coef, next_row))
-
     def act(self, obs):
-        if self.k - 1 > len(obs.context):
+        if self._staged is None:
+            stage_predictions([(self, obs)])
+        action, self._staged = self._staged, None
+        return action
+
+
+def stage_predictions(rows: Sequence[tuple[Predictive, Observation]]) -> None:
+    """Record each observation in its behavior's history and stage the
+    action that behavior's next ``act`` returns.
+
+    Rows whose designs have the same shape (order k and history length)
+    are solved in one ``lstsq_stack`` call, each row to the bits of its own
+    ``np.linalg.lstsq``. Context regressors are held at their last value
+    for the one-step look-ahead, which stays one ``np.dot`` per row.
+    """
+    shapes: dict[tuple[int, int], list[tuple[Predictive, float]]] = {}
+    for behavior, obs in rows:
+        k, history, latest = behavior.k, behavior._history, obs.latest
+        if k - 1 > len(obs.context):
             raise ConfigurationError(
-                f"order-{self.k} prediction needs {self.k - 1} context figures, "
+                f"order-{k} prediction needs {k - 1} context figures, "
                 f"observation carries {len(obs.context)}"
             )
-        self._ingest(obs)
-        if len(self._history) < self.k + 1:
-            correction = -obs.latest.delta
-            return CorrectiveAction(bias=correction, fallback=True)
-        predicted = self._predict_next() + obs.correction
-        return CorrectiveAction(bias=-predicted)
+        history.push((1.0, latest.time, *obs.context[:k - 1], latest.delta - obs.correction))
+        if history.count < k + 1:
+            behavior._staged = CorrectiveAction(bias=-latest.delta, fallback=True)
+        else:
+            shapes.setdefault((k, history.count), []).append((behavior, obs.correction))
+    for (k, m), group in shapes.items():
+        entries = np.array([behavior._history.tail(m) for behavior, _ in group])
+        coef = lstsq_stack(entries[..., :-1], entries[..., -1:])[..., 0]
+        # The last design row, one time step on (m >= k + 1 >= 2).
+        ahead = entries[:, -1, :-1].copy()
+        ahead[:, 1] += entries[:, -1, 1] - entries[:, -2, 1]
+        for (behavior, correction), c, row in zip(group, coef, ahead):
+            behavior._staged = CorrectiveAction(bias=-(float(np.dot(c, row)) + correction))
+
+
+def _lstsq_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def lstsq_stack(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The least-squares solution of every problem in a stack,
+    ``design (..., m, n)`` against ``rhs (..., m, nrhs)``, as
+    ``np.linalg.lstsq`` computes each: its LAPACK gufunc, called once, with
+    the wrapper's default ``rcond`` and its errstate, which turns
+    non-convergence into ``LinAlgError``."""
+    m, n = design.shape[-2:]
+    with np.errstate(call=_lstsq_failed, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        x, _, _, _ = _umath_linalg.lstsq(design, rhs, _EPS * max(m, n), signature="ddd->ddid")
+    return x

@@ -4,15 +4,17 @@ One tick runs the stage methods of the per-run state in a fixed order:
 ``boundary`` (staged reconfigurations land), ``environment`` (drift,
 shocks, regime label), then ``sensing`` and ``delta`` (error measurement)
 for every node, one ``identity`` stage (the contract guard) for all nodes,
-``controller`` and ``behavior`` for every node, and finally
-``collective`` (the social layer) and ``metrics``, which also closes
-episodes. Before ``collective`` no node reads another node's state, and
-each result list is appended by one stage in node order, so running the
-stages in this order gives the same result as running all of one node's
-before the next node's. The identity stage checks each contract group
-(nodes whose contract and detector config match) in one pass over one
-shared |delta| ring. Everything downstream of the seed is deterministic,
-so a scenario and a seed fully determine every exported byte.
+``controller`` for every node, one ``behavior`` stage for all nodes, and
+finally ``collective`` (the social layer) and ``metrics``, which also
+closes episodes. Before ``collective`` no node reads another node's
+state, and each result list is appended by one stage in node order, so
+running the stages in this order gives the same result as running all of
+one node's before the next node's. The identity stage checks each
+contract group (nodes whose contract and detector config match) in one
+pass over one shared |delta| ring; the behavior stage solves the
+least-squares fits of all predictive nodes whose designs share a shape in
+one LAPACK call. Everything downstream of the seed is deterministic, so a
+scenario and a seed fully determine every exported byte.
 
 Episodes are defined by the shock schedule: each shock opens a recovery
 window over which the integrated |error| (trapezoid rule) and the time to
@@ -42,7 +44,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .behavior import Behavior, CorrectiveAction, Observation, Passive
+from .behavior import (
+    Behavior,
+    CorrectiveAction,
+    Observation,
+    Passive,
+    Predictive,
+    stage_predictions,
+)
 from .collective import (
     NEEDY,
     NeighborView,
@@ -850,7 +859,7 @@ def _execute(
             run.identity(t)
             for node, sample in zip(run.nodes, samples):
                 run.controller(node, t, sample)
-                run.behavior(node, t, sample)
+            run.behavior(samples)
             run.collective(t)
             run.metrics(t)
     return run.wrap_up()
@@ -1034,12 +1043,21 @@ class _Run:
         if social_action is not None:
             self.pending_social.append((node, social_action, episode))
 
-    def behavior(self, node: SimNode, t: float, sample: DeltaSample) -> None:
-        obs = Observation(
-            latest=sample, context=self.env.figures, correction=node.correction_bias
-        )
-        action = node.behavior.act(obs)
-        node.apply_action(action, _capacity(self.pool, self.pool_spec, node))
+    def behavior(self, samples: list[DeltaSample]) -> None:
+        """Every node acts on its observation. Predictive nodes act last,
+        once ``stage_predictions`` has solved their fits together."""
+        figures, pool, spec = self.env.figures, self.pool, self.pool_spec
+        predictive = []
+        for node, sample in zip(self.nodes, samples):
+            obs = Observation(latest=sample, context=figures, correction=node.correction_bias)
+            if isinstance(node.behavior, Predictive):
+                predictive.append((node, obs))
+            else:
+                node.apply_action(node.behavior.act(obs), _capacity(pool, spec, node))
+        if predictive:
+            stage_predictions([(node.behavior, obs) for node, obs in predictive])
+            for node, obs in predictive:
+                node.apply_action(node.behavior.act(obs), _capacity(pool, spec, node))
 
     def collective(self, t: float) -> None:
         pool, spec = self.pool, self.pool_spec

@@ -9,6 +9,9 @@ from fidelitylab.behavior import (
     Predictive,
     PurposefulNonTeleological,
     Reactive,
+    ZERO_ACTION,
+    lstsq_stack,
+    stage_predictions,
 )
 from fidelitylab.config import _Parser, behavior_from_spec, behavior_to_spec
 from fidelitylab.errors import ConfigurationError
@@ -27,7 +30,7 @@ class TestPassive:
     def test_always_zero(self):
         passive = Passive()
         for d in (0.0, 1.0, -3.5):
-            assert passive.act(obs(d)).is_zero()
+            assert passive.act(obs(d)) == ZERO_ACTION
 
     def test_order_zero(self):
         assert Passive().order == 0
@@ -41,7 +44,7 @@ class TestActiveNonPurposeful:
         assert seen == [0.1, -0.1, 0.1, -0.1]
 
     def test_empty_schedule_is_inert(self):
-        assert ActiveNonPurposeful(schedule=()).act(obs(1.0)).is_zero()
+        assert ActiveNonPurposeful(schedule=()).act(obs(1.0)) == ZERO_ACTION
 
 
 class TestPurposefulNonTeleological:
@@ -53,7 +56,7 @@ class TestPurposefulNonTeleological:
 
 class TestReactive:
     def test_zero_delta_zero_action(self):
-        assert Reactive(feedback_gain=1.0).act(obs(0.0)).is_zero()
+        assert Reactive(feedback_gain=1.0).act(obs(0.0)) == ZERO_ACTION
 
     def test_proportional_correction(self):
         action = Reactive(feedback_gain=0.5).act(obs(0.4))
@@ -112,6 +115,115 @@ class TestPredictive:
         action = beh.act(obs(0.15, t=2.0, correction=-0.15))  # intrinsic 0.3
         # predicted intrinsic 0.4, current correction -0.15 -> cancel the rest
         assert action.bias == pytest.approx(-0.25)
+
+
+class ReferencePredictive:
+    """The predictive fit as a per-node loop: a list history, one
+    ``np.linalg.lstsq`` and one ``np.dot`` per act. ``Predictive`` must give
+    its actions to the bit, alone or in a stacked group."""
+
+    def __init__(self, k, window):
+        self.k, self.window, self.history = k, window, []
+
+    def act(self, obs):
+        self.history.append(
+            (obs.latest.time, obs.latest.delta - obs.correction, tuple(obs.context))
+        )
+        del self.history[:-self.window]
+        if len(self.history) < self.k + 1:
+            return CorrectiveAction(bias=-obs.latest.delta, fallback=True)
+        times = np.array([time for time, _, _ in self.history])
+        y = np.array([deviation for _, deviation, _ in self.history])
+        extra = range(self.k - 1)
+        design = np.column_stack(
+            [np.ones_like(times), times]
+            + [np.array([context[j] for _, _, context in self.history]) for j in extra]
+        )
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        ahead = [1.0, times[-1] + (times[-1] - times[-2])]
+        ahead += [self.history[-1][2][j] for j in extra]
+        return CorrectiveAction(bias=-(float(np.dot(coef, ahead)) + obs.correction))
+
+
+def random_stream(seed, ticks, figures=2):
+    """Observations of a noisy drifting deviation with a random correction
+    and random-walk context figures, one per tick of 0.1 s."""
+    rng = np.random.default_rng(seed)
+    context = np.cumsum(rng.normal(size=(ticks, figures)), axis=0)
+    return [
+        obs(0.05 * i + rng.normal(scale=0.01), t=0.1 * i,
+            correction=rng.normal(scale=0.1), context=context[i - 1])
+        for i in range(1, ticks + 1)
+    ]
+
+
+class TestPredictiveGroups:
+    @pytest.mark.parametrize("k, window", [(1, 8), (2, 6), (3, 10), (1, 2)])
+    def test_alone_matches_the_reference_loop(self, k, window):
+        behavior, reference = Predictive(k=k, window=window), ReferencePredictive(k, window)
+        for observation in random_stream(k, 40):
+            assert behavior.act(observation) == reference.act(observation)
+
+    def test_staged_rows_match_the_reference_loop(self):
+        # Rows of three shapes join on different ticks, so each tick stages
+        # groups of several history lengths; one row leaves halfway.
+        shapes = [(1, 8, 0), (1, 8, 0), (1, 8, 5), (1, 8, 12), (2, 6, 0), (2, 6, 3), (3, 10, 7)]
+        rows = [(Predictive(k=k, window=w), ReferencePredictive(k, w), start)
+                for k, w, start in shapes]
+        streams = [random_stream(seed, 30, figures=3) for seed in range(len(rows))]
+        for tick in range(30):
+            live = [(row, stream[tick]) for row, stream in zip(rows, streams)
+                    if row[2] <= tick and not (row[2] == 5 and tick >= 15)]
+            stage_predictions([(behavior, observation) for (behavior, _, _), observation in live])
+            for (behavior, reference, _), observation in live:
+                assert behavior.act(observation) == reference.act(observation)
+
+    def test_a_staged_action_is_used_once(self):
+        behavior, reference = Predictive(k=1, window=3), ReferencePredictive(1, 3)
+        first, second = obs(0.1, t=0.1), obs(0.3, t=0.2)
+        stage_predictions([(behavior, first)])
+        assert behavior.act(first) == reference.act(first)
+        # Nothing staged: act records the observation itself.
+        action = behavior.act(second)
+        assert action == reference.act(second) and not action.fallback
+
+
+class TestLstsqStack:
+    """``lstsq_stack`` calls numpy's private LAPACK gufunc; these pin it to
+    the public ``np.linalg.lstsq``, so a numpy that changes it fails here."""
+
+    @staticmethod
+    def designs(k, rows=16, m=8, seed=0):
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(0.05, 0.2, size=(rows, m)), axis=1)
+        context = rng.normal(size=(rows, m, k - 1))
+        design = np.concatenate(
+            [np.ones((rows, m, 1)), times[..., None], context], axis=-1
+        )
+        return design, rng.normal(size=(rows, m))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_per_problem_lstsq_bit_for_bit(self, k):
+        design, y = self.designs(k)
+        stacked = lstsq_stack(design, y[..., None])[..., 0]
+        alone = np.stack([np.linalg.lstsq(d, b, rcond=None)[0] for d, b in zip(design, y)])
+        assert stacked.tobytes() == alone.tobytes()
+
+    def test_rank_deficient_design_matches_bit_for_bit(self):
+        design, y = self.designs(2)
+        design[3, :, 2] = 4.0  # a constant context column, collinear with the intercept
+        stacked = lstsq_stack(design, y[..., None])[..., 0]
+        alone = np.stack([np.linalg.lstsq(d, b, rcond=None)[0] for d, b in zip(design, y)])
+        assert np.linalg.matrix_rank(design[3]) == 2
+        assert stacked.tobytes() == alone.tobytes()
+
+    def test_nonconvergence_raises_linalgerror(self):
+        design, y = self.designs(1)
+        design[5, 2, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            np.linalg.lstsq(design[5], y[5], rcond=None)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            lstsq_stack(design, y[..., None])
 
 
 # -- closed-loop comparison -----------------------------------------------

@@ -8,7 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import DEMO, _ladder_cut
+from test_behavior import ReferencePredictive
+from test_golden import DEMO, _ladder_cut, predictive_groups
 
 from fidelitylab import engine
 from fidelitylab.behavior import CorrectiveAction, Passive, Predictive, Reactive
@@ -161,10 +162,10 @@ class TestRunBasics:
 
     def test_tick_stage_order_contract(self, monkeypatch):
         # Sensing and delta for every node, one identity stage for all of
-        # them, then controller and behavior for every node.
+        # them, the controller for every node, then one behavior stage.
         expected_tick = (
             ["boundary", "environment"] + ["sensing", "delta"] * 2 + ["identity"]
-            + ["controller", "behavior"] * 2 + ["collective", "metrics"]
+            + ["controller"] * 2 + ["behavior", "collective", "metrics"]
         )
         stage_log = _log_stages(monkeypatch)
         scenario = Scenario(
@@ -175,6 +176,39 @@ class TestRunBasics:
         )
         run_scenario(scenario)
         assert stage_log == expected_tick * 2  # two ticks
+
+    def test_predictive_nodes_act_once_a_tick_as_a_per_node_loop_would(self, monkeypatch):
+        # Each behavior stage calls Predictive.act once for every node whose
+        # behavior is predictive, in node order, and each action equals a
+        # per-node reference loop's over the same observations. The
+        # reference rides on the behavior object, so a deepcopy of a
+        # behavior (an arm enacted, the elastic design restored) carries
+        # the reference's history exactly as it carries the ring.
+        expected, acted, joined = [], [], []
+        stage, staged_act = engine._Run.behavior, Predictive.act
+
+        def behavior(run, samples):
+            expected.extend(id(n.behavior) for n in run.nodes
+                            if isinstance(n.behavior, Predictive))
+            stage(run, samples)
+
+        def act(self, obs):
+            action = staged_act(self, obs)
+            reference = self.__dict__.setdefault(
+                "_reference", ReferencePredictive(self.k, self.window)
+            )
+            assert action == reference.act(obs)
+            acted.append(id(self))
+            if action.fallback and obs.latest.time > 1.0:
+                joined.append(obs.latest.time)
+            return action
+
+        monkeypatch.setattr(engine._Run, "behavior", behavior)
+        monkeypatch.setattr(Predictive, "act", act)
+        run_scenario(predictive_groups())
+        assert acted == expected
+        assert len(acted) > 600 * 6
+        assert joined  # arms enacted mid-run start from an empty history
 
     def test_same_tick_failures_of_different_groups_in_node_order(self):
         # Three contract groups whose rows interleave in the node list; one
