@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ConfigurationError
 from .identity import WindowRing
@@ -210,7 +209,7 @@ def stage_predictions(rows: Sequence[tuple[Predictive, Observation]]) -> None:
             behavior._staged = CorrectiveAction(bias=-latest.delta, fallback=True)
         else:
             shapes.setdefault((k, history.count), []).append((behavior, obs.correction))
-    for (k, m), group in shapes.items():
+    for (_, m), group in shapes.items():
         entries = np.array([behavior._history.tail(m) for behavior, _ in group])
         coef = lstsq_stack(entries[..., :-1], entries[..., -1:])[..., 0]
         # The last design row, one time step on (m >= k + 1 >= 2).
@@ -221,7 +220,7 @@ def stage_predictions(rows: Sequence[tuple[Predictive, Observation]]) -> None:
 
 
 def _lstsq_failed(err, flag):
-    raise LinAlgError("SVD did not converge in Linear Least Squares")
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def lstsq_stack(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -233,5 +232,7 @@ def lstsq_stack(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     m, n = design.shape[-2:]
     with np.errstate(call=_lstsq_failed, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
-        x, _, _, _ = _umath_linalg.lstsq(design, rhs, _EPS * max(m, n), signature="ddd->ddid")
+        x, _, _, _ = np.linalg._umath_linalg.lstsq(
+            design, rhs, _EPS * max(m, n), signature="ddd->ddid"
+        )
     return x

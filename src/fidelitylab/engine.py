@@ -1044,20 +1044,24 @@ class _Run:
             self.pending_social.append((node, social_action, episode))
 
     def behavior(self, samples: list[DeltaSample]) -> None:
-        """Every node acts on its observation. Predictive nodes act last,
-        once ``stage_predictions`` has solved their fits together."""
-        figures, pool, spec = self.env.figures, self.pool, self.pool_spec
+        """Every node acts on its observation, its correction capped by its
+        pool allocation (solo capacity for a non-member, none without a
+        pool). Predictive nodes act last, once ``stage_predictions`` has
+        solved their fits together."""
+        figures, pool = self.env.figures, self.pool
+        allocations = {} if pool is None else pool.float_allocations
+        solo = math.inf if pool is None else self.pool_spec.solo_capacity
         predictive = []
         for node, sample in zip(self.nodes, samples):
             obs = Observation(latest=sample, context=figures, correction=node.correction_bias)
             if isinstance(node.behavior, Predictive):
                 predictive.append((node, obs))
             else:
-                node.apply_action(node.behavior.act(obs), _capacity(pool, spec, node))
+                node.apply_action(node.behavior.act(obs), allocations.get(node.name, solo))
         if predictive:
             stage_predictions([(node.behavior, obs) for node, obs in predictive])
             for node, obs in predictive:
-                node.apply_action(node.behavior.act(obs), _capacity(pool, spec, node))
+                node.apply_action(node.behavior.act(obs), allocations.get(node.name, solo))
 
     def collective(self, t: float) -> None:
         pool, spec = self.pool, self.pool_spec
@@ -1180,11 +1184,3 @@ def _guard(spec: NodeSpec) -> tuple:
         contract.identity, contract.window, contract.at_risk_margin,
         spec.detector if watched else None,
     )
-
-
-def _capacity(
-    pool: Optional[ResourcePool], spec: Optional[PoolSpec], node: SimNode
-) -> float:
-    if pool is None or spec is None:
-        return math.inf
-    return pool.float_allocations.get(node.name, spec.solo_capacity)

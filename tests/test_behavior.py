@@ -165,17 +165,19 @@ class TestPredictiveGroups:
             assert behavior.act(observation) == reference.act(observation)
 
     def test_staged_rows_match_the_reference_loop(self):
-        # Rows of three shapes join on different ticks, so each tick stages
-        # groups of several history lengths; one row leaves halfway.
-        shapes = [(1, 8, 0), (1, 8, 0), (1, 8, 5), (1, 8, 12), (2, 6, 0), (2, 6, 3), (3, 10, 7)]
-        rows = [(Predictive(k=k, window=w), ReferencePredictive(k, w), start)
-                for k, w, start in shapes]
+        # Rows of three orders act over different spans of ticks, so each
+        # tick stages groups of several history lengths.
+        spans = [(1, 8, 0, 30), (1, 8, 0, 30), (1, 8, 5, 15), (1, 8, 12, 30),
+                 (2, 6, 0, 30), (2, 6, 3, 30), (3, 10, 7, 30)]
+        rows = [(Predictive(k=k, window=w), ReferencePredictive(k, w), range(start, stop))
+                for k, w, start, stop in spans]
         streams = [random_stream(seed, 30, figures=3) for seed in range(len(rows))]
         for tick in range(30):
-            live = [(row, stream[tick]) for row, stream in zip(rows, streams)
-                    if row[2] <= tick and not (row[2] == 5 and tick >= 15)]
-            stage_predictions([(behavior, observation) for (behavior, _, _), observation in live])
-            for (behavior, reference, _), observation in live:
+            live = [(behavior, reference, stream[tick])
+                    for (behavior, reference, ticks), stream in zip(rows, streams)
+                    if tick in ticks]
+            stage_predictions([(behavior, observation) for behavior, _, observation in live])
+            for behavior, reference, observation in live:
                 assert behavior.act(observation) == reference.act(observation)
 
     def test_a_staged_action_is_used_once(self):
