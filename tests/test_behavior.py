@@ -204,19 +204,29 @@ class TestLstsqStack:
         )
         return design, rng.normal(size=(rows, m))
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_matches_per_problem_lstsq_bit_for_bit(self, k):
-        design, y = self.designs(k)
-        stacked = lstsq_stack(design, y[..., None])[..., 0]
-        alone = np.stack([np.linalg.lstsq(d, b, rcond=None)[0] for d, b in zip(design, y)])
-        assert stacked.tobytes() == alone.tobytes()
+    @staticmethod
+    def singular_ratio(design):
+        values = np.linalg.svd(design, compute_uv=False)
+        return values[-1] / values[0]
 
-    def test_rank_deficient_design_matches_bit_for_bit(self):
-        design, y = self.designs(2)
-        design[3, :, 2] = 4.0  # a constant context column, collinear with the intercept
+    @pytest.mark.parametrize("k, condition", [(1, None), (2, None), (2, 0.0), (2, 1e-15), (2, 1e-12)])
+    def test_matches_per_problem_lstsq_bit_for_bit(self, k, condition):
+        design, y = self.designs(k)
+        if condition is not None:
+            # One design's context column is the intercept times 4, nudged so
+            # that its smallest singular value over its largest is about
+            # `condition`: on either side of the default rcond, 8 * eps, so a
+            # wrong rcond changes the solution's rank.
+            noise = np.random.default_rng(1).normal(size=len(design[3]))
+            design[3, :, 2] = 4.0 + 1e-6 * noise
+            nudge = condition / self.singular_ratio(design[3]) * 1e-6
+            design[3, :, 2] = 4.0 + nudge * noise
+            if condition:
+                assert self.singular_ratio(design[3]) == pytest.approx(condition, rel=0.5)
+            else:
+                assert np.linalg.matrix_rank(design[3]) == 2
         stacked = lstsq_stack(design, y[..., None])[..., 0]
         alone = np.stack([np.linalg.lstsq(d, b, rcond=None)[0] for d, b in zip(design, y)])
-        assert np.linalg.matrix_rank(design[3]) == 2
         assert stacked.tobytes() == alone.tobytes()
 
     def test_nonconvergence_raises_linalgerror(self):

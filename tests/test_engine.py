@@ -207,7 +207,7 @@ class TestRunBasics:
         monkeypatch.setattr(Predictive, "act", act)
         run_scenario(predictive_groups())
         assert acted == expected
-        assert len(acted) > 600 * 6
+        assert len(acted) > 600 * 6  # six nodes predictive throughout 600 ticks
         assert joined  # arms enacted mid-run start from an empty history
 
     def test_same_tick_failures_of_different_groups_in_node_order(self):
