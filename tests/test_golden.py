@@ -15,8 +15,11 @@ Two corpora, each a SHA-256 digest of every file ``export_run`` writes:
   with the identity timeline, a drifting-bias channel beside a node
   that reconfigures its channel and one that resamples, and guarded nodes
   in contract groups that differ in one field each (window, threshold,
-  at-risk margin, detector window), and predictive nodes in three design
-  shapes beside learning nodes whose arms move them between shapes. These are
+  at-risk margin, detector window), predictive nodes in three design
+  shapes beside learning nodes whose arms move them between shapes, and the
+  social layer's edge cases (neutral non-members that join and leave, tied
+  best-effort recipients, donors that owe a benefactor, a grab from other
+  members' slack, a noise stream first drawn mid-run). These are
   exported as ``fidelity-lab run`` writes them, with the config echo in
   ``report.json``.
 
@@ -297,6 +300,59 @@ def predictive_groups():
     )
 
 
+def social_edges():
+    """The social layer's edge cases over one exact-rational pool: neutral
+    non-members that join when needy and leave after a short calm window,
+    best-effort contracts whose needy utilizations tie (so the allocation,
+    then the name, picks the recipient), cooperative donors that owe a
+    benefactor, an individualistic node that grabs from the other members'
+    slack once the reserve is gone, and a learning node whose catalog
+    restages its noiseless channel to a noisy one, so its noise stream is
+    first drawn mid-run."""
+    def node(name, figure, social, identity, gain=1.1, member=True, **kwargs):
+        return NodeSpec(
+            name=name, figure=figure,
+            channel=ChannelSpec(gain=gain, nominal_gain=1.0, sampling_period=0.1),
+            contract=ContractSpec(identity=identity, window=kwargs.pop("window", 10)),
+            behavior=kwargs.pop("behavior", Reactive(feedback_gain=0.5)),
+            social=social, member=member, **kwargs,
+        )
+
+    hard, best = IdentityClass.hard(0.1), IdentityClass.best_effort(0.1)
+    coop, neutral = SocialBehavior.COOPERATIVE, SocialBehavior.NEUTRAL
+    catalog = (
+        Strategy(id="noisy", kind=StrategyKind.RECONFIGURE,
+                 channel={"noise_std": 0.02}),
+        Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
+                 behavior=Reactive(feedback_gain=1.0), channel={"noise_std": 0.0}),
+    )
+    return Scenario(
+        name="social_edges", duration=40.0, dt=0.1, seed=17,
+        figures=[FigureSpec(name="a", initial=0.0),
+                 FigureSpec(name="b", initial=0.0, process=RandomWalk(std=0.01)),
+                 FigureSpec(name="c", initial=1.0)],
+        shocks=[ShockEvent(at=2.0 + 4.5 * i, figure=i % 3, magnitude=3.0 - 5.0 * (i % 2),
+                           recovery_window=3.0) for i in range(8)],
+        pool=PoolSpec(total=2.0, join_allocation=0.3, solo_capacity=0.05, floor=0.05,
+                      assist_quantum=0.05, reciprocation_weight=1.5, calm_window=4),
+        nodes=[
+            node("be0", 0, coop, best, gain=1.3),
+            node("be1", 0, coop, best, gain=1.2),
+            node("be2", 0, neutral, best, gain=1.25),
+            node("be3", 1, coop, best, gain=1.2),
+            node("be4", 1, coop, best, gain=1.15, behavior=Reactive(feedback_gain=0.1)),
+            node("donor2", 2, coop, hard, gain=1.02),
+            node("donor0", 0, coop, hard, gain=1.05, behavior=Reactive(feedback_gain=0.9)),
+            node("joiner0", 0, neutral, hard, member=False),
+            node("joiner2", 2, neutral, hard, member=False, gain=1.3),
+            node("grabber1", 1, SocialBehavior.INDIVIDUALISTIC, hard, gain=1.4,
+                 behavior=Reactive(feedback_gain=0.3)),
+            node("learner2", 2, coop, hard, gain=1.2, behavior=Reactive(feedback_gain=0.2),
+                 controller=ControllerSpec(hysteresis=3, catalog=catalog)),
+        ],
+    )
+
+
 def _ladder_cut(seed, learning_enabled):
     scenario = _ladder_scenario(seed, learning_enabled)
     return replace(scenario, duration=225.0, shocks=scenario.shocks[:8])
@@ -315,6 +371,7 @@ SCENARIOS = {
     "channel_changes": channel_changes,
     "contract_groups": contract_groups,
     "predictive_groups": predictive_groups,
+    "social_edges": social_edges,
 }
 
 
