@@ -20,6 +20,7 @@ from .behavior import (
     Reactive,
 )
 from .collective import (
+    NeedyRanking,
     ResourcePool,
     SocialAction,
     SocialBehavior,

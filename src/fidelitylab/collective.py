@@ -13,7 +13,9 @@ Three dispositions:
 * Cooperative: when comfortably inside its contract (utilization at most
   half), donates a fixed quantum to the worst-off needy neighbour,
   preferring past benefactors (the assist-debt ledger), accepting present
-  loss for future reciprocation.
+  loss for future reciprocation. The needy nodes are ranked once per tick
+  (``NeedyRanking``); a donor walks that ranking and rescores only the
+  benefactors it owes, so its choice costs O(ties + debts), not O(needy).
 
 All pool quantities are exact rationals so the conservation invariant
 (allocations + reserve == total) holds bit-for-bit over any action
@@ -34,8 +36,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ConfigurationError, MembershipError
 from .identity import ContractStatus
@@ -184,9 +187,6 @@ class ResourcePool:
             and reserve + slack_total == capacity
         )
 
-    def snapshot(self) -> dict[str, Fraction]:
-        return dict(self._allocations)
-
     # -- mutations --------------------------------------------------------
 
     def _set(self, node: str, value: Optional[Fraction]) -> None:
@@ -257,15 +257,6 @@ class ResourcePool:
 
 
 @dataclass
-class NeighborView:
-    """What one node knows about a peer when deciding socially."""
-
-    name: str
-    status: Optional[ContractStatus]
-    utilization: Optional[float]  # contract allowance consumed, 1.0 = at bound
-
-
-@dataclass
 class SocialState:
     """Per-node bookkeeping the social layer carries between ticks."""
 
@@ -284,12 +275,34 @@ COOPERATIVE_DONOR_UTILIZATION = 0.5
 NEEDY = (ContractStatus.AT_RISK, ContractStatus.VIOLATED)
 
 
+class NeedyRanking:
+    """One tick's needy nodes, ranked for cooperative donors.
+
+    Built from ``(name, status, utilization)`` of every node in node order,
+    it keeps the nodes whose status is in ``NEEDY``, each with its base
+    score (its utilization, 1.0 when unknown), and ranks them high to low,
+    node order breaking equal scores. No status or utilization moves within
+    a tick's collective stage, so one ranking serves every donor of it.
+    """
+
+    __slots__ = ("ranked", "scores")
+
+    def __init__(self, nodes: Iterable[tuple[str, Optional[ContractStatus], Optional[float]]]):
+        self.scores = {
+            name: 1.0 if utilization is None else utilization
+            for name, status, utilization in nodes
+            if status in NEEDY
+        }
+        # A stable sort: equal scores keep node order.
+        self.ranked = sorted(self.scores.items(), key=itemgetter(1), reverse=True)
+
+
 def decide_social_action(
     node: str,
     status: Optional[ContractStatus],
     behavior: SocialBehavior,
     pool: ResourcePool,
-    neighbors: Sequence[NeighborView],
+    needy: NeedyRanking,
     state: SocialState,
     utilization: Optional[float] = None,
     calm_window: int = 20,
@@ -299,9 +312,9 @@ def decide_social_action(
     """Choose this tick's social action for one node, or None.
 
     ``state.calm_ticks`` must be maintained by the caller (incremented on
-    Holding, reset otherwise); deterministic given its inputs. Only the
-    ``neighbors`` whose status is in ``NEEDY`` are ever read, so a caller
-    may pass just those, in the same order.
+    Holding, reset otherwise); deterministic given its inputs. ``needy``
+    ranks this tick's needy nodes; membership and allocations are read
+    live from ``pool``, so actions applied earlier in the tick count.
     """
     member = pool.is_member(node)
     in_danger = status in NEEDY
@@ -326,36 +339,47 @@ def decide_social_action(
             return None
         if utilization is None or utilization > COOPERATIVE_DONOR_UTILIZATION:
             return None
-        needy = [
-            n
-            for n in neighbors
-            if n.name != node and n.status in NEEDY and pool.is_member(n.name)
-        ]
-        if not needy:
+        # Worst-off first; debts weigh extra; equally needy nodes are served
+        # poorest-first; name breaks the remaining ties deterministically.
+        # A needy member's score is its base score, times the reciprocation
+        # weight if this node owes it: the best unowed score is the first
+        # eligible one in the ranking, and only the owed are rescored.
+        debts = state.debts
+        best, tied = None, []
+        for name, score in needy.ranked:
+            if best is not None and score != best:
+                break
+            if name != node and not debts.get(name, 0) > 0 and pool.is_member(name):
+                best = score
+                tied.append(name)
+        for name, owed in debts.items():
+            base = needy.scores.get(name)
+            if base is None or not owed > 0 or name == node or not pool.is_member(name):
+                continue
+            score = base * reciprocation_weight
+            if best is None or score > best:
+                best, tied = score, [name]
+            elif score == best:
+                tied.append(name)
+        if not tied:
             return None
         if not isinstance(assist_quantum, Fraction):
             assist_quantum = Fraction(assist_quantum)
         quantum = min(assist_quantum, pool.allocation(node))
         if quantum <= 0:
             return None
-
-        def score(n: NeighborView) -> float:
-            need = n.utilization if n.utilization is not None else 1.0
-            if state.debts.get(n.name, 0) > 0:
-                need *= reciprocation_weight
-            return need
-
-        # Worst-off first; debts weigh extra; equally needy nodes are served
-        # poorest-first; name breaks the remaining ties deterministically.
         # The same order as ranking by (score, -allocation, name), with the
-        # exact allocations compared only among the top scores.
-        scores = [score(n) for n in needy]
-        best = max(scores)
-        tied = [n for n, s in zip(needy, scores) if s == best]
+        # allocations compared only among the top scores: float() is
+        # monotonic, so the poorest are among the lowest float shadows, and
+        # only those are compared exactly.
+        if len(tied) > 1:
+            shadows = pool.float_allocations
+            lowest = min(shadows[name] for name in tied)
+            tied = [name for name in tied if shadows[name] == lowest]
         target = tied[0] if len(tied) == 1 else max(
-            tied, key=lambda n: (-pool.allocation(n.name), n.name)
+            tied, key=lambda name: (-pool.allocation(name), name)
         )
-        return SocialAction.assist(target.name, quantum)
+        return SocialAction.assist(target, quantum)
 
     raise ConfigurationError(f"unknown social behavior {behavior}")
 

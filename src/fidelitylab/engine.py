@@ -39,6 +39,8 @@ import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from statistics import median
 from typing import Optional, Sequence
 
@@ -53,8 +55,7 @@ from .behavior import (
     stage_predictions,
 )
 from .collective import (
-    NEEDY,
-    NeighborView,
+    NeedyRanking,
     ResourcePool,
     SocialAction,
     SocialBehavior,
@@ -266,7 +267,9 @@ class RunResult:
     traces: dict[str, NodeTrace] = field(default_factory=dict)  # scenario node order
     failure_events: list[tuple[str, IdentityFailureEvent]] = field(default_factory=list)
     changes: list[ChangeRecord] = field(default_factory=list)
-    pool_log: list[tuple[float, str, float, float]] = field(default_factory=list)
+    # One row per tick: the time, each node's allocation in scenario node
+    # order (0.0 for a non-member) and the reserve.
+    pool_log: list[tuple[float, list[float], float]] = field(default_factory=list)
     pool_violations: int = 0
     recovery: list[RecoveryMetrics] = field(default_factory=list)
     learning_docs: dict[str, dict] = field(default_factory=dict)
@@ -456,6 +459,12 @@ def validate_resume(scenario: Scenario, docs: dict[str, dict]) -> list[str]:
 # -- per-node runtime state ---------------------------------------------------
 
 
+def _node_stream(label: str) -> cached_property:
+    """A node's random stream, derived the first time the node reads it:
+    the same labels, so the same draws, as a stream derived at start-up."""
+    return cached_property(lambda node: substream(node.seed, "node", node.name, label))
+
+
 class SimNode:
     """Mutable runtime state for one simulated node."""
 
@@ -474,9 +483,7 @@ class SimNode:
         self.bias_drift = copy.deepcopy(ch.bias_drift)
         self.nominal_gain = ch.nominal_gain
         self.nominal_bias = ch.nominal_bias
-        self.noise_rng = substream(scenario.seed, "node", spec.name, "noise")
-        self.bias_rng = substream(scenario.seed, "node", spec.name, "bias-drift")
-        self.select_rng = substream(scenario.seed, "node", spec.name, "select")
+        self.seed = scenario.seed
 
         self.correction_bias = 0.0
         self.correction_gain = 1.0
@@ -520,6 +527,10 @@ class SimNode:
         self.credit: dict[int, tuple[Strategy, str]] = {}
         self.failed: set[int] = set()
 
+    noise_rng = _node_stream("noise")
+    bias_rng = _node_stream("bias-drift")
+    select_rng = _node_stream("select")
+
     # -- channel ------------------------------------------------------------
 
     def reflective_map(self) -> ReflectiveMap:
@@ -539,7 +550,9 @@ class SimNode:
 
     def sense_if_due(self, tick: int, t: float, raw: float) -> None:
         if tick % self.period_ticks == 0:
-            self.pending_qualia.append(sense(self.channel, raw, t, self.noise_rng))
+            # A noiseless channel draws nothing, so its stream is not derived.
+            rng = self.noise_rng if self.channel.noise_std > 0 else None
+            self.pending_qualia.append(sense(self.channel, raw, t, rng))
 
     def visible_value(self, t: float, initial_raw: float) -> float:
         arrived = [q for q in self.pending_qualia if q.acquired_at <= t + TIME_EPS]
@@ -783,10 +796,9 @@ def run_scenario(
     )
     if needs_baseline:
         calibration = _execute(scenario, baselines={}, passive_override=True)
+        costs = _costs_by_node(calibration.recovery)
         for node in scenario.nodes:
-            episode_costs = [
-                m.cost for m in calibration.recovery if m.node == node.name
-            ]
+            episode_costs = costs.get(node.name)
             baselines[node.name] = max(episode_costs) if episode_costs else 1.0
     result = _execute(
         scenario, baselines=baselines, passive_override=False,
@@ -895,6 +907,7 @@ class _Run:
         self.pending_social: list[tuple[SimNode, SocialAction, Optional[int]]] = []
 
         self.nodes = [SimNode(spec, scenario) for spec in scenario.nodes]
+        self.names = [node.name for node in self.nodes]
         # run_scenario has matched every resumed state to a learning node.
         for node in self.nodes:
             if resume_learning and node.name in resume_learning:
@@ -1083,13 +1096,7 @@ class _Run:
                 if episode is not None:
                     node.failed.add(episode)
         self.pending_social.clear()
-        # Donors only ever assist needy nodes, and no status moves within the
-        # tick, so only those are offered as neighbours.
-        neighbors = [
-            NeighborView(name=m.name, status=m.status, utilization=m.utilization)
-            for m in self.nodes
-            if m.status in NEEDY
-        ]
+        needy = NeedyRanking((m.name, m.status, m.utilization) for m in self.nodes)
         for node in self.nodes:
             if node.social is None:
                 continue
@@ -1098,7 +1105,7 @@ class _Run:
             else:
                 node.social_state.calm_ticks = 0
             decision = decide_social_action(
-                node.name, node.status, node.social, pool, neighbors,
+                node.name, node.status, node.social, pool, needy,
                 node.social_state, utilization=node.utilization,
                 calm_window=spec.calm_window,
                 assist_quantum=self.assist_quantum,
@@ -1108,11 +1115,8 @@ class _Run:
                 apply_social_action(pool, node.name, decision, states=self.social_states)
         if not pool.conserved():
             self.result.pool_violations += 1
-        allocations, reserve = pool.float_allocations, pool.float_reserve
-        for node in self.nodes:
-            self.result.pool_log.append(
-                (t, node.name, allocations.get(node.name, 0.0), reserve)
-            )
+        allocations = list(map(pool.float_allocations.get, self.names, repeat(0.0)))
+        self.result.pool_log.append((t, allocations, pool.float_reserve))
 
     def metrics(self, t: float) -> None:
         still_open = []
@@ -1162,15 +1166,22 @@ class _Run:
 
         if len(shocks) >= 4 and self.nodes:
             threshold = self.scenario.antifragility_threshold
-            per_episode = [
-                float(np.mean([m.cost for m in result.recovery if m.episode == index]))
-                for index in range(len(shocks))
-            ]
+            costs = _costs_by_node(result.recovery)
+            # Each episode's mean over the nodes, in node order.
+            per_episode = [float(np.mean(column)) for column in zip(*costs.values())]
             result.antifragility = antifragility_score(per_episode, threshold)
-            for node in self.nodes:
-                costs = [m.cost for m in result.recovery if m.node == node.name]
-                result.node_antifragility[node.name] = antifragility_score(costs, threshold)
+            for name, node_costs in costs.items():
+                result.node_antifragility[name] = antifragility_score(node_costs, threshold)
         return result
+
+
+def _costs_by_node(recovery: Sequence[RecoveryMetrics]) -> dict[str, list[float]]:
+    """Each node's episode costs in episode order, the nodes in the order of
+    their first row: one pass over the recovery rows."""
+    costs: dict[str, list[float]] = {}
+    for m in recovery:
+        costs.setdefault(m.node, []).append(m.cost)
+    return costs
 
 
 def _guard(spec: NodeSpec) -> tuple:

@@ -419,8 +419,9 @@ def test_criterion_10_pool_conservation(population_trials):
         for mono, diverse in population_trials
     )
     ticks_swept = sum(
-        len(mono.pool_log) + len(diverse.pool_log)
+        len(allocations)
         for mono, diverse in population_trials
+        for _, allocations, _ in mono.pool_log + diverse.pool_log
     )
     assert violations == 0
     flag(10, f"zero allocation-sum violations across {ticks_swept} pool-tick rows")

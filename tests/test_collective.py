@@ -1,13 +1,15 @@
 import math
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidelitylab.collective import (
+    COOPERATIVE_DONOR_UTILIZATION,
     NEEDY,
-    NeighborView,
+    NeedyRanking,
     ResourcePool,
     SocialAction,
     SocialActionKind,
@@ -38,7 +40,7 @@ def pool_views(pool, names):
 
 
 def summed_views(allocations, total, floor, names):
-    """The same views re-summed from an allocation snapshot, with no cache."""
+    """The same views re-summed from a copy of the allocations, with no cache."""
     reserve = total - sum(allocations.values(), Fraction(0))
 
     def slack(n):
@@ -55,10 +57,10 @@ def summed_views(allocations, total, floor, names):
 class TestPoolMechanics:
     def test_join_then_leave_restores_pool(self):
         pool = make_pool()
-        before = (pool.reserve, pool.snapshot())
+        before = (pool.reserve, dict(pool.allocations))
         pool.join("a")
         pool.leave("a")
-        assert (pool.reserve, pool.snapshot()) == before
+        assert (pool.reserve, dict(pool.allocations)) == before
 
     def test_join_grants_from_reserve(self):
         pool = make_pool(total=4, join_allocation=1)
@@ -93,10 +95,10 @@ class TestPoolMechanics:
 
     def test_grab_then_assist_back_restores(self):
         pool = make_pool(total=2, join_allocation=1, members=["a", "b"])
-        before = pool.snapshot()
+        before = dict(pool.allocations)
         pool.grab("a", Fraction(1))   # reserve 0 -> all from b's slack
         pool.assist("a", "b", Fraction(1))
-        assert pool.snapshot() == before
+        assert dict(pool.allocations) == before
 
     def test_floor_protects_base_allocation(self):
         pool = ResourcePool(total=2, floor=Fraction(1, 2), join_allocation=1)
@@ -107,10 +109,10 @@ class TestPoolMechanics:
 
     def test_infeasible_grab_rejected_atomically(self):
         pool = make_pool(total=2, join_allocation=1, members=["a", "b"])
-        before = pool.snapshot()
+        before = dict(pool.allocations)
         with pytest.raises(MembershipError):
             pool.grab("a", Fraction(10))
-        assert pool.snapshot() == before
+        assert dict(pool.allocations) == before
 
     def test_allocations_are_read_only(self):
         pool = make_pool(members=["a"])
@@ -170,10 +172,10 @@ class TestPoolMechanics:
 class TestApplySocialAction:
     def test_rejected_action_leaves_pool_bit_identical(self):
         pool = make_pool(members=["a"])
-        before = (pool.reserve, pool.snapshot())
+        before = (pool.reserve, dict(pool.allocations))
         ok = apply_social_action(pool, "a", SocialAction.join())  # already member
         assert not ok
-        assert (pool.reserve, pool.snapshot()) == before
+        assert (pool.reserve, dict(pool.allocations)) == before
 
     def test_assist_records_debt(self):
         pool = make_pool(members=["a", "b"])
@@ -205,11 +207,11 @@ class TestApplySocialAction:
             else:
                 target = {"a": "b", "b": "c", "c": "a"}[actor]
                 action = SocialAction.assist(target, Fraction(amount, 3))
-            before = (pool.snapshot(), pool_views(pool, names))
+            before = (dict(pool.allocations), pool_views(pool, names))
             ok = apply_social_action(pool, actor, action)
             assert pool.conserved() and pool.reserve >= 0
             if not ok:
-                assert (pool.snapshot(), pool_views(pool, names)) == before
+                assert (dict(pool.allocations), pool_views(pool, names)) == before
             elif verb == "grab":
                 # Reserve first, then the same share of every other member's slack.
                 old = before[0]
@@ -219,24 +221,25 @@ class TestApplySocialAction:
                 share = remainder / sum(others.values()) if remainder else Fraction(0)
                 expected = {n: old[n] - others[n] * share for n in others}
                 expected[actor] = old[actor] + action.amount
-                assert pool.snapshot() == expected
+                assert dict(pool.allocations) == expected
             assert pool_views(pool, names) == summed_views(
-                pool.snapshot(), pool.total, floor, names
+                dict(pool.allocations), pool.total, floor, names
             )
             assert pool.float_reserve == float(pool.reserve)
             assert dict(pool.float_allocations) == {
-                n: float(a) for n, a in pool.snapshot().items()
+                n: float(a) for n, a in dict(pool.allocations).items()
             }
 
 
 class TestDecide:
     def neighbors(self, *views):
-        return [NeighborView(name=n, status=s, utilization=u) for n, s, u in views]
+        return NeedyRanking(views)
 
     def test_neutral_joins_when_in_danger(self):
         pool = make_pool()
         action = decide_social_action(
-            "a", ContractStatus.AT_RISK, SocialBehavior.NEUTRAL, pool, [], SocialState()
+            "a", ContractStatus.AT_RISK, SocialBehavior.NEUTRAL, pool, NeedyRanking(()),
+            SocialState()
         )
         assert action is not None and action.kind is SocialActionKind.JOIN
 
@@ -244,7 +247,7 @@ class TestDecide:
         pool = make_pool(members=["a"])
         state = SocialState(calm_ticks=20)
         action = decide_social_action(
-            "a", ContractStatus.HOLDING, SocialBehavior.NEUTRAL, pool, [], state,
+            "a", ContractStatus.HOLDING, SocialBehavior.NEUTRAL, pool, NeedyRanking(()), state,
             calm_window=20,
         )
         assert action is not None and action.kind is SocialActionKind.LEAVE
@@ -253,7 +256,7 @@ class TestDecide:
         pool = make_pool(members=["a"])
         state = SocialState(calm_ticks=19)
         action = decide_social_action(
-            "a", ContractStatus.HOLDING, SocialBehavior.NEUTRAL, pool, [], state,
+            "a", ContractStatus.HOLDING, SocialBehavior.NEUTRAL, pool, NeedyRanking(()), state,
             calm_window=20,
         )
         assert action is None
@@ -271,7 +274,8 @@ class TestDecide:
         pool = make_pool(total=2, join_allocation=1, members=["a"])
         assert pool.reserve == 1
         action = decide_social_action(
-            "a", ContractStatus.AT_RISK, SocialBehavior.INDIVIDUALISTIC, pool, [], SocialState()
+            "a", ContractStatus.AT_RISK, SocialBehavior.INDIVIDUALISTIC, pool, NeedyRanking(()),
+            SocialState()
         )
         assert action.kind is SocialActionKind.GRAB
         assert action.amount == 1
@@ -279,7 +283,8 @@ class TestDecide:
     def test_individualistic_idle_when_holding(self):
         pool = make_pool(members=["a"])
         action = decide_social_action(
-            "a", ContractStatus.HOLDING, SocialBehavior.INDIVIDUALISTIC, pool, [], SocialState()
+            "a", ContractStatus.HOLDING, SocialBehavior.INDIVIDUALISTIC, pool, NeedyRanking(()),
+            SocialState()
         )
         assert action is None
 
@@ -343,9 +348,8 @@ class TestDecide:
                       for n, c, owed in zip(names, calm, debts)}
             return pool, states
 
-        views = [NeighborView(name=n, status=s, utilization=u)
-                 for n, s, u in zip(names, statuses, utilizations)]
-        needy = [v for v in views if v.status in NEEDY]
+        views = list(zip(names, statuses, utilizations))
+        ranked, needy = NeedyRanking(views), NeedyRanking(v for v in views if v[1] in NEEDY)
         (pool, states), (twin, twin_states) = population(), population()
         for name, status, social, utilization in zip(names, statuses, socials, utilizations):
             decided = [
@@ -353,13 +357,13 @@ class TestDecide:
                     name, status, social, on, neighbours, known[name],
                     utilization=utilization, calm_window=2, assist_quantum=Fraction(1, 4),
                 )
-                for on, neighbours, known in ((pool, views, states), (twin, needy, twin_states))
+                for on, neighbours, known in ((pool, ranked, states), (twin, needy, twin_states))
             ]
             assert decided[0] == decided[1]
             if decided[0] is not None:
                 assert (apply_social_action(pool, name, decided[0], states=states)
                         == apply_social_action(twin, name, decided[1], states=twin_states))
-        assert pool.snapshot() == twin.snapshot()
+        assert dict(pool.allocations) == dict(twin.allocations)
         assert states == twin_states
 
     @settings(max_examples=200, deadline=None)
@@ -382,19 +386,121 @@ class TestDecide:
             elif grant == 2:
                 pool.grab(name, Fraction(1))
         state = SocialState(debts={n: Fraction(1, 4) for n in owed})
-        needy = [NeighborView(name=n, status=s, utilization=u)
-                 for n, s, u in zip(names, statuses, utilizations)]
+        needy = list(zip(names, statuses, utilizations))
 
         def score(n):
-            need = 1.0 if n.utilization is None else n.utilization
-            return need * 2.0 if n.name in owed else need
+            name, _, utilization = n
+            need = 1.0 if utilization is None else utilization
+            return need * 2.0 if name in owed else need
 
-        expected = max(needy, key=lambda n: (score(n), -pool.allocation(n.name), n.name))
+        expected = max(needy, key=lambda n: (score(n), -pool.allocation(n[0]), n[0]))
         action = decide_social_action(
-            "donor", ContractStatus.HOLDING, SocialBehavior.COOPERATIVE, pool, needy,
-            state, utilization=0.1, assist_quantum=Fraction(1, 4),
+            "donor", ContractStatus.HOLDING, SocialBehavior.COOPERATIVE, pool,
+            NeedyRanking(needy), state, utilization=0.1, assist_quantum=Fraction(1, 4),
         )
-        assert action == SocialAction.assist(expected.name, Fraction(1, 4))
+        assert action == SocialAction.assist(expected[0], Fraction(1, 4))
+
+
+class Neighbor(NamedTuple):
+    name: str
+    status: Optional[ContractStatus]
+    utilization: Optional[float]
+
+
+def scan_cooperative(node, pool, neighbors, state, utilization, assist_quantum,
+                     reciprocation_weight):
+    """The cooperative choice as a per-node scan, the reference for the
+    ranking: every needy member but the donor is scored, the owed
+    benefactors weighted, and the top scores are tie-broken by allocation,
+    then by name."""
+    if not pool.is_member(node):
+        return None
+    if utilization is None or utilization > COOPERATIVE_DONOR_UTILIZATION:
+        return None
+    needy = [n for n in neighbors
+             if n.name != node and n.status in NEEDY and pool.is_member(n.name)]
+    if not needy:
+        return None
+    quantum = min(Fraction(assist_quantum), pool.allocation(node))
+    if quantum <= 0:
+        return None
+
+    def score(n):
+        need = n.utilization if n.utilization is not None else 1.0
+        if state.debts.get(n.name, 0) > 0:
+            need *= reciprocation_weight
+        return need
+
+    scores = [score(n) for n in needy]
+    best = max(scores)
+    tied = [n for n, s in zip(needy, scores) if s == best]
+    target = max(tied, key=lambda n: (-pool.allocation(n.name), n.name))
+    return SocialAction.assist(target.name, quantum)
+
+
+class TestNeedyRanking:
+    def test_ranks_needy_nodes_high_to_low_in_node_order_among_equals(self):
+        ranking = NeedyRanking([
+            ("a", ContractStatus.AT_RISK, 0.9),
+            ("b", ContractStatus.HOLDING, 2.0),
+            ("c", ContractStatus.VIOLATED, None),
+            ("d", None, 3.0),
+            ("e", ContractStatus.VIOLATED, 1.0),
+            ("f", ContractStatus.AT_RISK, 0.9),
+        ])
+        assert ranking.ranked == [("c", 1.0), ("e", 1.0), ("a", 0.9), ("f", 0.9)]
+        assert ranking.scores == {"a": 0.9, "c": 1.0, "e": 1.0, "f": 0.9}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_donors_choose_what_the_per_node_scan_chooses(self, data):
+        # A collective stage in miniature: every node decides in turn and its
+        # action is applied before the next decides, so membership and
+        # allocations move under the later donors. Each cooperative decision
+        # must equal the per-node scan's on the same pool.
+        count = data.draw(st.integers(1, 9))
+        names = data.draw(st.permutations([f"n{i}" for i in range(count)]))
+
+        def draw_each(strategy):
+            return data.draw(st.lists(strategy, min_size=count, max_size=count))
+
+        # Weighted towards needy members and cooperative donors, so that most
+        # cases reach the ranking's ties, debts and tie-breaks.
+        statuses = draw_each(st.sampled_from([None, ContractStatus.HOLDING, *NEEDY, *NEEDY]))
+        utilizations = draw_each(st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])))
+        socials = draw_each(st.sampled_from([*[SocialBehavior.COOPERATIVE] * 3,
+                                             SocialBehavior.NEUTRAL,
+                                             SocialBehavior.INDIVIDUALISTIC]))
+        members = draw_each(st.sampled_from([True, True, True, False]))
+        grants = draw_each(st.sampled_from(["zero", "join", "grab"]))
+        debts = draw_each(st.sets(st.sampled_from(names), max_size=3))
+        weight = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+        joined = [n for n, m in zip(names, members) if m]
+        pool = make_pool(total=count + 1, join_allocation=Fraction(1, 2), members=joined)
+        # Zero allocations (given away whole) and uneven ones (grabbed).
+        for name, grant in zip(names, grants):
+            others = [n for n in joined if n != name]
+            if name not in joined:
+                continue
+            if grant == "zero" and others and pool.allocation(name) > 0:
+                pool.assist(name, others[0], pool.allocation(name))
+            elif grant == "grab" and pool.free_capacity(name) > 0:
+                pool.grab(name, min(Fraction(1, 4), pool.free_capacity(name)))
+        states = {n: SocialState(calm_ticks=1, debts={d: Fraction(1, 8) for d in owed})
+                  for n, owed in zip(names, debts)}
+        views = [Neighbor(*view) for view in zip(names, statuses, utilizations)]
+        ranking = NeedyRanking(views)
+        for name, status, social, utilization in zip(names, statuses, socials, utilizations):
+            decided = decide_social_action(
+                name, status, social, pool, ranking, states[name], utilization=utilization,
+                calm_window=1, assist_quantum=Fraction(1, 4), reciprocation_weight=weight,
+            )
+            if social is SocialBehavior.COOPERATIVE:
+                assert decided == scan_cooperative(
+                    name, pool, views, states[name], utilization, Fraction(1, 4), weight)
+            if decided is not None:
+                apply_social_action(pool, name, decided, states=states)
+            assert pool.conserved()
 
 
 class TestDiversity:

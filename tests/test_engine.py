@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_behavior import ReferencePredictive
-from test_golden import DEMO, _ladder_cut, predictive_groups
+from test_golden import DEMO, _ladder_cut, predictive_groups, social_edges
 
 from fidelitylab import engine
 from fidelitylab.behavior import CorrectiveAction, Passive, Predictive, Reactive
@@ -45,6 +45,7 @@ from fidelitylab.environment import Constant, LinearDrift, RandomWalk, ShockEven
 from fidelitylab.errors import ConfigurationError, InsufficientDataError
 from fidelitylab.identity import ContractStatus, DetectorConfig, IdentityClass
 from fidelitylab.reporting import TICKS_HEADER, export_run
+from fidelitylab.rng import substream
 
 
 def hard_contract(threshold=0.1, window=20):
@@ -784,16 +785,35 @@ def test_the_pool_is_conserved_exactly_in_any_population(scenario):
         result = run_scenario(scenario)
     assert result.pool_violations == 0
     pool = pools[-1]
-    allocations = pool.snapshot()
+    allocations = dict(pool.allocations)
     assert sum(allocations.values(), Fraction(0)) + pool.reserve == pool.total
     assert pool.total == Fraction(str(scenario.pool.total))
     assert all(a >= 0 for a in allocations.values()) and pool.reserve >= 0
     assert dict(pool.float_allocations) == {n: float(a) for n, a in allocations.items()}
     assert pool.float_reserve == float(pool.reserve)
-    last = [row for row in result.pool_log if row[0] == result.pool_log[-1][0]]
-    assert [(n, a, r) for _, n, a, r in last] == [
-        (node.name, float(allocations.get(node.name, 0)), float(pool.reserve))
-        for node in scenario.nodes
+    assert len(result.pool_log) == round(scenario.duration / scenario.dt)
+    _, last, reserve = result.pool_log[-1]
+    assert last == [float(allocations.get(node.name, 0)) for node in scenario.nodes]
+    assert reserve == float(pool.reserve)
+
+
+def test_node_streams_are_derived_on_first_draw():
+    """A node's noise, bias-drift and select streams are derived when it
+    first draws from them: noiseless channels derive none, and a catalog
+    that restages a channel to a noisy one derives its stream mid-run, with
+    the same label (so the same draws) as at start-up."""
+    derived = []
+
+    def recorded(seed, *labels):
+        derived.append(labels)
+        return substream(seed, *labels)
+
+    with mock.patch.object(engine, "substream", recorded):
+        run_scenario(social_edges())
+    # The learner selects its first arm, and only then senses through the
+    # noisy channel that arm restages.
+    assert [labels for labels in derived if labels[0] == "node"] == [
+        ("node", "learner2", "select"), ("node", "learner2", "noise"),
     ]
 
 
