@@ -14,8 +14,9 @@ Three dispositions:
   half), donates a fixed quantum to the worst-off needy neighbour,
   preferring past benefactors (the assist-debt ledger), accepting present
   loss for future reciprocation. The needy nodes are ranked once per tick
-  (``NeedyRanking``); a donor walks that ranking and rescores only the
-  benefactors it owes, so its choice costs O(ties + debts), not O(needy).
+  (``NeedyRanking``); a donor reads that ranking's top eligible group and
+  rescores only the benefactors it owes, so its choice costs
+  O(ties + debts), not O(needy).
 
 All pool quantities are exact rationals so the conservation invariant
 (allocations + reserve == total) holds bit-for-bit over any action
@@ -280,12 +281,13 @@ class NeedyRanking:
 
     Built from ``(name, status, utilization)`` of every node in node order,
     it keeps the nodes whose status is in ``NEEDY``, each with its base
-    score (its utilization, 1.0 when unknown), and ranks them high to low,
-    node order breaking equal scores. No status or utilization moves within
-    a tick's collective stage, so one ranking serves every donor of it.
+    score (its utilization, 1.0 when unknown), in ``groups``: one
+    ``(score, names)`` per distinct score, high to low, each group's names
+    in node order. No status or utilization moves within a tick's
+    collective stage, so one ranking serves every donor of it.
     """
 
-    __slots__ = ("ranked", "scores")
+    __slots__ = ("groups", "scores")
 
     def __init__(self, nodes: Iterable[tuple[str, Optional[ContractStatus], Optional[float]]]):
         self.scores = {
@@ -293,8 +295,10 @@ class NeedyRanking:
             for name, status, utilization in nodes
             if status in NEEDY
         }
-        # A stable sort: equal scores keep node order.
-        self.ranked = sorted(self.scores.items(), key=itemgetter(1), reverse=True)
+        groups: dict[float, list[str]] = {}
+        for name, score in self.scores.items():
+            groups.setdefault(score, []).append(name)
+        self.groups = sorted(groups.items(), key=itemgetter(0), reverse=True)
 
 
 def decide_social_action(
@@ -339,22 +343,31 @@ def decide_social_action(
             return None
         if utilization is None or utilization > COOPERATIVE_DONOR_UTILIZATION:
             return None
+        if not needy.groups:
+            return None
+        if not isinstance(assist_quantum, Fraction):
+            assist_quantum = Fraction(assist_quantum)
+        quantum = min(assist_quantum, pool.allocation(node))
+        if quantum <= 0:
+            return None
         # Worst-off first; debts weigh extra; equally needy nodes are served
         # poorest-first; name breaks the remaining ties deterministically.
         # A needy member's score is its base score, times the reciprocation
-        # weight if this node owes it: the best unowed score is the first
-        # eligible one in the ranking, and only the owed are rescored.
-        debts = state.debts
+        # weight if this node owes it: the best unowed score is that of the
+        # first group with an eligible member, and only the owed are rescored.
+        allocations, debts = pool.allocations, state.debts
         best, tied = None, []
-        for name, score in needy.ranked:
-            if best is not None and score != best:
-                break
-            if name != node and not debts.get(name, 0) > 0 and pool.is_member(name):
+        for score, names in needy.groups:
+            tied = [
+                name for name in names
+                if name in allocations and name != node and not debts.get(name, 0) > 0
+            ]
+            if tied:
                 best = score
-                tied.append(name)
+                break
         for name, owed in debts.items():
             base = needy.scores.get(name)
-            if base is None or not owed > 0 or name == node or not pool.is_member(name):
+            if base is None or not owed > 0 or name == node or name not in allocations:
                 continue
             score = base * reciprocation_weight
             if best is None or score > best:
@@ -363,23 +376,12 @@ def decide_social_action(
                 tied.append(name)
         if not tied:
             return None
-        if not isinstance(assist_quantum, Fraction):
-            assist_quantum = Fraction(assist_quantum)
-        quantum = min(assist_quantum, pool.allocation(node))
-        if quantum <= 0:
-            return None
         # The same order as ranking by (score, -allocation, name), with the
-        # allocations compared only among the top scores: float() is
-        # monotonic, so the poorest are among the lowest float shadows, and
-        # only those are compared exactly.
+        # allocations compared only among the top scores.
         if len(tied) > 1:
-            shadows = pool.float_allocations
-            lowest = min(shadows[name] for name in tied)
-            tied = [name for name in tied if shadows[name] == lowest]
-        target = tied[0] if len(tied) == 1 else max(
-            tied, key=lambda name: (-pool.allocation(name), name)
-        )
-        return SocialAction.assist(target, quantum)
+            poorest = min(map(allocations.__getitem__, tied))
+            tied = [name for name in tied if allocations[name] == poorest]
+        return SocialAction.assist(max(tied), quantum)
 
     raise ConfigurationError(f"unknown social behavior {behavior}")
 

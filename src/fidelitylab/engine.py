@@ -1105,11 +1105,9 @@ class _Run:
             else:
                 node.social_state.calm_ticks = 0
             decision = decide_social_action(
-                node.name, node.status, node.social, pool, needy,
-                node.social_state, utilization=node.utilization,
-                calm_window=spec.calm_window,
-                assist_quantum=self.assist_quantum,
-                reciprocation_weight=spec.reciprocation_weight,
+                node.name, node.status, node.social, pool, needy, node.social_state,
+                node.utilization, spec.calm_window, self.assist_quantum,
+                spec.reciprocation_weight,
             )
             if decision is not None:
                 apply_social_action(pool, node.name, decision, states=self.social_states)

@@ -87,18 +87,18 @@ def write_episodes_csv(result: RunResult, path: str) -> None:
 
 
 def write_pool_csv(result: RunResult, path: str) -> None:
-    """One row per tick and node: each pool-log row's allocations against
-    the node names, in scenario order; the time and the reserve are
-    formatted once per tick."""
+    """One row per tick and node: each pool-log row's allocations (Python
+    floats) against the node names, in scenario order; the time and the
+    reserve are formatted once per tick."""
     def write(fh):
         fh.write(POOL_HEADER + "\n")
         heads = [f",{name}," for name in result.traces]
         for t, allocations, reserve in result.pool_log:
             time, tail = _fmt(float(t)), f",{_fmt(float(reserve))}\n"
-            fh.write("".join(
-                f"{time}{head}{float(allocation)!r}{tail}"
+            fh.write("".join([
+                f"{time}{head}{allocation!r}{tail}"
                 for head, allocation in zip(heads, allocations)
-            ))
+            ]))
 
     _atomic_write(path, write)
 

@@ -448,7 +448,7 @@ class TestNeedyRanking:
             ("e", ContractStatus.VIOLATED, 1.0),
             ("f", ContractStatus.AT_RISK, 0.9),
         ])
-        assert ranking.ranked == [("c", 1.0), ("e", 1.0), ("a", 0.9), ("f", 0.9)]
+        assert ranking.groups == [(1.0, ["c", "e"]), (0.9, ["a", "f"])]
         assert ranking.scores == {"a": 0.9, "c": 1.0, "e": 1.0, "f": 0.9}
 
     @settings(max_examples=300, deadline=None)
