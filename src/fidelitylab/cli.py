@@ -7,7 +7,10 @@ configuration/validation problems, 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import glob as globmod
+import io
 import json
 import math
 import os
@@ -25,6 +28,13 @@ from .reporting import export_run
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+
+
+def _fail(problems, code: int = EXIT_CONFIG) -> int:
+    """Print each problem as an ``error:`` line; return the exit code."""
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return code
 
 
 def _load_resume(path: str) -> dict:
@@ -46,12 +56,9 @@ def cmd_run(
         scenario = load_config(config_path, seed_override=seed)
         resume_doc = _load_resume(resume) if resume else None
     except ConfigurationError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc.problems)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail([exc])
     try:
         # The inputs are checked, and an --out that cannot be a directory
         # fails, before the run; a failed check leaves no directory behind.
@@ -61,15 +68,11 @@ def cmd_run(
         result.config_echo = scenario_to_config(scenario)
         export_run(result, out)
     except ConfigurationError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc.problems)
     except FidelityLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _fail([exc], EXIT_RUNTIME)
     except OSError as exc:
-        print(f"error: cannot write exports to {out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _fail([f"cannot write exports to {out}: {exc}"], EXIT_RUNTIME)
     return EXIT_OK
 
 
@@ -118,8 +121,7 @@ def cmd_classify(
 ) -> int:
     given = [v for v in (hard, soft, best_effort) if v is not None]
     if len(given) != 1:
-        print("error: exactly one of --hard / --soft / --best-effort", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(["exactly one of --hard / --soft / --best-effort"])
     if hard is not None:
         candidate = IdentityClass.hard(hard)
         params = {"threshold": hard}
@@ -133,9 +135,7 @@ def cmd_classify(
     if window is not None and window < 1:
         problems.append("--window must be >= 1")
     if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(problems)
     try:
         deltas = _parse_trace_csv(trace_path)
         if window is not None:
@@ -160,24 +160,26 @@ def cmd_classify(
             )
         )
     except ConfigurationError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc.problems)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail([exc])
     return EXIT_OK
 
 
-def _run_one_batch_child(args: tuple) -> tuple[str, int, Optional[dict]]:
-    """One (config, seed) run for the batch command; returns summary fields."""
+def _run_one_batch_child(args: tuple) -> tuple[int, dict, str]:
+    """One (config, seed) run for the batch command: its exit code, its
+    report (empty on failure) and its error messages, which it also prints."""
     config_path, seed, outdir = args
-    code = cmd_run(config_path, seed=seed, out=outdir)
+    with contextlib.redirect_stderr(io.StringIO()) as captured:
+        code = cmd_run(config_path, seed=seed, out=outdir)
+    errors = captured.getvalue()
+    sys.stderr.write(errors)
     if code != EXIT_OK:
-        return config_path, code, None
+        messages = [line[7:] for line in errors.splitlines() if line.startswith("error: ")]
+        return code, {}, "; ".join(messages)
     with open(os.path.join(outdir, "report.json"), encoding="utf-8") as fh:
         report = json.load(fh)
-    return config_path, code, report
+    return code, report, ""
 
 
 def cmd_batch(
@@ -189,14 +191,11 @@ def cmd_batch(
 ) -> int:
     configs = sorted(globmod.glob(pattern))
     if not configs:
-        print(f"error: no configs match {pattern!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail([f"no configs match {pattern!r}"])
     if reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(["--reps must be >= 1"])
     if jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(["--jobs must be >= 1"])
     tasks = []
     for config_path in configs:
         stem = os.path.splitext(os.path.basename(config_path))[0]
@@ -219,36 +218,27 @@ def cmd_batch(
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot write the summary to {out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    failures = 0
+        return _fail([f"cannot write the summary to {out}: {exc}"], EXIT_RUNTIME)
+    # Every (config, seed) gets a row; a failed run's holds its exit code and errors.
     rows = []
-    for (config_path, seed, outdir), (_, code, report) in zip(tasks, results):
-        if code != EXIT_OK or report is None:
-            failures += 1
-            continue
+    for (config_path, seed, outdir), (code, report, error) in zip(tasks, results):
         anti = report.get("antifragility", {})
-        costs = _mean_episode_cost(outdir)
-        rows.append(
-            (
-                report.get("scenario", os.path.basename(config_path)),
-                seed,
-                anti.get("verdict", ""),
-                anti.get("normalized_slope", ""),
-                costs,
-            )
-        )
+        slope = anti.get("normalized_slope", "")
+        cost = _mean_episode_cost(outdir) if code == EXIT_OK else None
+        rows.append((
+            report.get("scenario", os.path.basename(config_path)), seed,
+            anti.get("verdict", ""), repr(float(slope)) if slope != "" else "",
+            repr(cost) if cost is not None else "", code, error,
+        ))
     rows.sort(key=lambda r: (r[0], r[1]))
-    summary = os.path.join(out, "summary.csv")
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("scenario,seed,verdict,normalized_slope,mean_episode_cost\n")
-        for scenario, seed, verdict, slope, cost in rows:
-            slope_cell = repr(float(slope)) if slope != "" else ""
-            cost_cell = repr(float(cost)) if cost is not None else ""
-            fh.write(f"{scenario},{seed},{verdict},{slope_cell},{cost_cell}\n")
+    failures = sum(row[5] != EXIT_OK for row in rows)
+    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("scenario", "seed", "verdict", "normalized_slope",
+                         "mean_episode_cost", "exit_code", "error"))
+        writer.writerows(rows)
     if failures:
-        print(f"error: {failures} of {len(tasks)} runs failed", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _fail([f"{failures} of {len(tasks)} runs failed"], EXIT_RUNTIME)
     return EXIT_OK
 
 

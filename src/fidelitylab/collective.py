@@ -18,16 +18,17 @@ Three dispositions:
   rescores only the benefactors it owes, so its choice costs
   O(ties + debts), not O(needy).
 
-All pool quantities are exact rationals so the conservation invariant
-(allocations + reserve == total) holds bit-for-bit over any action
-sequence, and rejected actions leave the pool untouched. The pool caches
-its reserve, each member's slack, the slack total and the free capacity
-(reserve + slack total) as exact values that each mutation adjusts by the
-allocation it changes, so every view is a lookup; ``conserved()`` re-sums
-the allocations from scratch in integers over one common denominator and
-checks every cache against that recompute. Beside each exact allocation
-and the reserve the pool keeps its ``float()``, written by the same
-mutation, for readers that need a float every tick.
+Every pool quantity is an ``int`` numerator over one pool-wide denominator
+D, so conservation (allocations + reserve == total) holds bit-for-bit over
+any action sequence and a rejected action leaves the pool untouched. D is
+the lcm of the denominators of every amount the pool can see, so only a
+pro-rata grab whose share is below 1 refines it, multiplying every
+numerator by one factor. The reserve, each slack, the slack total and the
+free capacity are cached numerators that each mutation adjusts;
+``conserved()`` re-sums the allocations in plain ints and checks every
+cache. Each allocation and the reserve also keep their float ``n / D``:
+int true division is correctly rounded, so that is ``float(Fraction(n,
+D))``, and a refinement, which moves no value, leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
@@ -45,8 +45,6 @@ from .errors import ConfigurationError, MembershipError
 from .identity import ContractStatus
 
 Amount = Union[int, float, Fraction]
-
-_ZERO = Fraction(0)
 
 
 class SocialBehavior(Enum):
@@ -84,24 +82,14 @@ class SocialAction:
     def assist(target: str, amount: Amount) -> "SocialAction":
         return SocialAction(SocialActionKind.ASSIST, amount=Fraction(amount), target=target)
 
-    def validate(self, actor: str) -> list[str]:
-        problems = []
-        if self.kind in (SocialActionKind.GRAB, SocialActionKind.ASSIST) and self.amount <= 0:
-            problems.append(f"{self.kind.value} amount must be > 0")
-        if self.kind is SocialActionKind.ASSIST and self.target == actor:
-            problems.append("cannot assist oneself")
-        return problems
-
 
 class ResourcePool:
     """Finite per-tick correction budget shared by member nodes.
 
-    Mutating operations are atomic: an infeasible action raises (or is
-    rejected by apply_social_action) with the pool bit-identical. Every
-    allocation change goes through ``_set``, which keeps the cached reserve,
-    per-member slack, slack total and free capacity exact, and the float
-    shadows (``float_allocations``, ``float_reserve``) equal to ``float()``
-    of the exact values.
+    Every quantity is an ``int`` numerator over ``denominator`` (D), which
+    also holds each of ``amounts``; ``units`` maps members to numerators and
+    the ``Fraction`` views convert at the boundary. Mutations are atomic: an
+    infeasible action raises with the pool bit-identical.
     """
 
     def __init__(
@@ -109,27 +97,39 @@ class ResourcePool:
         total: Amount,
         floor: Amount = 0,
         join_allocation: Amount = 0,
+        amounts: Iterable[Amount] = (),
     ):
         self.total = Fraction(total)
         self.floor = Fraction(floor)
         self.join_allocation = Fraction(join_allocation)
         if self.total < 0 or self.floor < 0 or self.join_allocation < 0:
             raise ConfigurationError("pool quantities must be >= 0")
-        self._allocations: dict[str, Fraction] = {}
-        self.allocations = MappingProxyType(self._allocations)
+        scalars = (self.total, self.floor, self.join_allocation)
+        self.denominator = math.lcm(*(Fraction(q).denominator for q in (*scalars, *amounts)))
+        self._total, self._floor, self._join = (
+            q.numerator * (self.denominator // q.denominator) for q in scalars
+        )
+        self._allocations: dict[str, int] = {}
+        self.units = MappingProxyType(self._allocations)
         self._float_allocations: dict[str, float] = {}
         self.float_allocations = MappingProxyType(self._float_allocations)
-        self._reserve = self.total
+        self._reserve = self._total
         self._float_reserve = float(self.total)
-        self._slack: dict[str, Fraction] = {}  # allocation - floor, where positive
-        self._slack_total = _ZERO
-        self._capacity = self.total  # reserve + slack total
+        self._slack: dict[str, int] = {}  # allocation - floor, where positive
+        self._slack_total = 0
+        self._capacity = self._total  # reserve + slack total
 
     # -- views ------------------------------------------------------------
 
     @property
+    def allocations(self) -> MappingProxyType:
+        """A read-only snapshot of the exact allocations."""
+        return MappingProxyType({n: Fraction(v, self.denominator)
+                                 for n, v in self._allocations.items()})
+
+    @property
     def reserve(self) -> Fraction:
-        return self._reserve
+        return Fraction(self._reserve, self.denominator)
 
     @property
     def float_reserve(self) -> float:
@@ -139,122 +139,129 @@ class ResourcePool:
         return node in self._allocations
 
     def allocation(self, node: str) -> Fraction:
-        return self._allocations.get(node, _ZERO)
+        return Fraction(self._allocations.get(node, 0), self.denominator)
 
     def slack(self, node: str) -> Fraction:
-        return self._slack.get(node, _ZERO)
+        return Fraction(self._slack.get(node, 0), self.denominator)
+
+    def free_units(self, node: str) -> int:
+        """``free_capacity`` as a numerator over D."""
+        return self._capacity - self._slack.get(node, 0)
 
     def free_capacity(self, node: str) -> Fraction:
         """Largest allocation increment the node could acquire right now."""
-        slack = self._slack.get(node)
-        return self._capacity if slack is None else self._capacity - slack
+        return Fraction(self.free_units(node), self.denominator)
 
     def conserved(self) -> bool:
-        """Re-sum the allocations from scratch, as integer numerators over
-        their least common denominator: they and the reserve add up to the
-        total, neither they nor the reserve is negative, and the cached
-        reserve, each member's slack, the slack total and the free capacity
-        agree with the recompute."""
-        # Fraction keeps its lowest terms in _numerator/_denominator; the
-        # public properties cost a Python call per read, three times this
-        # loop's other work.
-        allocations, slacks = self._allocations, self._slack
-        scalars = (self.total, self.floor, self._reserve, self._slack_total, self._capacity)
-        quantities = chain(allocations.values(), slacks.values(), scalars)
-        denominators = {q._denominator for q in quantities}
-        common = math.lcm(*denominators)
-        scale = {d: common // d for d in denominators}
-        total, floor, reserve, slack_total, capacity = [
-            q._numerator * scale[q._denominator] for q in scalars
-        ]
-        allocated = summed_slack = slack_members = 0
-        for node, allocation in allocations.items():
-            value = allocation._numerator * scale[allocation._denominator]
-            if value < 0:
-                return False
-            allocated += value
-            if value > floor:
-                slack = value - floor
-                cached = slacks.get(node)
-                if cached is None or cached._numerator * scale[cached._denominator] != slack:
-                    return False
-                summed_slack += slack
-                slack_members += 1
+        """Re-sum the allocations from scratch: they and the reserve add up
+        to the total, neither they nor the reserve is negative, and the
+        cached reserve, each member's slack, the slack total and the free
+        capacity agree with the recompute."""
+        values, floor = self._allocations.values(), self._floor
+        slack = {n: v - floor for n, v in self._allocations.items() if v > floor}
         return (
-            allocated + reserve == total
-            and reserve >= 0
-            and len(slacks) == slack_members
-            and summed_slack == slack_total
-            and reserve + slack_total == capacity
+            min(values, default=0) >= 0
+            and sum(values) + self._reserve == self._total
+            and self._reserve >= 0
+            and slack == self._slack
+            and sum(slack.values()) == self._slack_total
+            and self._reserve + self._slack_total == self._capacity
         )
 
     # -- mutations --------------------------------------------------------
 
-    def _set(self, node: str, value: Optional[Fraction]) -> None:
-        """Set one allocation (None removes the member), adjusting the caches
-        by its old and new values and rewriting its float shadows."""
-        old = self._allocations.get(node)
-        if old is not None:
-            self._reserve += old
-        old_slack = self._slack.pop(node, None)
-        if old_slack is not None:
-            self._slack_total -= old_slack
+    def _units(self, amount: Amount, verb: str) -> tuple[int, int]:
+        """``(n, k)``: the positive amount is n / (k * D), for the least k."""
+        numerator, denominator = amount.as_integer_ratio()
+        if numerator <= 0:
+            raise ConfigurationError(f"{verb} amount must be > 0")
+        k = denominator // math.gcd(self.denominator, denominator)
+        return numerator * (self.denominator * k // denominator), k
+
+    def _refine(self, k: int) -> None:
+        """Multiply D and every numerator by ``k``; no value moves."""
+        if k > 1:
+            for name in ("denominator", "_total", "_floor", "_join", "_reserve",
+                         "_slack_total", "_capacity"):
+                setattr(self, name, getattr(self, name) * k)
+            for values in (self._allocations, self._slack):
+                values.update({node: q * k for node, q in values.items()})
+
+    def _set(self, node: str, value: Optional[int]) -> None:
+        """Set one allocation's numerator (None removes the member), adjusting
+        the caches by its old and new values and rewriting its float shadows."""
+        self._reserve += self._allocations.get(node, 0)
+        self._slack_total -= self._slack.pop(node, 0)
         if value is None:
             del self._allocations[node]
             del self._float_allocations[node]
         else:
             self._allocations[node] = value
-            self._float_allocations[node] = float(value)
+            self._float_allocations[node] = value / self.denominator
             self._reserve -= value
-            if value > self.floor:
-                slack = self._slack[node] = value - self.floor
+            if value > self._floor:
+                slack = self._slack[node] = value - self._floor
                 self._slack_total += slack
-        self._float_reserve = float(self._reserve)
+        self._float_reserve = self._reserve / self.denominator
         self._capacity = self._reserve + self._slack_total
 
     def join(self, node: str) -> None:
         if self.is_member(node):
             raise MembershipError(f"{node} is already a member")
-        self._set(node, min(self.join_allocation, self._reserve))
+        self._set(node, min(self._join, self._reserve))
 
     def leave(self, node: str) -> None:
         if not self.is_member(node):
             raise MembershipError(f"{node} is not a member")
         self._set(node, None)
 
-    def grab(self, node: str, amount: Fraction) -> None:
+    def grab(self, node: str, amount: Amount) -> None:
         """Take from the reserve first, then pro rata from others' slack."""
         if not self.is_member(node):
             raise MembershipError(f"{node} must be a member to grab")
-        if amount <= 0:
-            raise ConfigurationError("grab amount must be > 0")
-        available = self.free_capacity(node)
-        if amount > available:
-            raise MembershipError(
-                f"grab of {amount} exceeds available capacity {available}"
-            )
-        remainder = amount - min(amount, self._reserve)
+        units, k = self._units(amount, "grab")
+        if units > self.free_units(node) * k:
+            raise MembershipError(f"grab of {Fraction(amount)} exceeds available "
+                                  f"capacity {self.free_capacity(node)}")
+        self._refine(k)
+        remainder = units - min(units, self._reserve)
         if remainder > 0:
-            # Each donor gives the same share of its slack.
-            share = remainder / (self._slack_total - self.slack(node))
-            donors = [(n, slack) for n, slack in self._slack.items() if n != node]
-            for donor, slack in donors:
-                self._set(donor, self._allocations[donor] - slack * share)
-        self._set(node, self._allocations[node] + amount)
+            # Every donor keeps the same share of its slack, kept / others,
+            # and releases the rest to the reserve. Below a share of 1, D is
+            # first refined by the least k that keeps every kept slack whole.
+            own = self._slack.get(node, 0)
+            donors = [n for n in self._slack if n != node]
+            others = self._slack_total - own
+            kept = others - remainder
+            k = others // math.gcd(others, kept * math.gcd(*map(self._slack.get, donors)))
+            self._refine(k)
+            floor, denominator = self._floor, self.denominator
+            for donor in donors:
+                slack = self._slack[donor] * kept // others
+                value = self._allocations[donor] = floor + slack
+                self._float_allocations[donor] = value / denominator
+                if slack:
+                    self._slack[donor] = slack
+                else:
+                    del self._slack[donor]
+            self._reserve += remainder * k
+            self._slack_total = (own + kept) * k
+            units *= k
+        self._set(node, self._allocations[node] + units)
 
-    def assist(self, donor: str, recipient: str, amount: Fraction) -> None:
+    def assist(self, donor: str, recipient: str, amount: Amount) -> None:
         if not self.is_member(donor) or not self.is_member(recipient):
             raise MembershipError("assist requires both nodes to be members")
         if donor == recipient:
             raise MembershipError("cannot assist oneself")
-        if amount <= 0:
-            raise ConfigurationError("assist amount must be > 0")
-        if amount > self.allocation(donor):
+        units, k = self._units(amount, "assist")
+        if units > self._allocations[donor] * k:
             raise MembershipError(
-                f"{donor} cannot donate {amount} from {self.allocation(donor)}"
+                f"{donor} cannot donate {Fraction(amount)} from {self.allocation(donor)}"
             )
-        self._set(donor, self._allocations[donor] - amount)
-        self._set(recipient, self._allocations[recipient] + amount)
+        self._refine(k)
+        self._set(donor, self._allocations[donor] - units)
+        self._set(recipient, self._allocations[recipient] + units)
 
 
 @dataclass
@@ -333,10 +340,10 @@ def decide_social_action(
     if behavior is SocialBehavior.INDIVIDUALISTIC:
         if not member or not in_danger:
             return None
-        available = pool.free_capacity(node)
+        available = pool.free_units(node)
         if available <= 0:
             return None
-        return SocialAction.grab(available)
+        return SocialAction(SocialActionKind.GRAB, Fraction(available, pool.denominator))
 
     if behavior is SocialBehavior.COOPERATIVE:
         if not member:
@@ -345,17 +352,17 @@ def decide_social_action(
             return None
         if not needy.groups:
             return None
-        if not isinstance(assist_quantum, Fraction):
-            assist_quantum = Fraction(assist_quantum)
-        quantum = min(assist_quantum, pool.allocation(node))
-        if quantum <= 0:
+        # The quantum, capped by the donor's allocation, is compared in ints.
+        own = pool.units[node]
+        numerator, denominator = assist_quantum.as_integer_ratio()
+        if numerator <= 0 or own <= 0:
             return None
         # Worst-off first; debts weigh extra; equally needy nodes are served
         # poorest-first; name breaks the remaining ties deterministically.
         # A needy member's score is its base score, times the reciprocation
         # weight if this node owes it: the best unowed score is that of the
         # first group with an eligible member, and only the owed are rescored.
-        allocations, debts = pool.allocations, state.debts
+        allocations, debts = pool.units, state.debts
         best, tied = None, []
         for score, names in needy.groups:
             tied = [
@@ -381,7 +388,9 @@ def decide_social_action(
         if len(tied) > 1:
             poorest = min(map(allocations.__getitem__, tied))
             tied = [name for name in tied if allocations[name] == poorest]
-        return SocialAction.assist(max(tied), quantum)
+        if numerator * pool.denominator > own * denominator:
+            assist_quantum = Fraction(own, pool.denominator)
+        return SocialAction.assist(max(tied), assist_quantum)
 
     raise ConfigurationError(f"unknown social behavior {behavior}")
 
@@ -392,10 +401,8 @@ def apply_social_action(
     action: SocialAction,
     states: Optional[dict[str, SocialState]] = None,
 ) -> bool:
-    """Apply one action atomically; return False (pool untouched) if infeasible."""
-    problems = action.validate(actor)
-    if problems:
-        return False
+    """Apply one action atomically; return False (pool untouched) if infeasible
+    (the pool rejects an amount that is not positive and a self-assist)."""
     try:
         if action.kind is SocialActionKind.JOIN:
             pool.join(actor)
@@ -407,7 +414,7 @@ def apply_social_action(
             pool.assist(actor, action.target, action.amount)
             if states is not None and action.target in states:
                 states[action.target].record_assist_received(actor, action.amount)
-    except MembershipError:
+    except (MembershipError, ConfigurationError):
         return False
     return True
 

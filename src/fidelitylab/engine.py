@@ -917,16 +917,19 @@ class _Run:
         self.pool_spec = scenario.pool
         if self.pool_spec is not None:
             spec = self.pool_spec
+            self.assist_quantum = Fraction(str(spec.assist_quantum))
+            actions = [strategy.social.amount for node in scenario.nodes if node.controller
+                       for strategy in node.controller.catalog if strategy.social]
             self.pool = ResourcePool(
                 total=Fraction(str(spec.total)),
                 floor=Fraction(str(spec.floor)),
                 join_allocation=Fraction(str(spec.join_allocation)),
+                amounts=[self.assist_quantum, *actions],
             )
             for node in self.nodes:
                 if node.spec.member:
                     self.pool.join(node.name)
             self.social_states = {node.name: node.social_state for node in self.nodes}
-            self.assist_quantum = Fraction(str(spec.assist_quantum))
 
         # One ContractGroup per distinct guard, its rows in node order.
         guards: dict[tuple, list[int]] = {}

@@ -126,19 +126,19 @@ class TestPoolMechanics:
         pool.join("b")
         assert pool.conserved()
         # Each exact cache in turn: reserve, slack total, one member's slack,
-        # free capacity.
+        # free capacity, each off by one unit of 1/D.
         caches = pool.__dict__
         for owner, name in ((caches, "_reserve"), (caches, "_slack_total"),
                             (pool._slack, "a"), (caches, "_capacity")):
             good = owner[name]
-            owner[name] = good + Fraction(1, 7)
+            owner[name] = good + 1
             assert not pool.conserved(), name
             owner[name] = good
             assert pool.conserved(), name
 
     def test_over_allocation_breaks_conservation_check(self):
         pool = make_pool(total=2, join_allocation=1, members=["a"])
-        pool._set("a", Fraction(3))  # caches agree, but the reserve is -1
+        pool._set("a", 3 * pool.denominator)  # caches agree, but the reserve is -1
         assert pool.reserve == -1
         assert not pool.conserved()
 
@@ -149,7 +149,7 @@ class TestPoolMechanics:
         slack = pool._slack.pop("a")
         assert not pool.conserved()
         pool._slack["a"] = slack
-        pool._slack["ghost"] = Fraction(0)
+        pool._slack["ghost"] = 0
         assert not pool.conserved()
         del pool._slack["ghost"]
         assert pool.conserved()
@@ -229,6 +229,177 @@ class TestApplySocialAction:
             assert dict(pool.float_allocations) == {
                 n: float(a) for n, a in dict(pool.allocations).items()
             }
+
+
+class ReferencePool:
+    """The pool in plain ``Fraction`` arithmetic, every view re-summed from
+    the allocations: the oracle for the int pool, which must agree with it
+    exactly after every action."""
+
+    def __init__(self, total, floor, join_allocation):
+        self.total, self.floor, self.join_allocation = total, floor, join_allocation
+        self.allocations = {}
+
+    @property
+    def reserve(self):
+        return self.total - sum(self.allocations.values(), Fraction(0))
+
+    def slack(self, node):
+        return max(Fraction(0), self.allocations.get(node, Fraction(0)) - self.floor)
+
+    def free_capacity(self, node):
+        return self.reserve + sum((self.slack(n) for n in self.allocations if n != node),
+                                  Fraction(0))
+
+    def apply(self, actor, action):
+        """Apply one action; False, with nothing changed, if it is infeasible."""
+        held, amount = self.allocations, action.amount
+        if action.kind is SocialActionKind.JOIN:
+            if actor in held:
+                return False
+            held[actor] = min(self.join_allocation, self.reserve)
+        elif action.kind is SocialActionKind.LEAVE:
+            if actor not in held:
+                return False
+            del held[actor]
+        elif action.kind is SocialActionKind.GRAB:
+            if actor not in held or amount <= 0 or amount > self.free_capacity(actor):
+                return False
+            remainder = amount - min(amount, self.reserve)
+            if remainder > 0:
+                others = [n for n in held if n != actor]
+                share = remainder / sum(self.slack(n) for n in others)
+                for n in others:
+                    held[n] -= self.slack(n) * share
+            held[actor] += amount
+        else:
+            target = action.target
+            if (actor not in held or target not in held or actor == target
+                    or amount <= 0 or amount > held[actor]):
+                return False
+            held[actor] -= amount
+            held[target] += amount
+        return True
+
+
+def exact(draw_numerator, denominators):
+    return st.builds(Fraction, draw_numerator, st.sampled_from(denominators))
+
+
+class TestReferencePool:
+    # Denominators the pool is not built with (7, 11, 13, 97) refine D from
+    # the amount; "share" grabs a fraction of the free capacity, so that with
+    # the reserve spent the donors give a share below 1 and D is refined
+    # again; "all" grabs the whole free capacity (a share of exactly 1).
+    NAMES = ["a", "b", "c", "d"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact(st.integers(1, 40), [1, 2, 3, 4, 5, 10]),
+           exact(st.integers(0, 4), [1, 2, 4, 10]),
+           exact(st.integers(0, 20), [1, 2, 3, 4, 10]),
+           st.lists(st.tuples(st.sampled_from(NAMES),
+                              st.sampled_from(["join", "leave", "grab", "share", "all",
+                                               "assist", "give"]),
+                              st.sampled_from(NAMES),
+                              exact(st.integers(0, 12), [1, 2, 3, 7, 11, 13, 97])),
+                    min_size=10, max_size=40))
+    def test_the_int_pool_agrees_with_fraction_arithmetic(self, total, floor, join, script):
+        pool = ResourcePool(total=total, floor=floor, join_allocation=join)
+        reference = ReferencePool(total, floor, join)
+        joins = [(name, "join", name, Fraction(0)) for name in self.NAMES]
+        for actor, verb, target, amount in joins + script:
+            if verb == "join":
+                action = SocialAction.join()
+            elif verb == "leave":
+                action = SocialAction.leave()
+            elif verb in ("grab", "share", "all"):
+                free = reference.free_capacity(actor)
+                scale = {"grab": 1, "share": free * amount / (amount + 1), "all": free}[verb]
+                action = SocialAction.grab(amount if verb == "grab" else scale)
+            else:
+                held = reference.allocations.get(actor, Fraction(0))
+                action = SocialAction.assist(
+                    target, amount if verb == "assist" else held * amount / (amount + 1))
+            before = (pool.denominator, dict(pool.units), pool_views(pool, self.NAMES),
+                      dict(pool.float_allocations), pool.float_reserve)
+            reference_before = dict(reference.allocations)
+            ok = apply_social_action(pool, actor, action)
+            assert ok == reference.apply(actor, action)
+            if not ok:
+                assert (pool.denominator, dict(pool.units), pool_views(pool, self.NAMES),
+                        dict(pool.float_allocations), pool.float_reserve) == before
+                assert reference.allocations == reference_before
+            assert dict(pool.allocations) == reference.allocations
+            assert pool.reserve == reference.reserve
+            assert [pool.slack(n) for n in self.NAMES] == [reference.slack(n) for n in self.NAMES]
+            assert [pool.free_capacity(n) for n in self.NAMES] == [
+                reference.free_capacity(n) for n in self.NAMES]
+            assert pool.float_reserve.hex() == float(reference.reserve).hex()
+            assert {n: f.hex() for n, f in pool.float_allocations.items()} == {
+                n: float(a).hex() for n, a in reference.allocations.items()}
+            assert pool.conserved()
+
+    def test_a_foreign_amount_and_a_share_below_one_each_refine_the_unit(self):
+        pool = make_pool(total=4, join_allocation=1, members=["a", "b", "c"])
+        reference = ReferencePool(Fraction(4), Fraction(0), Fraction(1))
+        for n in ["a", "b", "c"]:
+            reference.apply(n, SocialAction.join())
+        assert pool.denominator == 1
+        # From the reserve, then a gift: each amount brings its denominator.
+        # Then 1 against a reserve of 7/14 and slacks of 16/14 and 14/14: the
+        # donors keep 23/30 of their slack, and as both slacks are even D
+        # gains 15, not 30. Taking the whole free capacity (a share of 1)
+        # refines nothing.
+        for actor, action, denominator in (
+            ("a", SocialAction.grab(Fraction(1, 2)), 2),
+            ("a", SocialAction.assist("b", Fraction(1, 7)), 14),
+            ("a", SocialAction.grab(Fraction(1)), 14 * 15),
+            ("c", None, 14 * 15),
+        ):
+            action = action or SocialAction.grab(reference.free_capacity(actor))
+            assert apply_social_action(pool, actor, action) and reference.apply(actor, action)
+            assert pool.denominator == denominator
+            assert dict(pool.allocations) == reference.allocations and pool.conserved()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_a_numerator_over_d_gives_the_float_of_the_fraction(data):
+    denominator = data.draw(st.integers(1, 2 ** data.draw(st.sampled_from([8, 64, 300, 900]))))
+    numerator = data.draw(st.integers(-denominator * 2 ** 20, denominator * 2 ** 20))
+    assert (numerator / denominator).hex() == float(Fraction(numerator, denominator)).hex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.sampled_from([7, 11, 13, 97])),
+                min_size=80, max_size=100))
+def test_refinements_chain_to_a_wide_unit_and_move_no_float(grabs):
+    """Chained pro-rata grabs below a share of 1, the members taking turns,
+    refine D to hundreds of bits; each refinement leaves every float shadow
+    as it was, and every shadow stays the float of its exact value."""
+    names = ["a", "b", "c"]
+    pool = make_pool(total=3, join_allocation=1, floor=Fraction(1, 10), members=names)
+    refine, refinements = pool._refine, []
+
+    def shadows():
+        return ({n: f.hex() for n, f in pool.float_allocations.items()},
+                pool.float_reserve.hex())
+
+    def checked_refine(k):
+        before, denominator = shadows(), pool.denominator
+        refine(k)
+        assert pool.denominator == denominator * k and shadows() == before
+        if k > 1:
+            refinements.append(k)
+
+    pool._refine = checked_refine
+    for turn, (part, whole) in enumerate(grabs):
+        node = names[turn % 3]
+        pool.grab(node, pool.free_capacity(node) * Fraction(part, whole))
+        assert shadows() == ({n: float(a).hex() for n, a in pool.allocations.items()},
+                             float(pool.reserve).hex())
+        assert pool.conserved()
+    assert pool.denominator.bit_length() > 200 and len(refinements) > len(grabs) // 2
 
 
 class TestDecide:

@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 import math
@@ -443,8 +444,27 @@ class TestCmdBatch:
         run_dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
         assert run_dirs == ["scenario-seed100", "scenario-seed101", "scenario-seed102"]
         summary = (out / "summary.csv").read_text().strip().splitlines()
-        assert summary[0] == "scenario,seed,verdict,normalized_slope,mean_episode_cost"
+        assert summary[0] == ("scenario,seed,verdict,normalized_slope,mean_episode_cost,"
+                              "exit_code,error")
         assert len(summary) == 4
+
+    def test_a_failed_run_gets_a_row_with_its_exit_code_and_error(self, tmp_path, capsys):
+        write_config(tmp_path, MINIMAL, name="good.yaml")
+        bad = copy.deepcopy(MINIMAL)
+        bad["dt"] = "x"
+        write_config(tmp_path, bad, name="bad.yaml")
+        out = tmp_path / "batch"
+        code = cmd_batch(str(tmp_path / "*.yaml"), reps=1, seed_base=5, out=str(out))
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "error: 1 of 2 runs failed" in err
+        with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
+            failed, passed = csv.DictReader(fh)
+        assert (failed["scenario"], failed["seed"], failed["exit_code"]) == ("bad.yaml", "5", "2")
+        assert failed["verdict"] == failed["normalized_slope"] == failed["mean_episode_cost"] == ""
+        assert failed["error"].startswith("dt: ") and f"error: {failed['error']}" in err
+        assert (passed["scenario"], passed["seed"], passed["exit_code"]) == ("minimal", "5", "0")
+        assert passed["error"] == ""
 
     def test_empty_glob_exits_2(self, tmp_path):
         assert cmd_batch(str(tmp_path / "*.yaml"), reps=1) == EXIT_CONFIG
