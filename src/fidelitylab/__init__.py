@@ -39,7 +39,6 @@ from .controller import (
     StrategyKind,
     assess_safety,
     monitor_step,
-    replay_modes,
 )
 from .engine import (
     AntifragilityReport,
@@ -73,7 +72,6 @@ from .environment import (
     ShockEvent,
     apply_shock,
     label_regime,
-    regime_increments,
     step_environment,
 )
 from .errors import (

@@ -166,9 +166,10 @@ def cmd_classify(
     return EXIT_OK
 
 
-def _run_one_batch_child(args: tuple) -> tuple[int, dict, str]:
-    """One (config, seed) run for the batch command: its exit code, its
-    report (empty on failure) and its error messages, which it also prints."""
+def _run_one_batch_child(args: tuple) -> tuple:
+    """One (config, seed) run for the batch command: its ``summary.csv``
+    row, which is all a batch keeps of the run. It prints the run's error
+    messages, and a failed run's row holds them with empty result cells."""
     config_path, seed, outdir = args
     with contextlib.redirect_stderr(io.StringIO()) as captured:
         code = cmd_run(config_path, seed=seed, out=outdir)
@@ -176,10 +177,17 @@ def _run_one_batch_child(args: tuple) -> tuple[int, dict, str]:
     sys.stderr.write(errors)
     if code != EXIT_OK:
         messages = [line[7:] for line in errors.splitlines() if line.startswith("error: ")]
-        return code, {}, "; ".join(messages)
+        return (os.path.basename(config_path), seed, "", "", "", code, "; ".join(messages))
     with open(os.path.join(outdir, "report.json"), encoding="utf-8") as fh:
         report = json.load(fh)
-    return code, report, ""
+    anti = report.get("antifragility", {})
+    slope = anti.get("normalized_slope", "")
+    cost = _mean_episode_cost(outdir)
+    return (
+        report.get("scenario", os.path.basename(config_path)), seed,
+        anti.get("verdict", ""), repr(float(slope)) if slope != "" else "",
+        repr(cost) if cost is not None else "", code, "",
+    )
 
 
 def cmd_batch(
@@ -206,30 +214,19 @@ def cmd_batch(
 
     # More workers than runs or cores only costs forks.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    results = []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_batch_child, tasks))
+            rows = list(pool.map(_run_one_batch_child, tasks))
     else:
-        results = [_run_one_batch_child(task) for task in tasks]
+        rows = [_run_one_batch_child(task) for task in tasks]
 
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         return _fail([f"cannot write the summary to {out}: {exc}"], EXIT_RUNTIME)
     # Every (config, seed) gets a row; a failed run's holds its exit code and errors.
-    rows = []
-    for (config_path, seed, outdir), (code, report, error) in zip(tasks, results):
-        anti = report.get("antifragility", {})
-        slope = anti.get("normalized_slope", "")
-        cost = _mean_episode_cost(outdir) if code == EXIT_OK else None
-        rows.append((
-            report.get("scenario", os.path.basename(config_path)), seed,
-            anti.get("verdict", ""), repr(float(slope)) if slope != "" else "",
-            repr(cost) if cost is not None else "", code, error,
-        ))
     rows.sort(key=lambda r: (r[0], r[1]))
     failures = sum(row[5] != EXIT_OK for row in rows)
     with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:

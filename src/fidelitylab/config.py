@@ -314,10 +314,12 @@ def process_to_spec(process: DriftProcess) -> dict:
 
 # -- scenario sections ----------------------------------------------------------
 
-_CONTRACT_KINDS = dict.fromkeys(
-    ("hard", "soft", "best_effort"),
-    ("threshold", "mean", "std", "bound", "window", "at_risk_margin"),
-)
+#: Each contract kind takes its own levels, and every kind the guard keys.
+_CONTRACT_KINDS = {
+    "hard": ("threshold", "window", "at_risk_margin"),
+    "soft": ("mean", "std", "window", "at_risk_margin"),
+    "best_effort": ("bound", "window", "at_risk_margin"),
+}
 _STRATEGY_KINDS = dict.fromkeys(("reconfigure", "social"), ("id", "behavior", "channel", "action"))
 _ACTION_KINDS = dict.fromkeys((k.value for k in SocialActionKind), ("amount", "target"))
 _DISPOSITIONS = tuple(s.value for s in SocialBehavior)

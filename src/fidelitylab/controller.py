@@ -135,12 +135,6 @@ class ModeController:
         return self.mode
 
 
-def replay_modes(verdicts: Sequence[Safety], hysteresis: int = 10) -> list[Mode]:
-    """Pure reconstruction of the mode timeline from a verdict timeline."""
-    controller = ModeController(hysteresis)
-    return [controller.step(v) for v in verdicts]
-
-
 # -- strategies and learning ---------------------------------------------
 
 

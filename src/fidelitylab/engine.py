@@ -787,19 +787,13 @@ def run_scenario(
     baseline, execute, and label the identity timeline if the scenario
     records it."""
     check_run(scenario, resume_learning, resume_source)
-    baselines: dict[str, float] = {}
     needs_baseline = scenario.shocks and any(
         node.controller is not None
         and node.controller.catalog
         and node.controller.learning_enabled
         for node in scenario.nodes
     )
-    if needs_baseline:
-        calibration = _execute(scenario, baselines={}, passive_override=True)
-        costs = _costs_by_node(calibration.recovery)
-        for node in scenario.nodes:
-            episode_costs = costs.get(node.name)
-            baselines[node.name] = max(episode_costs) if episode_costs else 1.0
+    baselines = _calibrate(scenario) if needs_baseline else {}
     result = _execute(
         scenario, baselines=baselines, passive_override=False,
         resume_learning=resume_learning,
@@ -810,6 +804,14 @@ def run_scenario(
             trace = result.traces[spec.name]
             trace.identities = identity_timeline(trace.deltas, spec.contract)
     return result
+
+
+def _calibrate(scenario: Scenario) -> dict[str, float]:
+    """Each node's reward baseline: its worst episode cost in the calibration
+    pre-run, or 1.0 for a node with none. The pre-run's result dies when
+    this returns, so the main run never holds a second tick history."""
+    costs = _costs_by_node(_execute(scenario, baselines={}, passive_override=True).recovery)
+    return {node.name: max(costs.get(node.name, ()), default=1.0) for node in scenario.nodes}
 
 
 def identity_timeline(deltas: Sequence[float], contract: Optional[ContractSpec]) -> list[str]:

@@ -150,19 +150,11 @@ def apply_shock(state: EnvState, shock: ShockEvent) -> EnvState:
     return EnvState(time=state.time, figures=tuple(figures))
 
 
-def regime_increments(history: Sequence[EnvState]) -> np.ndarray:
-    """|figure increments| between consecutive states: one row per pair."""
-    if len(history) == 0:
-        raise ConfigurationError("regime labelling needs a non-empty history")
-    figures = np.array([state.figures for state in history], dtype=float)
-    return np.abs(figures[1:] - figures[:-1])
-
-
 def label_regime(increments: np.ndarray, threshold: float) -> Regime:
     """Label recent history by its windowed mean absolute increment.
 
     ``increments`` holds one row of |figure increments| per consecutive
-    state pair in the window (``regime_increments``). Turbulent iff their
+    state pair in the window. Turbulent iff their
     mean strictly exceeds the threshold; with no increments yet (a single
     state) the label is Calm. A C-contiguous array sums in the same order,
     and to the same bits, as np.mean over a flat list of the increments.

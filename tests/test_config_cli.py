@@ -19,7 +19,8 @@ from fidelitylab import cli, engine
 from fidelitylab import config as config_mod
 
 from fidelitylab.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, cmd_batch, cmd_classify, cmd_run, main,
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _run_one_batch_child, cmd_batch, cmd_classify, cmd_run,
+    main,
 )
 from fidelitylab.config import load_config, parse_config, scenario_to_config
 from fidelitylab.errors import ConfigurationError
@@ -94,6 +95,14 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+#: Each contract kind with valid values of its own levels.
+CONTRACT_LEVELS = {
+    "hard": {"threshold": 0.1},
+    "soft": {"mean": 0.05, "std": 0.05},
+    "best_effort": {"bound": 0.2},
+}
+
+
 class TestParseConfig:
     def test_minimal_parses_with_defaults(self):
         scenario = parse_config(MINIMAL)
@@ -113,6 +122,25 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError) as exc:
             parse_config(doc)
         assert any("nodes[0].channel.jitter" in p for p in exc.value.problems)
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind in CONTRACT_LEVELS for other in CONTRACT_LEVELS
+        if other != kind for key in CONTRACT_LEVELS[other]
+    ])
+    def test_a_foreign_contract_level_is_an_unknown_key(self, kind, key):
+        doc = copy.deepcopy(MINIMAL)
+        doc["nodes"][0]["contract"] = {"kind": kind, **CONTRACT_LEVELS[kind], key: 9.0}
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(doc)
+        assert exc.value.problems == [f"nodes[0].contract.{key}: unknown key"]
+
+    @pytest.mark.parametrize("kind", CONTRACT_LEVELS)
+    def test_every_contract_kind_takes_the_guard_keys(self, kind):
+        doc = copy.deepcopy(MINIMAL)
+        doc["nodes"][0]["contract"] = {"kind": kind, **CONTRACT_LEVELS[kind],
+                                       "window": 7, "at_risk_margin": 0.5}
+        contract = parse_config(doc).nodes[0].contract
+        assert (contract.window, contract.at_risk_margin) == (7, 0.5)
 
     def test_schema_version_checked(self):
         doc = dict(MINIMAL) | {"schema_version": 99}
@@ -465,6 +493,14 @@ class TestCmdBatch:
         assert failed["error"].startswith("dt: ") and f"error: {failed['error']}" in err
         assert (passed["scenario"], passed["seed"], passed["exit_code"]) == ("minimal", "5", "0")
         assert passed["error"] == ""
+
+    def test_a_run_hands_back_only_its_summary_row(self, tmp_path):
+        config = write_config(tmp_path, LEARNING, name="scenario.yaml")
+        out = tmp_path / "batch"
+        assert cmd_batch(str(config), reps=1, seed_base=3, out=str(out)) == EXIT_OK
+        row = _run_one_batch_child((str(config), 3, str(tmp_path / "solo")))
+        with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh))[1] == [str(cell) for cell in row]
 
     def test_empty_glob_exits_2(self, tmp_path):
         assert cmd_batch(str(tmp_path / "*.yaml"), reps=1) == EXIT_CONFIG

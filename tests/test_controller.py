@@ -1,11 +1,16 @@
 import json
 import math
+import tempfile
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fidelitylab.behavior import Passive
+from fidelitylab.behavior import Passive, Reactive
+from fidelitylab.cli import _load_resume
 from fidelitylab.controller import (
     LearningState,
     Mode,
@@ -18,11 +23,21 @@ from fidelitylab.controller import (
     assess_safety,
     compute_reward,
     monitor_step,
-    replay_modes,
 )
-from fidelitylab.engine import ControllerSpec, NodeSpec, RunResult, Scenario, validate_resume
+from fidelitylab.engine import (
+    ChannelSpec,
+    ContractSpec,
+    ControllerSpec,
+    FigureSpec,
+    NodeSpec,
+    RunResult,
+    Scenario,
+    run_scenario,
+    validate_resume,
+)
+from fidelitylab.environment import ShockEvent
 from fidelitylab.errors import CatalogError, SequencingError
-from fidelitylab.identity import ContractStatus
+from fidelitylab.identity import ContractStatus, IdentityClass
 from fidelitylab.reflection import DeltaSample
 from fidelitylab.reporting import write_learning_state
 from fidelitylab.rng import substream
@@ -119,14 +134,6 @@ class TestModeSwitch:
         assert controller.step(Safety.SAFE) is Mode.RESILIENT
         assert controller.step(Safety.SAFE) is Mode.RESILIENT
         assert controller.step(Safety.SAFE) is Mode.ELASTIC
-
-    @given(st.lists(st.sampled_from([Safety.SAFE, Safety.UNSAFE]), max_size=80),
-           st.integers(1, 12))
-    @settings(max_examples=60)
-    def test_replay_reconstructs_stepped_timeline(self, verdicts, hysteresis):
-        controller = ModeController(hysteresis)
-        stepped = [controller.step(v) for v in verdicts]
-        assert replay_modes(verdicts, hysteresis) == stepped
 
 
 def catalog(*ids):
@@ -295,6 +302,79 @@ class TestPersistence:
     def test_version_checked(self, tmp_path):
         docs = {"n0": {"version": 99, "catalog": ["a"]}}
         assert validate_resume(learner(catalog("a")), docs) == ["n0.version: expected 1, got 99"]
+
+
+@st.composite
+def _learning_scenarios(draw):
+    """One or two guarded nodes with a gain-mismatched channel, learning
+    over two or three reactive gains, under four to eight alternating
+    shocks."""
+    catalog = tuple(
+        Strategy(id=f"g{gain}", kind=StrategyKind.RECONFIGURE,
+                 behavior=Reactive(feedback_gain=gain))
+        for gain in (0.05, 1.0, 0.5)[:draw(st.integers(2, 3))]
+    )
+    controller = ControllerSpec(
+        hysteresis=5, catalog=catalog,
+        algorithm=draw(st.sampled_from(["ucb1", "epsilon_greedy"])),
+    )
+    shocks = [
+        ShockEvent(at=2.0 + 3.0 * i, figure=0, magnitude=10.0 * (-1) ** i,
+                   recovery_window=2.0)
+        for i in range(draw(st.integers(4, 8)))
+    ]
+    nodes = [
+        NodeSpec(
+            name=f"n{i}",
+            channel=ChannelSpec(gain=draw(st.sampled_from([1.1, 1.3])), noise_std=0.01),
+            contract=ContractSpec(identity=IdentityClass.hard(0.1), window=10),
+            behavior=Reactive(feedback_gain=0.2),
+            controller=controller,
+        )
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    return Scenario(duration=shocks[-1].at + 3.0, seed=draw(st.integers(0, 99)),
+                    figures=[FigureSpec(name="load")], shocks=shocks, nodes=nodes)
+
+
+class TestResume:
+    @settings(max_examples=25, deadline=None)
+    @given(_learning_scenarios(), st.integers(1, 99))
+    def test_a_resumed_run_extends_the_saved_state(self, scenario, offset):
+        """Run A, then B from A's learning_state.json under another seed: B's
+        history starts with A's, and each arm's pulls are A's plus B's own
+        history entries for it. The saved state also survives a load and a
+        save byte for byte."""
+        with tempfile.TemporaryDirectory() as tmp:
+            saved = Path(tmp, "a.json")
+            a = run_scenario(scenario)
+            write_learning_state(a, str(saved))
+            docs = _load_resume(str(saved))
+            b = run_scenario(replace(scenario, seed=scenario.seed + offset),
+                             resume_learning=docs, resume_source=str(saved))
+
+            for name, doc_a in a.learning_docs.items():
+                doc_b, own = b.learning_docs[name], len(doc_a["history"])
+                assert doc_b["history"][:own] == doc_a["history"]
+                added = Counter((e["regime"], e["strategy"]) for e in doc_b["history"][own:])
+                assert doc_a["regimes"].keys() <= doc_b["regimes"].keys()
+                for regime, arms in doc_b["regimes"].items():
+                    before = {arm["strategy_id"]: arm["pulls"]
+                              for arm in doc_a["regimes"].get(regime, ())}
+                    for arm in arms:
+                        sid = arm["strategy_id"]
+                        assert arm["pulls"] == before.get(sid, 0) + added[regime, sid]
+
+            ctrl = scenario.nodes[0].controller
+            restored = {}
+            for name, doc in docs.items():
+                learning = LearningState(ctrl.catalog, exploration=ctrl.exploration,
+                                         algorithm=ctrl.algorithm, epsilon=ctrl.epsilon)
+                learning.load_document(doc)
+                restored[name] = learning.to_document()
+            again = Path(tmp, "again.json")
+            write_learning_state(RunResult("s", 0, learning_docs=restored), str(again))
+            assert again.read_bytes() == saved.read_bytes()
 
 
 class TestConvergence:

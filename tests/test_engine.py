@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from statistics import median
@@ -16,11 +17,11 @@ from fidelitylab.behavior import CorrectiveAction, Passive, Predictive, Reactive
 from fidelitylab.collective import ResourcePool, SocialAction, SocialBehavior
 from fidelitylab.config import load_config
 from fidelitylab.controller import (
+    ModeController,
     Safety,
     SafetyPredicate,
     Strategy,
     StrategyKind,
-    replay_modes,
 )
 from fidelitylab.engine import (
     ChannelSpec,
@@ -510,7 +511,8 @@ class TestModeReplay:
         result = run_scenario(scenario)
         verdicts = result.traces["n0"].verdicts
         assert Safety.UNSAFE in verdicts
-        assert replay_modes(verdicts, hysteresis=7) == result.traces["n0"].modes
+        controller = ModeController(hysteresis=7)
+        assert [controller.step(v) for v in verdicts] == result.traces["n0"].modes
 
 
 class TestChannelCache:
@@ -694,6 +696,24 @@ class TestCalibration:
                 assert len(getattr(trace, column)) == ticks, column
             assert trace.statuses == trace.modes == trace.verdicts == trace.identities == []
         assert len(result.recovery) == len(scenario.nodes) * len(scenario.shocks)
+
+    def test_the_pre_run_is_released_before_the_main_run(self, monkeypatch):
+        """A run holds one tick history at a time: by the time the main run
+        starts, no trace, recovery row or result of the pre-run is alive."""
+        execute, pre_run, alive = engine._execute, [], []
+
+        def watched(scenario, baselines, passive_override, **kwargs):
+            if not passive_override:
+                alive.append(sum(ref() is not None for ref in pre_run))
+            result = execute(scenario, baselines, passive_override=passive_override, **kwargs)
+            if passive_override:
+                pre_run.extend(weakref.ref(product) for product in (
+                    result, *result.traces.values(), *result.recovery))
+            return result
+
+        monkeypatch.setattr(engine, "_execute", watched)
+        run_scenario(load_config(DEMO))
+        assert len(pre_run) == 1 + 1 + 6 and alive == [0]
 
 
 class TestPoolWiring:

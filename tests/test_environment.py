@@ -1,5 +1,3 @@
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,6 @@ from fidelitylab.environment import (
     ShockEvent,
     apply_shock,
     label_regime,
-    regime_increments,
     step_environment,
 )
 from fidelitylab.config import _Parser, process_from_spec, process_to_spec
@@ -137,8 +134,15 @@ class TestApplyShock:
 
 
 class TestLabelRegime:
+    @staticmethod
+    def increments(history):
+        """|figure increments| between consecutive states, one row per pair:
+        the rows the engine's regime ring holds."""
+        figures = np.array([s.figures for s in history], dtype=float).reshape(len(history), -1)
+        return np.abs(figures[1:] - figures[:-1])
+
     def make_history(self, values):
-        return regime_increments([state(v, time=float(i)) for i, v in enumerate(values)])
+        return self.increments([state(v, time=float(i)) for i, v in enumerate(values)])
 
     def test_constant_history_is_calm(self):
         history = self.make_history([2.0] * 10)
@@ -161,10 +165,6 @@ class TestLabelRegime:
 
     def test_single_state_is_calm(self):
         assert label_regime(self.make_history([1.0]), threshold=0.1) is Regime.CALM
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ConfigurationError):
-            regime_increments([])
 
     @staticmethod
     def flat_mean(history):
@@ -202,7 +202,7 @@ class TestLabelRegime:
             ))
             expected = Regime.TURBULENT if mean > threshold else Regime.CALM
             assert label_regime(ring.view(), threshold) is expected
-            assert label_regime(regime_increments(deque(history)), threshold) is expected
+            assert label_regime(self.increments(history), threshold) is expected
 
 
 class TestProcessSpecs:
