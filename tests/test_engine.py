@@ -713,7 +713,8 @@ class TestCalibration:
 
         monkeypatch.setattr(engine, "_execute", watched)
         run_scenario(load_config(DEMO))
-        assert len(pre_run) == 1 + 1 + 6 and alive == [0]
+        # The result, the demo's one trace and its six recovery rows.
+        assert len(pre_run) == 8 and alive == [0]
 
 
 class TestPoolWiring:

@@ -138,7 +138,7 @@ class TestLabelRegime:
     def increments(history):
         """|figure increments| between consecutive states, one row per pair:
         the rows the engine's regime ring holds."""
-        figures = np.array([s.figures for s in history], dtype=float).reshape(len(history), -1)
+        figures = np.array([s.figures for s in history], dtype=float)
         return np.abs(figures[1:] - figures[:-1])
 
     def make_history(self, values):
