@@ -29,6 +29,7 @@ from .collective import (
     diversity_score,
 )
 from .controller import (
+    LearningSpec,
     LearningState,
     Mode,
     ModeController,

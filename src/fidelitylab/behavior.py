@@ -46,14 +46,6 @@ class CorrectiveAction:
     resample: Optional[float] = None  # new sampling period, if any
     fallback: bool = False  # predictive cold-start fell back to feedback
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.gain <= 0:
-            problems.append("gain multiplier must be > 0")
-        if self.resample is not None and self.resample <= 0:
-            problems.append("new sampling period must be > 0")
-        return problems
-
 
 ZERO_ACTION = CorrectiveAction()
 
@@ -76,9 +68,6 @@ class Behavior:
     @property
     def order(self) -> int:
         return 0
-
-    def validate(self, context_variables: int = 1) -> list[str]:
-        return []
 
 
 @dataclass
@@ -103,12 +92,6 @@ class ActiveNonPurposeful(Behavior):
         self._cursor += 1
         return action
 
-    def validate(self, context_variables=1):
-        problems = []
-        for action in self.schedule:
-            problems.extend(action.validate())
-        return problems
-
 
 @dataclass
 class PurposefulNonTeleological(Behavior):
@@ -119,26 +102,18 @@ class PurposefulNonTeleological(Behavior):
     def act(self, obs):
         return self.policy
 
-    def validate(self, context_variables=1):
-        return self.policy.validate()
-
 
 @dataclass
 class Reactive(Behavior):
     """Proportional feedback on the latest error sample."""
 
-    feedback_gain: float = 1.0
+    gain: float = 1.0
 
     def act(self, obs):
-        correction = -self.feedback_gain * obs.latest.delta
+        correction = -self.gain * obs.latest.delta
         if correction == 0.0:
             return ZERO_ACTION
         return CorrectiveAction(bias=correction)
-
-    def validate(self, context_variables=1):
-        if not 0.0 < self.feedback_gain <= 2.0:
-            return ["reactive feedback gain must be in (0, 2]"]
-        return []
 
 
 @dataclass
@@ -159,26 +134,14 @@ class Predictive(Behavior):
     def __post_init__(self):
         # One row per remembered tick: 1 (the intercept), time, the k-1
         # context figures, then the deviation. The newest rows are the
-        # design matrix beside its right-hand side.
-        self._history = WindowRing(self.window, width=self.k + 2)
+        # design matrix beside its right-hand side. An order or length out of
+        # range builds a ring of one, so validation can name it.
+        self._history = WindowRing(max(self.window, 1), width=max(self.k, 1) + 2)
         self._staged: Optional[CorrectiveAction] = None
 
     @property
     def order(self) -> int:
         return self.k
-
-    def validate(self, context_variables=1):
-        problems = []
-        if self.k < 1:
-            problems.append("predictive order k must be >= 1")
-        if self.window < self.k + 1:
-            problems.append("predictive history length must be >= k + 1")
-        if self.k > context_variables:
-            problems.append(
-                f"predictive order {self.k} exceeds the {context_variables} "
-                "tracked context variable(s)"
-            )
-        return problems
 
     def act(self, obs):
         if self._staged is None:

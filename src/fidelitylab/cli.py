@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .config import check_learning_state, load_config, scenario_to_config
-from .engine import check_run, run_scenario
+from .engine import RunResult, check_run, run_scenario
 from .errors import ConfigurationError, FidelityLabError
-from .identity import IdentityClass, classify_trace, mean_std
+from .identity import CONTRACT_LEVELS, IdentityClass, IdentityKind, classify_trace, mean_std
 from .reporting import export_run
 
 EXIT_OK = 0
@@ -46,19 +46,21 @@ def _load_resume(path: str) -> dict:
     return check_learning_state(doc, path)
 
 
-def cmd_run(
-    config_path: str,
-    seed: Optional[int] = None,
-    out: str = ".",
-    resume: Optional[str] = None,
-) -> int:
+def cmd_run(config_path: str, seed: Optional[int] = None, out: str = ".",
+            resume: Optional[str] = None) -> int:
+    return _run(config_path, seed, out, resume)[0]
+
+
+def _run(config_path: str, seed: Optional[int], out: str,
+         resume: Optional[str] = None) -> tuple[int, Optional[RunResult]]:
+    """``cmd_run``'s exit code, and the run's result once it is exported."""
     try:
         scenario = load_config(config_path, seed_override=seed)
         resume_doc = _load_resume(resume) if resume else None
     except ConfigurationError as exc:
-        return _fail(exc.problems)
+        return _fail(exc.problems), None
     except OSError as exc:
-        return _fail([exc])
+        return _fail([exc]), None
     try:
         # The inputs are checked, and an --out that cannot be a directory
         # fails, before the run; a failed check leaves no directory behind.
@@ -68,12 +70,12 @@ def cmd_run(
         result.config_echo = scenario_to_config(scenario)
         export_run(result, out)
     except ConfigurationError as exc:
-        return _fail(exc.problems)
+        return _fail(exc.problems), None
     except FidelityLabError as exc:
-        return _fail([exc], EXIT_RUNTIME)
+        return _fail([exc], EXIT_RUNTIME), None
     except OSError as exc:
-        return _fail([f"cannot write exports to {out}: {exc}"], EXIT_RUNTIME)
-    return EXIT_OK
+        return _fail([f"cannot write exports to {out}: {exc}"], EXIT_RUNTIME), None
+    return EXIT_OK, result
 
 
 def _parse_trace_csv(path: str) -> list[float]:
@@ -119,19 +121,17 @@ def cmd_classify(
     best_effort: Optional[float] = None,
     window: Optional[int] = None,
 ) -> int:
-    given = [v for v in (hard, soft, best_effort) if v is not None]
+    flags = {"--hard": (IdentityKind.HARD_RT, hard), "--soft": (IdentityKind.SOFT_RT, soft),
+             "--best-effort": (IdentityKind.BEST_EFFORT, best_effort)}
+    given = [(flag, *spec) for flag, spec in flags.items() if spec[1] is not None]
     if len(given) != 1:
         return _fail(["exactly one of --hard / --soft / --best-effort"])
-    if hard is not None:
-        candidate = IdentityClass.hard(hard)
-        params = {"threshold": hard}
-    elif soft is not None:
-        candidate = IdentityClass.soft(soft[0], soft[1])
-        params = {"mean": soft[0], "std": soft[1]}
-    else:
-        candidate = IdentityClass.best_effort(best_effort)
-        params = {"bound": best_effort}
-    problems = candidate.validate()
+    [(flag, kind, value)] = given
+    levels = tuple(value) if kind is IdentityKind.SOFT_RT else (value,)
+    pairs = list(zip(CONTRACT_LEVELS[kind], levels))
+    candidate = IdentityClass(kind, **{field: v for (_, field), v in pairs})
+    params = {key: v for (key, _), v in pairs}
+    problems = [] if all(v > 0 for v in levels) else [f"{flag}: must be > 0"]
     if window is not None and window < 1:
         problems.append("--window must be >= 1")
     if problems:
@@ -172,21 +172,17 @@ def _run_one_batch_child(args: tuple) -> tuple:
     messages, and a failed run's row holds them with empty result cells."""
     config_path, seed, outdir = args
     with contextlib.redirect_stderr(io.StringIO()) as captured:
-        code = cmd_run(config_path, seed=seed, out=outdir)
+        code, result = _run(config_path, seed, outdir)
     errors = captured.getvalue()
     sys.stderr.write(errors)
-    if code != EXIT_OK:
+    if result is None:
         messages = [line[7:] for line in errors.splitlines() if line.startswith("error: ")]
         return (os.path.basename(config_path), seed, "", "", "", code, "; ".join(messages))
-    with open(os.path.join(outdir, "report.json"), encoding="utf-8") as fh:
-        report = json.load(fh)
-    anti = report.get("antifragility", {})
-    slope = anti.get("normalized_slope", "")
-    cost = _mean_episode_cost(outdir)
+    anti, costs = result.antifragility, [float(m.cost) for m in result.recovery]
     return (
-        report.get("scenario", os.path.basename(config_path)), seed,
-        anti.get("verdict", ""), repr(float(slope)) if slope != "" else "",
-        repr(cost) if cost is not None else "", code, "",
+        result.scenario_name, seed,
+        anti.verdict if anti else "", repr(float(anti.normalized_slope)) if anti else "",
+        repr(sum(costs) / len(costs)) if costs else "", code, "",
     )
 
 
@@ -237,22 +233,6 @@ def cmd_batch(
     if failures:
         return _fail([f"{failures} of {len(tasks)} runs failed"], EXIT_RUNTIME)
     return EXIT_OK
-
-
-def _mean_episode_cost(outdir: str) -> Optional[float]:
-    path = os.path.join(outdir, "episodes.csv")
-    if not os.path.exists(path):
-        return None
-    costs = []
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            cells = line.strip().split(",")
-            if len(cells) >= 3 and cells[2]:
-                costs.append(float(cells[2]))
-    if not costs:
-        return None
-    return sum(costs) / len(costs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,7 +40,7 @@ from .behavior import (
     Reactive,
 )
 from .collective import SocialAction, SocialActionKind, SocialBehavior
-from .controller import SafetyPredicate, Strategy, StrategyKind
+from .controller import LearningSpec, SafetyPredicate, Strategy, StrategyKind
 from .engine import (
     RESTAGEABLE,
     ChannelSpec,
@@ -61,7 +61,7 @@ from .environment import (
     ShockEvent,
 )
 from .errors import ConfigurationError
-from .identity import DetectorConfig, IdentityClass, IdentityKind
+from .identity import CONTRACT_LEVELS, DetectorConfig, IdentityClass, IdentityKind
 
 SCHEMA_VERSION = 1
 
@@ -202,13 +202,15 @@ class _Parser:
 
 # -- behaviors and processes --------------------------------------------------
 
+#: The behaviors whose document keys are their own scalar fields.
+_SCALAR_BEHAVIORS = {"reactive": Reactive, "predictive": Predictive}
 _BEHAVIOR_KEYS = {
     "passive": (),
     "active_non_purposeful": ("schedule",),
     "purposeful_non_teleological": ("policy",),
-    "reactive": ("gain",),
-    "predictive": ("k", "window"),
+    **{kind: _keys(cls) for kind, cls in _SCALAR_BEHAVIORS.items()},
 }
+_BEHAVIOR_KINDS = {cls: kind for kind, cls in _SCALAR_BEHAVIORS.items()}
 
 _PROCESSES = {
     "constant": Constant,
@@ -244,12 +246,9 @@ def behavior_from_spec(p: _Parser, spec: Any, path: str) -> Optional[Behavior]:
         return PurposefulNonTeleological(
             policy=_action_from_spec(p, section.get("policy"), f"{path}.policy")
         )
-    if kind == "reactive":
-        return Reactive(
-            feedback_gain=p.number(section.get("gain"), f"{path}.gain", Reactive.feedback_gain)
-        )
-    if kind == "predictive":
-        return Predictive(**p.scalars(Predictive, section, path))
+    if kind in _SCALAR_BEHAVIORS:
+        cls = _SCALAR_BEHAVIORS[kind]
+        return cls(**p.scalars(cls, section, path))
     return Passive()
 
 
@@ -274,10 +273,8 @@ def behavior_to_spec(behavior: Behavior) -> dict:
             "kind": "purposeful_non_teleological",
             "policy": _action_to_spec(behavior.policy),
         }
-    if isinstance(behavior, Reactive):
-        return {"kind": "reactive", "gain": behavior.feedback_gain}
-    if isinstance(behavior, Predictive):
-        return {"kind": "predictive", **_echo(behavior)}
+    if type(behavior) in _BEHAVIOR_KINDS:
+        return {"kind": _BEHAVIOR_KINDS[type(behavior)], **_echo(behavior)}
     raise ConfigurationError(f"cannot serialize behavior {type(behavior).__name__}")
 
 
@@ -314,11 +311,17 @@ def process_to_spec(process: DriftProcess) -> dict:
 
 # -- scenario sections ----------------------------------------------------------
 
-#: Each contract kind takes its own levels, and every kind the guard keys.
+#: The class each contract kind names. A kind takes its own levels
+#: (``CONTRACT_LEVELS``), and every kind the guard keys.
 _CONTRACT_KINDS = {
-    "hard": ("threshold", "window", "at_risk_margin"),
-    "soft": ("mean", "std", "window", "at_risk_margin"),
-    "best_effort": ("bound", "window", "at_risk_margin"),
+    "hard": IdentityKind.HARD_RT,
+    "soft": IdentityKind.SOFT_RT,
+    "best_effort": IdentityKind.BEST_EFFORT,
+}
+_CONTRACT_KIND_NAMES = {kind: name for name, kind in _CONTRACT_KINDS.items()}
+_CONTRACT_KEYS = {
+    name: (*(key for key, _ in CONTRACT_LEVELS[kind]), *_keys(ContractSpec) - {"identity"})
+    for name, kind in _CONTRACT_KINDS.items()
 }
 _STRATEGY_KINDS = dict.fromkeys(("reconfigure", "social"), ("id", "behavior", "channel", "action"))
 _ACTION_KINDS = dict.fromkeys((k.value for k in SocialActionKind), ("amount", "target"))
@@ -335,21 +338,14 @@ _SCENARIO_SECTIONS = {
 def _contract(p: _Parser, raw: Any, path: str) -> Optional[ContractSpec]:
     if raw is None:
         return None
-    kind, section = p.kinded(raw, path, _CONTRACT_KINDS)
-
-    def level(key: str) -> float:
-        return p.number(section.get(key), f"{path}.{key}", 0.1)
-
-    if kind == "hard":
-        identity = IdentityClass.hard(level("threshold"))
-    elif kind == "soft":
-        identity = IdentityClass.soft(level("mean"), level("std"))
-    elif kind == "best_effort":
-        identity = IdentityClass.best_effort(level("bound"))
-    else:
-        # A rejected kind reads as the unconstrained class: validation flags
-        # that at this same path, and finds a contract for the detector.
-        identity = IdentityClass.non_rt()
+    name, section = p.kinded(raw, path, _CONTRACT_KEYS)
+    # A rejected kind reads as the unconstrained class: validation flags
+    # that at this same path, and finds a contract for the detector.
+    kind = _CONTRACT_KINDS.get(name, IdentityKind.NON_RT)
+    identity = IdentityClass(kind, **{
+        field: p.number(section.get(key), f"{path}.{key}", 0.1)
+        for key, field in CONTRACT_LEVELS.get(kind, ())
+    })
     return ContractSpec(identity=identity, **p.scalars(ContractSpec, section, path))
 
 
@@ -391,28 +387,15 @@ def _strategy(p: _Parser, raw: Any, path: str) -> Optional[Strategy]:
 
 
 def _controller(p: _Parser, raw: Any, path: str) -> ControllerSpec:
-    section = p.mapping(raw, path, {"smoothing", "safety", "hysteresis", "learning", "catalog"})
-    lpath = f"{path}.learning"
-    learning = p.mapping(
-        section.get("learning"), lpath, {"enabled", "algorithm", "exploration", "epsilon"}
-    )
+    section = p.mapping(raw, path, _keys(ControllerSpec))
     catalog = [
         _strategy(p, entry, f"{path}.catalog[{j}]")
         for j, entry in enumerate(p.sequence(section.get("catalog"), f"{path}.catalog"))
     ]
     return ControllerSpec(
-        **p.scalars(ControllerSpec, section, path, names=("smoothing", "hysteresis")),
+        **p.scalars(ControllerSpec, section, path),
         safety=p.spec(SafetyPredicate, section.get("safety"), f"{path}.safety"),
-        learning_enabled=p.boolean(
-            learning.get("enabled"), f"{lpath}.enabled", ControllerSpec.learning_enabled
-        ),
-        algorithm=p.string(
-            learning.get("algorithm"), f"{lpath}.algorithm", ControllerSpec.algorithm
-        ),
-        exploration=p.number(
-            learning.get("exploration"), f"{lpath}.exploration", ControllerSpec.exploration
-        ),
-        epsilon=p.number(learning.get("epsilon"), f"{lpath}.epsilon", ControllerSpec.epsilon),
+        learning=p.spec(LearningSpec, section.get("learning"), f"{path}.learning"),
         # A catalog holding a rejected entry is left out whole, so that no
         # check on the rest reports under a shifted index.
         catalog=() if None in catalog else tuple(catalog),
@@ -551,14 +534,9 @@ def check_learning_state(doc: Any, source: str) -> dict:
 
 def _contract_to_config(contract: ContractSpec) -> dict:
     identity = contract.identity
-    out = _echo(contract)
-    if identity.kind is IdentityKind.HARD_RT:
-        out |= {"kind": "hard", "threshold": identity.hard_threshold}
-    elif identity.kind is IdentityKind.SOFT_RT:
-        out |= {"kind": "soft", "mean": identity.soft_mean, "std": identity.soft_std}
-    else:
-        out |= {"kind": "best_effort", "bound": identity.acceptability_bound}
-    return out
+    return _echo(contract) | {"kind": _CONTRACT_KIND_NAMES[identity.kind]} | {
+        key: getattr(identity, field) for key, field in CONTRACT_LEVELS[identity.kind]
+    }
 
 
 def _strategy_to_config(strategy: Strategy) -> dict:
@@ -588,16 +566,9 @@ def _node_to_config(node: NodeSpec) -> dict:
         entry["social"] = node.social.value
     if node.controller is not None:
         ctrl = node.controller
-        entry["controller"] = {
-            "smoothing": ctrl.smoothing,
+        entry["controller"] = _echo(ctrl) | {
             "safety": _echo(ctrl.safety),
-            "hysteresis": ctrl.hysteresis,
-            "learning": {
-                "enabled": ctrl.learning_enabled,
-                "algorithm": ctrl.algorithm,
-                "exploration": ctrl.exploration,
-                "epsilon": ctrl.epsilon,
-            },
+            "learning": _echo(ctrl.learning),
             "catalog": [_strategy_to_config(s) for s in ctrl.catalog],
         }
     return entry

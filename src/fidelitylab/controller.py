@@ -54,14 +54,6 @@ class SafetyPredicate:
     turbulence_threshold: float = 0.05  # EWMA rise over the horizon that counts as a trend
     horizon: int = 10  # ticks over which the trend is measured
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.turbulence_threshold <= 0:
-            problems.append("turbulence_threshold must be > 0")
-        if self.horizon < 1:
-            problems.append("trend horizon must be >= 1")
-        return problems
-
 
 class MonitorState:
     """O(1) smoothed view of the |delta| stream.
@@ -160,6 +152,21 @@ class Strategy:
     social: Optional[SocialAction] = None
 
 
+#: The strategy-selection algorithms a LearningSpec may name.
+ALGORITHMS = ("ucb1", "epsilon_greedy")
+
+
+@dataclass(frozen=True)
+class LearningSpec:
+    """Whether a controller learns over its catalog, and how it selects:
+    UCB1 with its ``exploration`` constant, or epsilon-greedy."""
+
+    enabled: bool = True
+    algorithm: str = "ucb1"
+    exploration: float = float(np.sqrt(2.0))
+    epsilon: float = 0.1
+
+
 @dataclass
 class ArmStats:
     pulls: int = 0
@@ -174,22 +181,14 @@ class LearningState:
     append-only (episode, strategy, reward) history.
     """
 
-    def __init__(
-        self,
-        catalog: Sequence[Strategy],
-        exploration: float = float(np.sqrt(2.0)),
-        algorithm: str = "ucb1",
-        epsilon: float = 0.1,
-    ):
+    def __init__(self, catalog: Sequence[Strategy], spec: LearningSpec = LearningSpec()):
         ids = [s.id for s in catalog]
         if len(set(ids)) != len(ids):
             raise CatalogError(f"duplicate strategy ids in catalog: {ids}")
-        if algorithm not in ("ucb1", "epsilon_greedy"):
-            raise ConfigurationError(f"unknown learning algorithm {algorithm!r}")
+        if spec.algorithm not in ALGORITHMS:
+            raise ConfigurationError(f"unknown learning algorithm {spec.algorithm!r}")
         self.catalog = list(catalog)
-        self.exploration = exploration
-        self.algorithm = algorithm
-        self.epsilon = epsilon
+        self.spec = spec
         self.arms: dict[str, dict[str, ArmStats]] = {}
         self.ranks: dict[str, list[int]] = {}
         self.history: list[dict] = []
@@ -206,7 +205,7 @@ class LearningState:
         if not self.catalog:
             raise CatalogError("cannot select from an empty catalog")
         arms = self._regime_arms(regime)
-        if self.algorithm == "epsilon_greedy":
+        if self.spec.algorithm == "epsilon_greedy":
             return self._select_epsilon(arms, rng)
         return self._select_ucb(arms)
 
@@ -218,7 +217,7 @@ class LearningState:
         best, best_score = None, -np.inf
         for strategy in self.catalog:
             stat = arms[strategy.id]
-            score = stat.mean + self.exploration * np.sqrt(np.log(total) / stat.pulls)
+            score = stat.mean + self.spec.exploration * np.sqrt(np.log(total) / stat.pulls)
             if score > best_score:  # strict: ties keep the lowest catalog index
                 best, best_score = strategy, score
         return best
@@ -226,7 +225,7 @@ class LearningState:
     def _select_epsilon(self, arms, rng) -> Strategy:
         if rng is None:
             raise ConfigurationError("epsilon-greedy selection needs an rng stream")
-        if rng.uniform() < self.epsilon:
+        if rng.uniform() < self.spec.epsilon:
             return self.catalog[int(rng.integers(len(self.catalog)))]
         best, best_mean = None, -np.inf
         for strategy in self.catalog:
@@ -261,9 +260,9 @@ class LearningState:
     def to_document(self) -> dict:
         return {
             "version": LEARNING_STATE_VERSION,
-            "algorithm": self.algorithm,
-            "exploration": self.exploration,
-            "epsilon": self.epsilon,
+            "algorithm": self.spec.algorithm,
+            "exploration": self.spec.exploration,
+            "epsilon": self.spec.epsilon,
             "catalog": [s.id for s in self.catalog],
             "regimes": {
                 regime: [

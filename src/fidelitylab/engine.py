@@ -47,11 +47,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .behavior import (
+    ActiveNonPurposeful,
     Behavior,
     CorrectiveAction,
     Observation,
     Passive,
     Predictive,
+    PurposefulNonTeleological,
+    Reactive,
     stage_predictions,
 )
 from .collective import (
@@ -64,7 +67,9 @@ from .collective import (
     decide_social_action,
 )
 from .controller import (
+    ALGORITHMS,
     LEARNING_STATE_VERSION,
+    LearningSpec,
     LearningState,
     Mode,
     ModeController,
@@ -81,7 +86,9 @@ from .environment import (
     Constant,
     DriftProcess,
     EnvState,
+    RandomWalk,
     Regime,
+    RegimeSwitching,
     ShockEvent,
     apply_shock,
     label_regime,
@@ -92,6 +99,7 @@ from .errors import ConfigurationError, DivergenceError, InsufficientDataError
 # calls the first), but stay bound so that perfbench/tracer.py, which
 # patches the engine's bindings, finds them.
 from .identity import (  # noqa: F401
+    CONTRACT_LEVELS,
     ContractGroup,
     ContractStatus,
     DetectorConfig,
@@ -154,10 +162,7 @@ class ControllerSpec:
     smoothing: float = 0.1
     safety: SafetyPredicate = field(default_factory=SafetyPredicate)
     hysteresis: int = 10
-    learning_enabled: bool = True
-    algorithm: str = "ucb1"
-    exploration: float = float(np.sqrt(2.0))
-    epsilon: float = 0.1
+    learning: LearningSpec = field(default_factory=LearningSpec)
     catalog: tuple[Strategy, ...] = ()
 
 
@@ -296,9 +301,88 @@ def _period_ticks(period: float, dt: float) -> int:
     return max(1, round(period / dt))
 
 
-def _under(path: str, messages: list[str]) -> list[str]:
-    """An object's own validation messages, under its document path."""
-    return [f"{path}: {msg}" for msg in messages]
+#: Each range rule: its message, then the least and the greatest value it
+#: admits. A strict bound is given as the nearest float inside it, so each
+#: test is one chained comparison, and NaN fails every rule.
+_TINY, _FLOAT_MAX = math.ulp(0.0), math.nextafter(math.inf, 0.0)
+_POSITIVE = ("must be > 0", _TINY, math.inf)
+_NON_NEGATIVE = ("must be >= 0", 0.0, math.inf)
+_AT_LEAST_ONE = ("must be >= 1", 1, math.inf)
+
+#: The range rule on each single value of a spec class, by its document key.
+#: A key names the field of the same name; a Scenario key, the field its last
+#: part names; an IdentityClass key, its field in ``CONTRACT_LEVELS``.
+VALUE_RULES = {
+    Scenario: {"dt": ("must be finite and > 0", _TINY, _FLOAT_MAX),
+               "duration": ("must be finite and >= 0", 0.0, _FLOAT_MAX),
+               "environment.turbulence_threshold": _POSITIVE,
+               "environment.regime_window": _AT_LEAST_ONE},
+    RandomWalk: {"std": _NON_NEGATIVE},
+    RegimeSwitching: {"hazard": ("must be in [0, 1]", 0.0, 1.0)},
+    ShockEvent: {"recovery_window": _POSITIVE},
+    PoolSpec: {"total": _POSITIVE, "join_allocation": _NON_NEGATIVE,
+               "solo_capacity": _NON_NEGATIVE, "floor": _NON_NEGATIVE,
+               "assist_quantum": _POSITIVE, "calm_window": _AT_LEAST_ONE},
+    IdentityClass: {key: _POSITIVE for levels in CONTRACT_LEVELS.values() for key, _ in levels},
+    ContractSpec: {"window": _AT_LEAST_ONE},
+    DetectorConfig: {"slack": _NON_NEGATIVE, "threshold": _POSITIVE, "window": _AT_LEAST_ONE},
+    CorrectiveAction: {"gain": _POSITIVE, "resample": _POSITIVE},
+    Reactive: {"gain": ("must be in (0, 2]", _TINY, 2.0)},
+    Predictive: {"k": _AT_LEAST_ONE},
+    ControllerSpec: {"smoothing": ("must be in (0, 1]", _TINY, 1.0),
+                     "hysteresis": _AT_LEAST_ONE},
+    SafetyPredicate: {"turbulence_threshold": _POSITIVE, "horizon": _AT_LEAST_ONE},
+}
+
+_LEVEL_FIELDS = dict(pair for levels in CONTRACT_LEVELS.values() for pair in levels)
+
+#: VALUE_RULES as the walk reads it: (key, field, message, least, greatest).
+_RULES = {
+    cls: tuple(
+        (key, _LEVEL_FIELDS[key] if cls is IdentityClass else key.rpartition(".")[2], *rule)
+        for key, rule in rules.items()
+    )
+    for cls, rules in VALUE_RULES.items()
+}
+
+
+def _range_problems(spec, path: str) -> list[str]:
+    """The rules of ``VALUE_RULES`` that the values of spec break, each
+    under ``path.key`` (under the bare key for an empty path). An unset
+    (None) value breaks none."""
+    problems = []
+    for key, name, message, least, greatest in _RULES.get(type(spec), ()):
+        value = getattr(spec, name)
+        if value is not None and not least <= value <= greatest:
+            problems.append(f"{path}.{key}: {message}" if path else f"{key}: {message}")
+    return problems
+
+
+def _process_problems(process: DriftProcess, path: str) -> list[str]:
+    problems = _range_problems(process, path)
+    if isinstance(process, RegimeSwitching):
+        problems += _process_problems(process.calm, f"{path}.calm")
+        problems += _process_problems(process.turbulent, f"{path}.turbulent")
+    return problems
+
+
+def _behavior_problems(behavior: Behavior, path: str, context_variables: int) -> list[str]:
+    """A behavior's range problems, its actions' and, for a predictive one,
+    its history length and order against the tracked context variables."""
+    problems = _range_problems(behavior, path)
+    if isinstance(behavior, ActiveNonPurposeful):
+        for i, action in enumerate(behavior.schedule):
+            problems += _range_problems(action, f"{path}.schedule[{i}]")
+    elif isinstance(behavior, PurposefulNonTeleological):
+        problems += _range_problems(behavior.policy, f"{path}.policy")
+    elif isinstance(behavior, Predictive):
+        if behavior.window < behavior.k + 1:
+            problems.append(f"{path}.window: must be >= k + 1")
+        if behavior.k > context_variables:
+            problems.append(
+                f"{path}.k: must not exceed the {context_variables} tracked context variables"
+            )
+    return problems
 
 
 def _channel_problems(channel: dict, dt: Optional[float], path: str) -> list[str]:
@@ -320,31 +404,25 @@ def _channel_problems(channel: dict, dt: Optional[float], path: str) -> list[str
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Collect every value and cross-reference problem, not just the first,
-    each once under the document path of its key."""
-    problems: list[str] = []
+    each once under the document path of its key: the range rules of
+    ``VALUE_RULES``, then the rules that relate several values."""
+    problems = _range_problems(scenario, "")
     dt = scenario.dt if 0 < scenario.dt < math.inf else None
-    if dt is None:
-        problems.append("dt: must be finite and > 0")
-    if not 0 <= scenario.duration < math.inf:
-        problems.append("duration: must be finite and >= 0")
-    elif dt is not None and _whole_ticks(scenario.duration, dt) is None:
+    if (dt is not None and 0 <= scenario.duration < math.inf
+            and _whole_ticks(scenario.duration, dt) is None):
         problems.append("duration: must be an integer number of dt ticks")
     if not scenario.figures:
         problems.append("environment.figures: at least one figure is required")
-    if scenario.turbulence_threshold <= 0:
-        problems.append("environment.turbulence_threshold: must be > 0")
-    if scenario.regime_window < 1:
-        problems.append("environment.regime_window: must be >= 1")
 
     n = len(scenario.figures)
     for i, fig in enumerate(scenario.figures):
-        problems += _under(f"environment.figures[{i}].process", fig.process.validate())
+        problems += _process_problems(fig.process, f"environment.figures[{i}].process")
 
     figure_end: dict[int, float] = {}
     last_at = -math.inf
     for i, shock in enumerate(scenario.shocks):
         prefix = f"shocks[{i}]"
-        problems += _under(prefix, shock.validate())
+        problems += _range_problems(shock, prefix)
         if not 0 <= shock.figure < max(n, 1):
             problems.append(f"{prefix}.figure: index {shock.figure} out of range")
         if shock.at <= last_at:
@@ -358,16 +436,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         figure_end[shock.figure] = shock.at + shock.recovery_window
 
     if scenario.pool is not None:
-        pool = scenario.pool
-        if pool.total <= 0:
-            problems.append("pool.total: must be > 0")
-        for key in ("join_allocation", "solo_capacity", "floor"):
-            if getattr(pool, key) < 0:
-                problems.append(f"pool.{key}: must be >= 0")
-        if pool.assist_quantum <= 0:
-            problems.append("pool.assist_quantum: must be > 0")
-        if pool.calm_window < 1:
-            problems.append("pool.calm_window: must be >= 1")
+        problems += _range_problems(scenario.pool, "pool")
 
     names = set()
     for i, node in enumerate(scenario.nodes):
@@ -379,36 +448,32 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             problems.append(f"{prefix}.figure: index {node.figure} out of range")
         problems += _channel_problems(vars(node.channel), dt, f"{prefix}.channel")
         if node.channel.bias_drift is not None:
-            problems += _under(f"{prefix}.channel.bias_drift", node.channel.bias_drift.validate())
+            problems += _process_problems(node.channel.bias_drift, f"{prefix}.channel.bias_drift")
         if node.contract is not None:
-            problems += _under(f"{prefix}.contract", node.contract.identity.validate())
-            if node.contract.window < 1:
-                problems.append(f"{prefix}.contract.window: must be >= 1")
+            problems += _range_problems(node.contract.identity, f"{prefix}.contract")
+            problems += _range_problems(node.contract, f"{prefix}.contract")
             if node.contract.identity.kind is IdentityKind.NON_RT:
                 problems.append(
                     f"{prefix}.contract: the unconstrained class is spelled "
                     "by omitting the contract"
                 )
         if node.detector is not None:
-            problems += _under(f"{prefix}.detector", node.detector.validate())
+            problems += _range_problems(node.detector, f"{prefix}.detector")
             if node.contract is None:
                 problems.append(f"{prefix}.detector: requires a contract")
-        problems += _under(f"{prefix}.behavior", node.behavior.validate(context_variables=1 + n))
+        problems += _behavior_problems(node.behavior, f"{prefix}.behavior", 1 + n)
         if node.social is not None and scenario.pool is None:
             problems.append(f"{prefix}.social: requires a pool section")
         if node.member and scenario.pool is None:
             problems.append(f"{prefix}.member: requires a pool section")
         if node.controller is not None:
             ctrl = node.controller
-            if not 0 < ctrl.smoothing <= 1:
-                problems.append(f"{prefix}.controller.smoothing: must be in (0, 1]")
-            problems += _under(f"{prefix}.controller.safety", ctrl.safety.validate())
-            if ctrl.hysteresis < 1:
-                problems.append(f"{prefix}.controller.hysteresis: must be >= 1")
-            if ctrl.algorithm not in ("ucb1", "epsilon_greedy"):
+            problems += _range_problems(ctrl, f"{prefix}.controller")
+            problems += _range_problems(ctrl.safety, f"{prefix}.controller.safety")
+            if ctrl.learning.algorithm not in ALGORITHMS:
                 problems.append(
                     f"{prefix}.controller.learning.algorithm: "
-                    f"expected ucb1 | epsilon_greedy, got {ctrl.algorithm!r}"
+                    f"expected {' | '.join(ALGORITHMS)}, got {ctrl.learning.algorithm!r}"
                 )
             ids = [s.id for s in ctrl.catalog]
             if len(set(ids)) != len(ids):
@@ -419,8 +484,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     if strategy.behavior is None and strategy.channel is None:
                         problems.append(f"{sp}: reconfigure needs a behavior or channel")
                     if strategy.behavior is not None:
-                        problems += _under(
-                            f"{sp}.behavior", strategy.behavior.validate(context_variables=1 + n)
+                        problems += _behavior_problems(
+                            strategy.behavior, f"{sp}.behavior", 1 + n
                         )
                     if strategy.channel is not None:
                         problems += _channel_problems(strategy.channel, dt, f"{sp}.channel")
@@ -507,12 +572,7 @@ class SimNode:
             self.monitor = MonitorState(ctrl.smoothing, ctrl.safety.horizon)
             self.mode_controller = ModeController(ctrl.hysteresis)
             if ctrl.catalog:
-                self.learning = LearningState(
-                    list(ctrl.catalog),
-                    exploration=ctrl.exploration,
-                    algorithm=ctrl.algorithm,
-                    epsilon=ctrl.epsilon,
-                )
+                self.learning = LearningState(list(ctrl.catalog), ctrl.learning)
         self.active_strategy: Optional[Strategy] = None
         self.social = spec.social
         self.social_state = SocialState()
@@ -773,7 +833,7 @@ def check_run(
     under ``resume_source``, of ``resume_learning``."""
     problems = validate_scenario(scenario)
     if resume_learning:
-        problems += _under(resume_source, validate_resume(scenario, resume_learning))
+        problems += [f"{resume_source}: {p}" for p in validate_resume(scenario, resume_learning)]
     if problems:
         raise ConfigurationError(problems)
 
@@ -790,7 +850,7 @@ def run_scenario(
     needs_baseline = scenario.shocks and any(
         node.controller is not None
         and node.controller.catalog
-        and node.controller.learning_enabled
+        and node.controller.learning.enabled
         for node in scenario.nodes
     )
     baselines = _calibrate(scenario) if needs_baseline else {}
@@ -827,11 +887,7 @@ def identity_timeline(deltas: Sequence[float], contract: Optional[ContractSpec])
     own, window = contract.identity, contract.window
     base = own.hard_threshold or own.soft_mean or own.acceptability_bound or 1.0
     candidate = IdentityClass(
-        kind=own.kind,
-        hard_threshold=own.hard_threshold or base,
-        soft_mean=own.soft_mean or base,
-        soft_std=own.soft_std or base,
-        acceptability_bound=own.acceptability_bound or base,
+        own.kind, **{field: getattr(own, field) or base for field in _LEVEL_FIELDS.values()}
     )
     mags = np.abs(deltas)
     return [
@@ -1042,7 +1098,7 @@ class _Run:
         ctrl = node.controller_spec
         regime = self.regime.value
         node.overhead += 1
-        if ctrl.learning_enabled:
+        if ctrl.learning.enabled:
             strategy = node.learning.select(regime, node.select_rng)
         else:
             strategy = ctrl.catalog[0]
@@ -1138,7 +1194,7 @@ class _Run:
             if credit is None:
                 continue
             strategy, regime = credit
-            if node.learning is not None and node.controller_spec.learning_enabled:
+            if node.learning is not None and node.controller_spec.learning.enabled:
                 node.overhead += 1
                 if index in node.failed:
                     reward = 0.0

@@ -41,9 +41,6 @@ class DriftProcess:
     def step(self, value: float, dt: float, rng: Optional[np.random.Generator]) -> float:
         raise NotImplementedError
 
-    def validate(self) -> list[str]:
-        return []
-
 
 @dataclass
 class Constant(DriftProcess):
@@ -66,9 +63,6 @@ class RandomWalk(DriftProcess):
     def step(self, value, dt, rng):
         return value + self.std * np.sqrt(dt) * rng.standard_normal()
 
-    def validate(self):
-        return ["random walk std must be >= 0"] if self.std < 0 else []
-
 
 @dataclass
 class RegimeSwitching(DriftProcess):
@@ -89,14 +83,6 @@ class RegimeSwitching(DriftProcess):
         sub = self.turbulent if self.active_turbulent else self.calm
         return sub.step(value, dt, rng)
 
-    def validate(self):
-        problems = []
-        if not 0.0 <= self.hazard <= 1.0:
-            problems.append("switch hazard must be in [0, 1]")
-        problems.extend(self.calm.validate())
-        problems.extend(self.turbulent.validate())
-        return problems
-
 
 @dataclass(frozen=True)
 class ShockEvent:
@@ -110,9 +96,6 @@ class ShockEvent:
     figure: int = 0
     magnitude: float = 0.0
     recovery_window: float = 1.0
-
-    def validate(self) -> list[str]:
-        return ["shock recovery window must be > 0"] if self.recovery_window <= 0 else []
 
 
 def step_environment(

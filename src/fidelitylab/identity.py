@@ -88,20 +88,17 @@ class IdentityClass:
     def non_rt() -> "IdentityClass":
         return IdentityClass(IdentityKind.NON_RT)
 
-    def validate(self) -> list[str]:
-        problems = []
-        for name, value in (
-            ("hard_threshold", self.hard_threshold),
-            ("soft_mean", self.soft_mean),
-            ("soft_std", self.soft_std),
-            ("acceptability_bound", self.acceptability_bound),
-        ):
-            if value is not None and value <= 0:
-                problems.append(f"{name} must be > 0")
-        return problems
-
     def label(self) -> str:
         return self.kind.value
+
+
+#: The levels each constrained class is tested against, as (document key,
+#: IdentityClass field) pairs: the one statement of a contract's keys.
+CONTRACT_LEVELS = {
+    IdentityKind.HARD_RT: (("threshold", "hard_threshold"),),
+    IdentityKind.SOFT_RT: (("mean", "soft_mean"), ("std", "soft_std")),
+    IdentityKind.BEST_EFFORT: (("bound", "acceptability_bound"),),
+}
 
 
 class ContractStatus(Enum):
@@ -233,18 +230,10 @@ def _assess(
     return satisfied, utilization
 
 
-#: The thresholds each constrained class is tested against.
-_THRESHOLDS = {
-    IdentityKind.HARD_RT: ("hard_threshold",),
-    IdentityKind.SOFT_RT: ("soft_mean", "soft_std"),
-    IdentityKind.BEST_EFFORT: ("acceptability_bound",),
-}
-
-
 def _satisfies(mags: np.ndarray, candidate: IdentityClass, kind: IdentityKind) -> bool:
     if kind is _NON_RT:
         return True  # NonRT holds vacuously
-    if None in [getattr(candidate, name) for name in _THRESHOLDS[kind]]:
+    if None in [getattr(candidate, name) for _, name in CONTRACT_LEVELS[kind]]:
         return False
     return _assess(mags, candidate, kind)[0][0]
 
@@ -296,16 +285,6 @@ class DetectorConfig:
     threshold: float = 0.2
     reference: float = 0.0
     window: int = 100  # samples kept for the direct contract check
-
-    def validate(self) -> list[str]:
-        problems = []
-        if self.slack < 0:
-            problems.append("detector slack must be >= 0")
-        if self.threshold <= 0:
-            problems.append("detector threshold must be > 0")
-        if self.window < 1:
-            problems.append("detector window must be >= 1")
-        return problems
 
 
 class IdentityFailureDetector:

@@ -14,7 +14,7 @@ import pytest
 
 from fidelitylab.behavior import Passive, Predictive, Reactive
 from fidelitylab.collective import SocialBehavior, diversity_score
-from fidelitylab.controller import Strategy, StrategyKind
+from fidelitylab.controller import LearningSpec, Strategy, StrategyKind
 from fidelitylab.engine import (
     ChannelSpec,
     ContractSpec,
@@ -134,7 +134,7 @@ def test_criterion_3_isomorphism_limit():
             behavior=Passive(),
             controller=ControllerSpec(catalog=(
                 Strategy(id="spare", kind=StrategyKind.RECONFIGURE,
-                         behavior=Reactive(feedback_gain=1.0)),
+                         behavior=Reactive(gain=1.0)),
             )),
         )],
     )
@@ -159,7 +159,7 @@ def test_criterion_4_behavior_ordering_under_linear_drift():
                  behavior=behavior)
         for name, behavior in [
             ("passive", Passive()),
-            ("reactive", Reactive(feedback_gain=1.0)),
+            ("reactive", Reactive(gain=1.0)),
             ("predictive", Predictive(k=1, window=8)),
         ]
     ]
@@ -237,8 +237,8 @@ def _learning_node(catalog, learning_enabled=True):
         channel=ChannelSpec(gain=1.1, nominal_gain=1.0, noise_std=0.01,
                             sampling_period=0.1),
         contract=ContractSpec(identity=IdentityClass.hard(0.1), window=20),
-        behavior=Reactive(feedback_gain=0.2),
-        controller=ControllerSpec(hysteresis=10, learning_enabled=learning_enabled,
+        behavior=Reactive(gain=0.2),
+        controller=ControllerSpec(hysteresis=10, learning=LearningSpec(enabled=learning_enabled),
                                   catalog=catalog),
     )
 
@@ -246,9 +246,9 @@ def _learning_node(catalog, learning_enabled=True):
 def _two_arm_scenario(seed):
     catalog = (
         Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=1.0)),
+                 behavior=Reactive(gain=1.0)),
         Strategy(id="weak", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=0.005)),
+                 behavior=Reactive(gain=0.005)),
     )
     return Scenario(
         name="two-arm", duration=455.0, dt=0.1, seed=seed, record_identity=False,
@@ -298,7 +298,7 @@ def _ladder_scenario(seed, learning_enabled):
     # aggressive; per-episode recovery cost declines as experience accrues.
     catalog = tuple(
         Strategy(id=f"effort{i:02d}", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=gain))
+                 behavior=Reactive(gain=gain))
         for i, gain in enumerate(LADDER_GAINS)
     )
     return Scenario(
@@ -358,19 +358,19 @@ def _population_scenario(seed, designs, hit_figures):
 
 
 def _monoculture():
-    return [(Reactive(feedback_gain=1.0), SocialBehavior.NEUTRAL) for _ in range(8)]
+    return [(Reactive(gain=1.0), SocialBehavior.NEUTRAL) for _ in range(8)]
 
 
 def _diverse_population():
     return [
-        (Reactive(feedback_gain=1.0), SocialBehavior.COOPERATIVE),
-        (Reactive(feedback_gain=1.0), SocialBehavior.COOPERATIVE),
+        (Reactive(gain=1.0), SocialBehavior.COOPERATIVE),
+        (Reactive(gain=1.0), SocialBehavior.COOPERATIVE),
         (Predictive(k=1, window=8), SocialBehavior.COOPERATIVE),
         (Predictive(k=1, window=8), SocialBehavior.COOPERATIVE),
-        (Reactive(feedback_gain=1.0), SocialBehavior.NEUTRAL),
-        (Reactive(feedback_gain=1.0), SocialBehavior.NEUTRAL),
-        (Reactive(feedback_gain=1.0), SocialBehavior.INDIVIDUALISTIC),
-        (Reactive(feedback_gain=1.0), SocialBehavior.INDIVIDUALISTIC),
+        (Reactive(gain=1.0), SocialBehavior.NEUTRAL),
+        (Reactive(gain=1.0), SocialBehavior.NEUTRAL),
+        (Reactive(gain=1.0), SocialBehavior.INDIVIDUALISTIC),
+        (Reactive(gain=1.0), SocialBehavior.INDIVIDUALISTIC),
     ]
 
 
@@ -445,12 +445,12 @@ def _determinism_scenario():
                                     sampling_period=0.2, latency=0.1),
                 contract=ContractSpec(identity=IdentityClass.hard(0.2), window=20),
                 detector=DetectorConfig(slack=0.02, threshold=0.3),
-                behavior=Reactive(feedback_gain=0.5),
+                behavior=Reactive(gain=0.5),
                 social=SocialBehavior.NEUTRAL,
                 member=True,
                 controller=ControllerSpec(catalog=(
                     Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                             behavior=Reactive(feedback_gain=1.0)),
+                             behavior=Reactive(gain=1.0)),
                     Strategy(id="careful", kind=StrategyKind.RECONFIGURE,
                              behavior=Predictive(k=1, window=8)),
                 )),

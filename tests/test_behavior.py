@@ -14,8 +14,18 @@ from fidelitylab.behavior import (
     stage_predictions,
 )
 from fidelitylab.config import _Parser, behavior_from_spec, behavior_to_spec
+from fidelitylab.engine import FigureSpec, NodeSpec, Scenario, validate_scenario
 from fidelitylab.errors import ConfigurationError
 from fidelitylab.reflection import DeltaSample
+
+
+def behavior_problems(behavior, figures=1):
+    """validate_scenario's lines for one node with this behavior, in an
+    environment of ``figures`` figures (``figures`` context variables)."""
+    return validate_scenario(Scenario(
+        figures=[FigureSpec(name=f"f{i}") for i in range(figures)],
+        nodes=[NodeSpec(name="n", behavior=behavior)],
+    ))
 
 
 def obs(delta, t=0.0, correction=0.0, context=()):
@@ -56,16 +66,18 @@ class TestPurposefulNonTeleological:
 
 class TestReactive:
     def test_zero_delta_zero_action(self):
-        assert Reactive(feedback_gain=1.0).act(obs(0.0)) == ZERO_ACTION
+        assert Reactive(gain=1.0).act(obs(0.0)) == ZERO_ACTION
 
     def test_proportional_correction(self):
-        action = Reactive(feedback_gain=0.5).act(obs(0.4))
+        action = Reactive(gain=0.5).act(obs(0.4))
         assert action.bias == pytest.approx(-0.2)
 
     def test_gain_bounds(self):
-        assert Reactive(feedback_gain=0.0).validate()
-        assert Reactive(feedback_gain=2.5).validate()
-        assert not Reactive(feedback_gain=2.0).validate()
+        for gain in (0.0, 2.5):
+            assert behavior_problems(Reactive(gain=gain)) == [
+                "nodes[0].behavior.gain: must be in (0, 2]"
+            ]
+        assert behavior_problems(Reactive(gain=2.0)) == []
 
     def test_order_zero(self):
         assert Reactive().order == 0
@@ -97,10 +109,19 @@ class TestPredictive:
         assert Predictive(k=2, window=5).order == 2
 
     def test_validation(self):
-        assert Predictive(k=0, window=3).validate()
-        assert Predictive(k=1, window=1).validate()
-        assert Predictive(k=3, window=8).validate(context_variables=2)
-        assert not Predictive(k=1, window=2).validate(context_variables=1)
+        assert behavior_problems(Predictive(k=0, window=3)) == [
+            "nodes[0].behavior.k: must be >= 1"
+        ]
+        assert behavior_problems(Predictive(k=1, window=1)) == [
+            "nodes[0].behavior.window: must be >= k + 1"
+        ]
+        assert behavior_problems(Predictive(k=3, window=8), figures=1) == [
+            "nodes[0].behavior.k: must not exceed the 2 tracked context variables"
+        ]
+        # With no figure, time is the one context variable: order 1 fits it.
+        assert behavior_problems(Predictive(k=1, window=2), figures=0) == [
+            "environment.figures: at least one figure is required"
+        ]
 
     def test_missing_context_rejected_at_act(self):
         beh = Predictive(k=3, window=6)
@@ -265,12 +286,12 @@ class TestClosedLoop:
 
     def test_reactive_settles_at_proportional_lag(self):
         rate, dt, gain = 0.01, 0.1, 1.0
-        deltas = run_loop(Reactive(feedback_gain=gain), rate=rate, dt=dt)
+        deltas = run_loop(Reactive(gain=gain), rate=rate, dt=dt)
         assert deltas[-1] == pytest.approx(rate * dt / gain, rel=1e-6)
 
     def test_half_gain_doubles_the_lag(self):
         rate, dt = 0.01, 0.1
-        deltas = run_loop(Reactive(feedback_gain=0.5), rate=rate, dt=dt)
+        deltas = run_loop(Reactive(gain=0.5), rate=rate, dt=dt)
         assert deltas[-1] == pytest.approx(rate * dt / 0.5, rel=1e-6)
 
     def test_predictive_beats_reactive_beats_passive(self):
@@ -279,7 +300,7 @@ class TestClosedLoop:
             name: float(np.sum(np.abs(run_loop(beh))) * dt)
             for name, beh in [
                 ("predictive", Predictive(k=1, window=8)),
-                ("reactive", Reactive(feedback_gain=1.0)),
+                ("reactive", Reactive(gain=1.0)),
                 ("passive", Passive()),
             ]
         }

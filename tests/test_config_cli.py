@@ -451,6 +451,16 @@ class TestCmdClassify:
         assert code == EXIT_CONFIG
         assert capsys.readouterr() == ("", "error: --window must be >= 1\n")
 
+    @pytest.mark.parametrize("levels", [
+        ["--hard", "0"], ["--hard", "-0.1"], ["--soft", "0.1", "0"], ["--soft", "-1", "0.1"],
+        ["--best-effort", "0"],
+    ])
+    def test_a_non_positive_level_names_its_flag(self, tmp_path, capsys, levels):
+        # The trace is never read: it does not exist.
+        code = main(["classify", "--trace", str(tmp_path / "absent.csv"), *levels])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {levels[0]}: must be > 0\n")
+
     def test_exactly_one_contract_flag(self, tmp_path):
         trace = self.write_trace(tmp_path, [0.0])
         assert cmd_classify(str(trace)) == EXIT_CONFIG
@@ -771,6 +781,10 @@ class TestConfigMutations:
                            "nodes[0].behavior.schedule[0]"),
         "predictive_k": (CATALOG + (2, "behavior", "k"), 1.5,
                          "nodes[0].controller.catalog[2].behavior.k"),
+        "predictive_k_negative": (CATALOG + (2, "behavior", "k"), -5,
+                                  "nodes[0].controller.catalog[2].behavior.k"),
+        "predictive_window_negative": (CATALOG + (2, "behavior", "window"), -1,
+                                       "nodes[0].controller.catalog[2].behavior.window"),
         "dt_nan": (("dt",), math.nan, "dt"),
         "duration_inf": (("duration",), math.inf, "duration"),
         "learning_algorithm": (("nodes", 0, "controller", "learning", "algorithm"), "greedy",
@@ -804,3 +818,82 @@ class TestConfigMutations:
         code, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
         assert code in (EXIT_OK, EXIT_CONFIG)
         assert "Traceback" not in err
+
+    #: One out-of-range value for each entry of ``engine.VALUE_RULES``, keyed
+    #: by (spec class, document key): the base document, the path to the
+    #: key and the value. ``minimal`` has no shock for a negative duration
+    #: to push past the run.
+    NODE_A, NODE_B = ("nodes", 0), ("nodes", 1)
+    PROCESS = ("environment", "figures", 0, "process")
+    RANGE_CASES = {
+        ("Scenario", "dt"): ("social", ("dt",), -0.1),
+        ("Scenario", "duration"): ("minimal", ("duration",), -1.0),
+        ("Scenario", "environment.turbulence_threshold"):
+            ("social", ("environment", "turbulence_threshold"), 0.0),
+        ("Scenario", "environment.regime_window"):
+            ("social", ("environment", "regime_window"), 0),
+        ("RandomWalk", "std"): ("social", PROCESS + ("turbulent", "std"), -0.1),
+        ("RegimeSwitching", "hazard"): ("social", PROCESS + ("hazard",), 1.5),
+        ("ShockEvent", "recovery_window"): ("demo", ("shocks", 0, "recovery_window"), -8.0),
+        ("PoolSpec", "total"): ("social", ("pool", "total"), 0.0),
+        ("PoolSpec", "join_allocation"): ("social", ("pool", "join_allocation"), -0.25),
+        ("PoolSpec", "solo_capacity"): ("social", ("pool", "solo_capacity"), -0.5),
+        ("PoolSpec", "floor"): ("social", ("pool", "floor"), -0.1),
+        ("PoolSpec", "assist_quantum"): ("social", ("pool", "assist_quantum"), 0.0),
+        ("PoolSpec", "calm_window"): ("social", ("pool", "calm_window"), 0),
+        ("IdentityClass", "threshold"): ("demo", NODE_A + ("contract", "threshold"), 0.0),
+        ("IdentityClass", "mean"): ("social", NODE_B + ("contract", "mean"), -0.1),
+        ("IdentityClass", "std"): ("social", NODE_B + ("contract", "std"), 0.0),
+        ("IdentityClass", "bound"): ("social", ("nodes", 2, "contract", "bound"), -0.2),
+        ("ContractSpec", "window"): ("demo", NODE_A + ("contract", "window"), 0),
+        ("DetectorConfig", "slack"): ("demo", NODE_A + ("detector", "slack"), -0.02),
+        ("DetectorConfig", "threshold"): ("demo", NODE_A + ("detector", "threshold"), -1.0),
+        ("DetectorConfig", "window"): ("social", NODE_A + ("detector", "window"), 0),
+        ("CorrectiveAction", "gain"):
+            ("social", NODE_B + ("behavior", "schedule", 0, "gain"), 0.0),
+        ("CorrectiveAction", "resample"):
+            ("social", NODE_B + ("behavior", "schedule", 0, "resample"), -0.2),
+        ("Reactive", "gain"): ("demo", NODE_A + ("behavior", "gain"), 2.5),
+        ("Predictive", "k"): ("demo", CATALOG + (2, "behavior", "k"), 0),
+        ("ControllerSpec", "smoothing"): ("social", NODE_A + ("controller", "smoothing"), 1.5),
+        ("ControllerSpec", "hysteresis"): ("demo", NODE_A + ("controller", "hysteresis"), 0),
+        ("SafetyPredicate", "turbulence_threshold"):
+            ("social", NODE_A + ("controller", "safety", "turbulence_threshold"), -0.05),
+        ("SafetyPredicate", "horizon"):
+            ("social", NODE_A + ("controller", "safety", "horizon"), 0),
+    }
+
+    def test_every_range_rule_has_a_case(self):
+        assert set(self.RANGE_CASES) == {
+            (cls.__name__, key) for cls, rules in engine.VALUE_RULES.items() for key in rules
+        }
+
+    @pytest.mark.parametrize("entry", sorted(RANGE_CASES), ids=".".join)
+    def test_each_range_rule_is_one_error_line_at_its_key(self, tmp_path, capsys, entry):
+        base, path, value = self.RANGE_CASES[entry]
+        doc = copy.deepcopy({"minimal": MINIMAL, **MUTATION_BASES}[base])
+        _at(doc, path[:-1])[path[-1]] = value
+        config = write_config(tmp_path, doc)
+        assert cmd_run(str(config), out=str(tmp_path / "out")) == EXIT_CONFIG
+        rules = {cls.__name__: rules for cls, rules in engine.VALUE_RULES.items()}
+        message = rules[entry[0]][entry[1]][0]
+        key = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+        assert capsys.readouterr().err == f"error: {key}: {message}\n"
+
+    @pytest.mark.parametrize("path, value, lines", [
+        (NODE_A + ("detector",), {"slack": "x", "threshold": -1}, [
+            "nodes[0].detector.slack: expected a finite number, got 'x'",
+            "nodes[0].detector.threshold: must be > 0",
+        ]),
+        (PROCESS, {"kind": "regime_switching", "calm": {"kind": "random_walk", "std": -1},
+                   "turbulent": {"kind": "random_walk", "std": "x"}}, [
+            "environment.figures[0].process.turbulent.std: expected a finite number, got 'x'",
+            "environment.figures[0].process.calm.std: must be >= 0",
+        ]),
+    ], ids=["detector", "regime_switching"])
+    def test_a_mistyped_key_hides_no_range_problem_on_a_sibling(self, tmp_path, capsys,
+                                                                path, value, lines):
+        doc = copy.deepcopy(SOCIAL_POPULATION)
+        _at(doc, path[:-1])[path[-1]] = value
+        assert cmd_run(str(write_config(tmp_path, doc)), out=str(tmp_path / "out")) == EXIT_CONFIG
+        assert capsys.readouterr().err == "".join(f"error: {line}\n" for line in lines)

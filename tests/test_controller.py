@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fidelitylab.behavior import Passive, Reactive
 from fidelitylab.cli import _load_resume
 from fidelitylab.controller import (
+    LearningSpec,
     LearningState,
     Mode,
     ModeController,
@@ -195,7 +196,8 @@ class TestSelection:
         assert learning.ranks["turbulent"] == [1, 0]
 
     def test_epsilon_greedy_explores_with_stream(self):
-        learning = LearningState(catalog("a", "b"), algorithm="epsilon_greedy", epsilon=1.0)
+        learning = LearningState(catalog("a", "b"),
+                                 LearningSpec(algorithm="epsilon_greedy", epsilon=1.0))
         rng = substream(9, "select")
         learning.update("calm", "a", 1.0, 0)
         picks = {learning.select("calm", rng).id for _ in range(20)}
@@ -311,12 +313,12 @@ def _learning_scenarios(draw):
     shocks."""
     catalog = tuple(
         Strategy(id=f"g{gain}", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=gain))
+                 behavior=Reactive(gain=gain))
         for gain in (0.05, 1.0, 0.5)[:draw(st.integers(2, 3))]
     )
     controller = ControllerSpec(
         hysteresis=5, catalog=catalog,
-        algorithm=draw(st.sampled_from(["ucb1", "epsilon_greedy"])),
+        learning=LearningSpec(algorithm=draw(st.sampled_from(["ucb1", "epsilon_greedy"]))),
     )
     shocks = [
         ShockEvent(at=2.0 + 3.0 * i, figure=0, magnitude=10.0 * (-1) ** i,
@@ -328,7 +330,7 @@ def _learning_scenarios(draw):
             name=f"n{i}",
             channel=ChannelSpec(gain=draw(st.sampled_from([1.1, 1.3])), noise_std=0.01),
             contract=ContractSpec(identity=IdentityClass.hard(0.1), window=10),
-            behavior=Reactive(feedback_gain=0.2),
+            behavior=Reactive(gain=0.2),
             controller=controller,
         )
         for i in range(draw(st.integers(1, 2)))
@@ -368,8 +370,7 @@ class TestResume:
             ctrl = scenario.nodes[0].controller
             restored = {}
             for name, doc in docs.items():
-                learning = LearningState(ctrl.catalog, exploration=ctrl.exploration,
-                                         algorithm=ctrl.algorithm, epsilon=ctrl.epsilon)
+                learning = LearningState(ctrl.catalog, ctrl.learning)
                 learning.load_document(doc)
                 restored[name] = learning.to_document()
             again = Path(tmp, "again.json")

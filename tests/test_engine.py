@@ -17,6 +17,7 @@ from fidelitylab.behavior import CorrectiveAction, Passive, Predictive, Reactive
 from fidelitylab.collective import ResourcePool, SocialAction, SocialBehavior
 from fidelitylab.config import load_config
 from fidelitylab.controller import (
+    LearningSpec,
     ModeController,
     Safety,
     SafetyPredicate,
@@ -100,7 +101,7 @@ class TestRunBasics:
             figures=[FigureSpec(name="f", initial=5.0)],
             nodes=[perfect_node(controller=ControllerSpec(
                 catalog=(Strategy(id="s", kind=StrategyKind.RECONFIGURE,
-                                  behavior=Reactive(feedback_gain=1.0)),),
+                                  behavior=Reactive(gain=1.0)),),
             ))],
         )
         result = run_scenario(scenario)
@@ -126,14 +127,14 @@ class TestRunBasics:
                         channel=ChannelSpec(gain=1.05, noise_std=0.01, sampling_period=0.1),
                         contract=hard_contract(),
                         detector=DetectorConfig(),
-                        behavior=Reactive(feedback_gain=0.5),
+                        behavior=Reactive(gain=0.5),
                         social=None,
                         member=True,
                         controller=ControllerSpec(catalog=(
                             Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                                     behavior=Reactive(feedback_gain=1.0)),
+                                     behavior=Reactive(gain=1.0)),
                             Strategy(id="weak", kind=StrategyKind.RECONFIGURE,
-                                     behavior=Reactive(feedback_gain=0.1)),
+                                     behavior=Reactive(gain=0.1)),
                         )),
                     ),
                 ],
@@ -240,19 +241,19 @@ class TestRunBasics:
             nodes=[
                 NodeSpec(name="x", figure=9,
                          channel=ChannelSpec(sampling_period=-0.1, noise_std=-1.0)),
-                NodeSpec(name="x", behavior=Reactive(feedback_gain=5.0)),
+                NodeSpec(name="x", behavior=Reactive(gain=5.0)),
             ],
         )
-        problems = validate_scenario(scenario)
-        text = "\n".join(problems)
-        assert len(problems) >= 6
-        assert "shocks[0].figure" in text
-        assert "recovery window" in text
-        assert "overlap" in text
-        assert "nodes[0].figure" in text
-        assert "sampling_period" in text
-        assert "duplicate node name" in text
-        assert "feedback gain" in text
+        assert validate_scenario(scenario) == [
+            "shocks[0].figure: index 5 out of range",
+            "shocks[2].recovery_window: must be > 0",
+            "shocks[2]: recovery windows must not overlap on one figure",
+            "nodes[0].figure: index 9 out of range",
+            "nodes[0].channel.noise_std: must be >= 0",
+            "nodes[0].channel.sampling_period: must be > 0",
+            "nodes[1].name: duplicate node name 'x'",
+            "nodes[1].behavior.gain: must be in (0, 2]",
+        ]
 
     @pytest.mark.parametrize("key, value, problem", [
         ("sampling_period", -1.0, "must be > 0"),
@@ -474,11 +475,11 @@ class TestScaleEquivariance:
                 ),
                 contract=ContractSpec(identity=IdentityClass.hard(0.1 * scale), window=20),
                 detector=DetectorConfig(slack=0.02 * scale, threshold=0.2 * scale),
-                behavior=Reactive(feedback_gain=0.8),
+                behavior=Reactive(gain=0.8),
                 controller=ControllerSpec(
                     safety=SafetyPredicate(turbulence_threshold=0.05 * scale),
                     catalog=(Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                                      behavior=Reactive(feedback_gain=1.0)),),
+                                      behavior=Reactive(gain=1.0)),),
                 ),
             )],
         )
@@ -504,7 +505,7 @@ class TestModeReplay:
                 name="n0",
                 channel=ChannelSpec(gain=1.1, sampling_period=0.1),
                 contract=hard_contract(),
-                behavior=Reactive(feedback_gain=1.0),
+                behavior=Reactive(gain=1.0),
                 controller=ControllerSpec(hysteresis=7),
             )],
         )
@@ -556,7 +557,7 @@ class TestStrategyEnactment:
                 name="n0",
                 channel=ChannelSpec(gain=1.1, sampling_period=0.1),
                 contract=hard_contract(),
-                behavior=Reactive(feedback_gain=1.0),
+                behavior=Reactive(gain=1.0),
                 social=SocialBehavior.NEUTRAL,
                 member=True,
                 controller=ControllerSpec(catalog=catalog),
@@ -565,7 +566,7 @@ class TestStrategyEnactment:
 
     def test_identical_reconfigure_records_pre_equals_post(self):
         catalog = (Strategy(id="same", kind=StrategyKind.RECONFIGURE,
-                            behavior=Reactive(feedback_gain=1.0)),)
+                            behavior=Reactive(gain=1.0)),)
         result = run_scenario(self.scenario(catalog))
         records = [c for c in result.changes if c.strategy_id == "same"]
         assert records
@@ -587,9 +588,9 @@ class TestStrategyEnactment:
         # of the shock that hit its own figure.
         catalog = (
             Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                     behavior=Reactive(feedback_gain=1.0)),
+                     behavior=Reactive(gain=1.0)),
             Strategy(id="weak", kind=StrategyKind.RECONFIGURE,
-                     behavior=Reactive(feedback_gain=0.005)),
+                     behavior=Reactive(gain=0.005)),
         )
         scenario = Scenario(
             duration=30.0, dt=0.1, seed=0,
@@ -600,7 +601,7 @@ class TestStrategyEnactment:
                 NodeSpec(name=f"n{i}", figure=i,
                          channel=ChannelSpec(gain=1.1, sampling_period=0.1),
                          contract=hard_contract(),
-                         behavior=Reactive(feedback_gain=0.2),
+                         behavior=Reactive(gain=0.2),
                          controller=ControllerSpec(catalog=catalog))
                 for i in range(2)
             ],
@@ -625,9 +626,9 @@ def _pool_social_scenario():
     grab), and a plain non-member."""
     catalog = (
         Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=1.0)),
+                 behavior=Reactive(gain=1.0)),
         Strategy(id="weak", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=0.05)),
+                 behavior=Reactive(gain=0.05)),
     )
     grab = Strategy(id="grab", kind=StrategyKind.SOCIAL,
                     social=SocialAction.grab(Fraction("0.25")))
@@ -638,7 +639,7 @@ def _pool_social_scenario():
             channel=ChannelSpec(gain=1.1, noise_std=0.01, sampling_period=0.1),
             contract=hard_contract(),
             detector=DetectorConfig(),
-            behavior=Reactive(feedback_gain=0.5),
+            behavior=Reactive(gain=0.5),
             social=social, member=member,
             controller=ControllerSpec(catalog=node_catalog) if node_catalog else None,
         )
@@ -728,7 +729,7 @@ class TestPoolWiring:
                 name="n0",
                 channel=ChannelSpec(gain=1.1, sampling_period=0.1),
                 contract=hard_contract(),
-                behavior=Reactive(feedback_gain=1.0),
+                behavior=Reactive(gain=1.0),
                 social=None,
                 member=True,
             )],
@@ -766,8 +767,8 @@ def _pool_populations(draw):
             channel=ChannelSpec(gain=draw(st.sampled_from([0.9, 1.1, 1.5])),
                                 noise_std=draw(st.sampled_from([0.0, 0.05]))),
             contract=hard_contract(draw(st.sampled_from([0.05, 0.3, 2.0]))),
-            behavior=draw(st.sampled_from([Passive(), Reactive(feedback_gain=0.5),
-                                           Reactive(feedback_gain=1.0)])),
+            behavior=draw(st.sampled_from([Passive(), Reactive(gain=0.5),
+                                           Reactive(gain=1.0)])),
             social=social,
             member=draw(st.booleans()),
             controller=ControllerSpec(catalog=catalog) if social and draw(st.booleans())
@@ -844,13 +845,13 @@ def test_node_streams_are_derived_on_first_draw():
 def _contract_controller_scenario(record_identity=True):
     """One node for each combination of contract and controller, two shocks."""
     catalog = (Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                        behavior=Reactive(feedback_gain=1.0)),)
+                        behavior=Reactive(gain=1.0)),)
     nodes = [
         NodeSpec(
             name=f"n{i}",
             channel=ChannelSpec(gain=1.1, noise_std=0.01, sampling_period=0.1),
             contract=hard_contract() if contract else None,
-            behavior=Reactive(feedback_gain=0.5),
+            behavior=Reactive(gain=0.5),
             controller=ControllerSpec(catalog=catalog) if controller else None,
         )
         for i, (contract, controller) in enumerate(itertools.product((False, True), repeat=2))
@@ -905,7 +906,7 @@ def _small_nodes(draw, name, figures, pool):
     social = draw(st.sampled_from([None, *SocialBehavior])) if pool else None
     catalog = (
         Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=1.0)),
+                 behavior=Reactive(gain=1.0)),
         Strategy(id="slow", kind=StrategyKind.RECONFIGURE,
                  channel={"sampling_period": 0.3}),
     )
@@ -914,7 +915,8 @@ def _small_nodes(draw, name, figures, pool):
                              social=SocialAction.grab(Fraction("0.25"))),)
     controller = None
     if draw(st.booleans()):
-        controller = ControllerSpec(catalog=catalog, learning_enabled=draw(st.booleans()))
+        controller = ControllerSpec(catalog=catalog,
+                                    learning=LearningSpec(enabled=draw(st.booleans())))
     return NodeSpec(
         name=name,
         figure=draw(st.integers(0, figures - 1)),
@@ -923,7 +925,7 @@ def _small_nodes(draw, name, figures, pool):
                             sampling_period=draw(st.sampled_from([0.1, 0.3]))),
         contract=hard_contract() if contract else None,
         detector=DetectorConfig() if contract and draw(st.booleans()) else None,
-        behavior=draw(st.sampled_from([Passive(), Reactive(feedback_gain=0.5),
+        behavior=draw(st.sampled_from([Passive(), Reactive(gain=0.5),
                                        Predictive(k=1), Predictive(k=2)])),
         social=social,
         member=pool and draw(st.booleans()),

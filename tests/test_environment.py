@@ -16,6 +16,7 @@ from fidelitylab.environment import (
     step_environment,
 )
 from fidelitylab.config import _Parser, process_from_spec, process_to_spec
+from fidelitylab.engine import FigureSpec, Scenario, validate_scenario
 from fidelitylab.errors import ConfigurationError
 from fidelitylab.identity import WindowRing
 from fidelitylab.rng import substream
@@ -245,4 +246,6 @@ class TestProcessSpecs:
              "turbulent": {"kind": "constant"}, "hazard": 1.5},
             "process",
         )
-        assert proc.validate()
+        assert validate_scenario(Scenario(figures=[FigureSpec(name="f", process=proc)])) == [
+            "environment.figures[0].process.hazard: must be in [0, 1]"
+        ]

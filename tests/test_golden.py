@@ -74,7 +74,7 @@ NODES = 32
 
 def _design(group):
     """The criterion-8 diverse mix: two of each disposition-behavior pair."""
-    behavior = Predictive(k=1, window=8) if group in (2, 3) else Reactive(feedback_gain=1.0)
+    behavior = Predictive(k=1, window=8) if group in (2, 3) else Reactive(gain=1.0)
     social = (
         SocialBehavior.COOPERATIVE if group < 4
         else SocialBehavior.NEUTRAL if group < 6
@@ -156,7 +156,7 @@ def channel_changes():
         Strategy(id="retune", kind=StrategyKind.RECONFIGURE,
                  channel={"gain": 1.3, "sampling_period": 0.2}),
         Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=1.0),
+                 behavior=Reactive(gain=1.0),
                  channel={"gain": 1.05, "sampling_period": 0.1}),
     )
     return Scenario(
@@ -172,14 +172,14 @@ def channel_changes():
                                     bias_drift=RandomWalk(std=0.05)),
                 contract=ContractSpec(identity=IdentityClass.soft(0.03, 0.03), window=30),
                 detector=DetectorConfig(window=40),
-                behavior=Reactive(feedback_gain=0.5),
+                behavior=Reactive(gain=0.5),
             ),
             NodeSpec(
                 name="retuning", figure=0,
                 channel=ChannelSpec(gain=1.2, nominal_gain=1.0, noise_std=0.01,
                                     sampling_period=0.1),
                 contract=ContractSpec(identity=IdentityClass.hard(0.1), window=20),
-                behavior=Reactive(feedback_gain=0.2),
+                behavior=Reactive(gain=0.2),
                 controller=ControllerSpec(hysteresis=5, catalog=catalog),
             ),
             NodeSpec(
@@ -211,14 +211,14 @@ def contract_groups():
                                 sampling_period=0.1),
             contract=ContractSpec(identity=identity, window=window, at_risk_margin=margin),
             detector=None if detector is None else DetectorConfig(window=detector),
-            behavior=kwargs.pop("behavior", Reactive(feedback_gain=0.5)), **kwargs,
+            behavior=kwargs.pop("behavior", Reactive(gain=0.5)), **kwargs,
         )
 
     hard, soft = IdentityClass.hard(0.1), IdentityClass.soft(0.04, 0.05)
     catalog = (
-        Strategy(id="firm", kind=StrategyKind.RECONFIGURE, behavior=Reactive(feedback_gain=1.0)),
+        Strategy(id="firm", kind=StrategyKind.RECONFIGURE, behavior=Reactive(gain=1.0)),
         Strategy(id="gentle", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=0.05)),
+                 behavior=Reactive(gain=0.05)),
     )
     return Scenario(
         name="contract_groups", duration=40.0, dt=0.1, seed=11,
@@ -231,7 +231,7 @@ def contract_groups():
             guarded("short0", 0, hard, detector=10),
             guarded("equal0", 0, hard, detector=20),
             guarded("long0", 0, hard, detector=40),
-            guarded("long1", 1, hard, detector=40, behavior=Reactive(feedback_gain=0.3)),
+            guarded("long1", 1, hard, detector=40, behavior=Reactive(gain=0.3)),
             guarded("long2", 2, hard, detector=40),
             guarded("tight0", 0, IdentityClass.hard(0.08), detector=40),
             guarded("wide1", 1, hard, window=30, detector=40),
@@ -240,7 +240,7 @@ def contract_groups():
             guarded("soft1", 1, soft, detector=15, behavior=Predictive(k=1, window=8)),
             guarded("soft2", 2, soft, window=12, detector=100),
             guarded("best1", 1, IdentityClass.best_effort(0.1), detector=20),
-            NodeSpec(name="free2", figure=2, behavior=Reactive(feedback_gain=0.5)),
+            NodeSpec(name="free2", figure=2, behavior=Reactive(gain=0.5)),
             guarded("learner2", 2, hard, detector=40,
                     controller=ControllerSpec(hysteresis=5, catalog=catalog)),
         ],
@@ -269,13 +269,13 @@ def predictive_groups():
         Strategy(id="careful", kind=StrategyKind.RECONFIGURE,
                  behavior=Predictive(k=1, window=8)),
         Strategy(id="gentle", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=0.05)),
+                 behavior=Reactive(gain=0.05)),
     )
     returning = (
         Strategy(id="wide", kind=StrategyKind.RECONFIGURE,
                  behavior=Predictive(k=2, window=6)),
         Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=1.0)),
+                 behavior=Reactive(gain=1.0)),
     )
     return Scenario(
         name="predictive_groups", duration=60.0, dt=0.1, seed=13,
@@ -291,8 +291,8 @@ def predictive_groups():
             node("p2a", 0, Predictive(k=2, window=6)),
             node("p2b", 2, Predictive(k=2, window=6)),
             node("p3b", 1, Predictive(k=3, window=10)),
-            node("r0", 0, Reactive(feedback_gain=0.5)),
-            node("joiner", 0, Reactive(feedback_gain=0.2),
+            node("r0", 0, Reactive(gain=0.5)),
+            node("joiner", 0, Reactive(gain=0.2),
                  controller=ControllerSpec(hysteresis=5, catalog=joining)),
             node("returner", 2, Predictive(k=1, window=8),
                  controller=ControllerSpec(hysteresis=5, catalog=returning)),
@@ -314,7 +314,7 @@ def social_edges():
             name=name, figure=figure,
             channel=ChannelSpec(gain=gain, nominal_gain=1.0, sampling_period=0.1),
             contract=ContractSpec(identity=identity, window=kwargs.pop("window", 10)),
-            behavior=kwargs.pop("behavior", Reactive(feedback_gain=0.5)),
+            behavior=kwargs.pop("behavior", Reactive(gain=0.5)),
             social=social, member=member, **kwargs,
         )
 
@@ -324,7 +324,7 @@ def social_edges():
         Strategy(id="noisy", kind=StrategyKind.RECONFIGURE,
                  channel={"noise_std": 0.02}),
         Strategy(id="firm", kind=StrategyKind.RECONFIGURE,
-                 behavior=Reactive(feedback_gain=1.0), channel={"noise_std": 0.0}),
+                 behavior=Reactive(gain=1.0), channel={"noise_std": 0.0}),
     )
     return Scenario(
         name="social_edges", duration=40.0, dt=0.1, seed=17,
@@ -340,14 +340,14 @@ def social_edges():
             node("be1", 0, coop, best, gain=1.2),
             node("be2", 0, neutral, best, gain=1.25),
             node("be3", 1, coop, best, gain=1.2),
-            node("be4", 1, coop, best, gain=1.15, behavior=Reactive(feedback_gain=0.1)),
+            node("be4", 1, coop, best, gain=1.15, behavior=Reactive(gain=0.1)),
             node("donor2", 2, coop, hard, gain=1.02),
-            node("donor0", 0, coop, hard, gain=1.05, behavior=Reactive(feedback_gain=0.9)),
+            node("donor0", 0, coop, hard, gain=1.05, behavior=Reactive(gain=0.9)),
             node("joiner0", 0, neutral, hard, member=False),
             node("joiner2", 2, neutral, hard, member=False, gain=1.3),
             node("grabber1", 1, SocialBehavior.INDIVIDUALISTIC, hard, gain=1.4,
-                 behavior=Reactive(feedback_gain=0.3)),
-            node("learner2", 2, coop, hard, gain=1.2, behavior=Reactive(feedback_gain=0.2),
+                 behavior=Reactive(gain=0.3)),
+            node("learner2", 2, coop, hard, gain=1.2, behavior=Reactive(gain=0.2),
                  controller=ControllerSpec(hysteresis=3, catalog=catalog)),
         ],
     )

@@ -11,7 +11,14 @@ from fidelitylab.errors import (
     InsufficientDataError,
     SequencingError,
 )
-from fidelitylab.engine import ContractSpec, identity_timeline
+from fidelitylab.engine import (
+    ContractSpec,
+    FigureSpec,
+    NodeSpec,
+    Scenario,
+    identity_timeline,
+    validate_scenario,
+)
 from fidelitylab.identity import (
     ContractGroup,
     ContractStatus,
@@ -253,11 +260,31 @@ class TestFailureDetector:
 
 
 class TestIdentityClassValidation:
+    @staticmethod
+    def problems(identity):
+        return validate_scenario(Scenario(
+            figures=[FigureSpec(name="f")],
+            nodes=[NodeSpec(name="n", contract=ContractSpec(identity=identity))],
+        ))
+
     def test_positive_thresholds_required(self):
-        assert IdentityClass.hard(-1.0).validate()
-        assert IdentityClass.soft(0.1, 0.0).validate()
-        assert not IdentityClass.hard(0.1).validate()
-        assert not IdentityClass.non_rt().validate()
+        assert self.problems(IdentityClass.hard(-1.0)) == [
+            "nodes[0].contract.threshold: must be > 0"
+        ]
+        assert self.problems(IdentityClass.soft(0.1, 0.0)) == [
+            "nodes[0].contract.std: must be > 0"
+        ]
+        assert self.problems(IdentityClass.soft(0.0, 0.1)) == [
+            "nodes[0].contract.mean: must be > 0"
+        ]
+        assert self.problems(IdentityClass.best_effort(-0.2)) == [
+            "nodes[0].contract.bound: must be > 0"
+        ]
+        assert self.problems(IdentityClass.hard(0.1)) == []
+        # NonRT sets no level, so no level rule flags it; its own rule does.
+        assert self.problems(IdentityClass.non_rt()) == [
+            "nodes[0].contract: the unconstrained class is spelled by omitting the contract"
+        ]
 
 
 class TestWindowRing:
