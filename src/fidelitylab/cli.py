@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .config import check_learning_state, load_config, scenario_to_config
-from .engine import RunResult, check_run, run_scenario
+from .engine import RunResult, Scenario, run_scenario, validate_resume
 from .errors import ConfigurationError, FidelityLabError
 from .identity import CONTRACT_LEVELS, IdentityClass, IdentityKind, classify_trace, mean_std
 from .reporting import export_run
@@ -52,30 +52,36 @@ def cmd_run(config_path: str, seed: Optional[int] = None, out: str = ".",
 
 
 def _run(config_path: str, seed: Optional[int], out: str,
-         resume: Optional[str] = None) -> tuple[int, Optional[RunResult]]:
-    """``cmd_run``'s exit code, and the run's result once it is exported."""
+         resume: Optional[str] = None) -> tuple[int, Optional[Scenario], Optional[RunResult]]:
+    """``cmd_run``'s exit code, the scenario once its file parsed, and the
+    run's result once it is exported."""
+    scenario = None
     try:
+        # load_config has validated the scenario. The resume document is
+        # checked against it, and an --out that cannot be a directory fails,
+        # before the run, so a failed check leaves no directory behind.
         scenario = load_config(config_path, seed_override=seed)
         resume_doc = _load_resume(resume) if resume else None
+        if resume_doc:
+            problems = validate_resume(scenario, resume_doc)
+            if problems:
+                raise ConfigurationError([f"{resume}: {p}" for p in problems])
     except ConfigurationError as exc:
-        return _fail(exc.problems), None
+        return _fail(exc.problems), scenario, None
     except OSError as exc:
-        return _fail([exc]), None
+        return _fail([exc]), scenario, None
     try:
-        # The inputs are checked, and an --out that cannot be a directory
-        # fails, before the run; a failed check leaves no directory behind.
-        check_run(scenario, resume_doc, resume)
         os.makedirs(out, exist_ok=True)
         result = run_scenario(scenario, resume_learning=resume_doc, resume_source=resume)
         result.config_echo = scenario_to_config(scenario)
         export_run(result, out)
     except ConfigurationError as exc:
-        return _fail(exc.problems), None
+        return _fail(exc.problems), scenario, None
     except FidelityLabError as exc:
-        return _fail([exc], EXIT_RUNTIME), None
+        return _fail([exc], EXIT_RUNTIME), scenario, None
     except OSError as exc:
-        return _fail([f"cannot write exports to {out}: {exc}"], EXIT_RUNTIME), None
-    return EXIT_OK, result
+        return _fail([f"cannot write exports to {out}: {exc}"], EXIT_RUNTIME), scenario, None
+    return EXIT_OK, scenario, result
 
 
 def _parse_trace_csv(path: str) -> list[float]:
@@ -172,15 +178,16 @@ def _run_one_batch_child(args: tuple) -> tuple:
     messages, and a failed run's row holds them with empty result cells."""
     config_path, seed, outdir = args
     with contextlib.redirect_stderr(io.StringIO()) as captured:
-        code, result = _run(config_path, seed, outdir)
+        code, scenario, result = _run(config_path, seed, outdir)
     errors = captured.getvalue()
     sys.stderr.write(errors)
+    name = scenario.name if scenario is not None else ""
     if result is None:
         messages = [line[7:] for line in errors.splitlines() if line.startswith("error: ")]
-        return (os.path.basename(config_path), seed, "", "", "", code, "; ".join(messages))
+        return (config_path, name, seed, "", "", "", code, "; ".join(messages))
     anti, costs = result.antifragility, [float(m.cost) for m in result.recovery]
     return (
-        result.scenario_name, seed,
+        config_path, name, seed,
         anti.verdict if anti else "", repr(float(anti.normalized_slope)) if anti else "",
         repr(sum(costs) / len(costs)) if costs else "", code, "",
     )
@@ -200,13 +207,21 @@ def cmd_batch(
         return _fail(["--reps must be >= 1"])
     if jobs < 1:
         return _fail(["--jobs must be >= 1"])
-    tasks = []
+    # Each run writes to {stem}-seed{seed}, so configs that share a stem
+    # would overwrite each other's exports.
+    stems: dict[str, list[str]] = {}
     for config_path in configs:
         stem = os.path.splitext(os.path.basename(config_path))[0]
-        for rep in range(reps):
-            seed = seed_base + rep
-            outdir = os.path.join(out, f"{stem}-seed{seed}")
-            tasks.append((config_path, seed, outdir))
+        stems.setdefault(stem, []).append(config_path)
+    clashes = [paths for paths in stems.values() if len(paths) > 1]
+    if clashes:
+        return _fail([f"{', '.join(paths)}: configs share a file stem, so their runs "
+                      f"would write to the same directories" for paths in clashes])
+    tasks = [
+        (config_path, seed_base + rep, os.path.join(out, f"{stem}-seed{seed_base + rep}"))
+        for stem, [config_path] in stems.items()
+        for rep in range(reps)
+    ]
 
     # More workers than runs or cores only costs forks.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
@@ -223,11 +238,11 @@ def cmd_batch(
     except OSError as exc:
         return _fail([f"cannot write the summary to {out}: {exc}"], EXIT_RUNTIME)
     # Every (config, seed) gets a row; a failed run's holds its exit code and errors.
-    rows.sort(key=lambda r: (r[0], r[1]))
-    failures = sum(row[5] != EXIT_OK for row in rows)
+    rows.sort(key=lambda r: (r[0], r[2]))
+    failures = sum(row[6] != EXIT_OK for row in rows)
     with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("scenario", "seed", "verdict", "normalized_slope",
+        writer.writerow(("config", "scenario", "seed", "verdict", "normalized_slope",
                          "mean_episode_cost", "exit_code", "error"))
         writer.writerows(rows)
     if failures:
@@ -243,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute one scenario")
-    run.add_argument("--config", required=True, help="scenario file (YAML or JSON)")
+    run.add_argument("--config", required=True,
+                     help="scenario file (.json is read as JSON, anything else as YAML)")
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run.add_argument("--out", default=".", help="output directory")
     run.add_argument("--resume", default=None, help="learning state JSON to reload")

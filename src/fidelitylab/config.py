@@ -1,7 +1,8 @@
-"""Scenario configuration: YAML in, validated Scenario out, echo back.
+"""Scenario configuration: a document in, validated Scenario out, echo back.
 
-The document format is YAML (JSON documents parse too, YAML being a
-superset for this schema). Parsing is strict: unknown keys are rejected
+A file whose name ends in ``.json`` is read as strict JSON (RFC 8259) by
+the standard library; any other file as YAML 1.1 by PyYAML, which is
+imported only then. Parsing is strict: unknown keys are rejected
 with their full section path, the schema version is checked, and every
 problem is collected before failing so one run reports them all, each
 once, under the path of its key.
@@ -22,13 +23,13 @@ run exactly.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cache
 from typing import Any, Callable, Collection, Optional
-
-import yaml
 
 from .behavior import (
     ActiveNonPurposeful,
@@ -64,10 +65,6 @@ from .errors import ConfigurationError
 from .identity import CONTRACT_LEVELS, DetectorConfig, IdentityClass, IdentityKind
 
 SCHEMA_VERSION = 1
-
-#: libyaml's safe loader where PyYAML was built with it (several times
-#: faster on a large population); both decode a document to equal objects.
-SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 #: The parser's reader of each scalar field annotation.
 _READERS = {"float": "number", "int": "integer", "bool": "boolean", "str": "string"}
@@ -491,11 +488,28 @@ def parse_config(doc: Any, seed_override: Optional[int] = None) -> Scenario:
 
 
 def load_config(path, seed_override: Optional[int] = None) -> Scenario:
+    """Read and parse a scenario file: JSON if its name ends in ``.json``,
+    YAML otherwise. Non-finite JSON literals (``NaN``, ``Infinity``) decode
+    to floats that ``parse_config`` rejects under their key."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            doc = yaml.load(fh, Loader=SAFE_LOADER)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError([f"config: not parseable YAML/JSON ({exc})"])
+        if os.fspath(path).endswith(".json"):
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError([
+                    f"config: not parseable JSON (line {exc.lineno}, column {exc.colno}: "
+                    f"{exc.msg})"
+                ])
+        else:
+            import yaml  # only here: a process that reads JSON alone never loads it
+
+            # libyaml's safe loader where PyYAML was built with it (several
+            # times faster); both decode a document to equal objects.
+            loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+            try:
+                doc = yaml.load(fh, Loader=loader)
+            except yaml.YAMLError as exc:
+                raise ConfigurationError([f"config: not parseable YAML ({exc})"])
     return parse_config(doc, seed_override=seed_override)
 
 

@@ -235,6 +235,21 @@ class TestCmdRun:
         assert "'n0'" in err
         assert "non-finite delta at tick 1024 (t=102.4)" in err
 
+    def test_a_run_validates_the_scenario_twice(self, tmp_path, monkeypatch):
+        calls = []
+        real = engine.validate_scenario
+
+        def counting(scenario):
+            calls.append(scenario)
+            return real(scenario)
+
+        monkeypatch.setattr(engine, "validate_scenario", counting)
+        monkeypatch.setattr(config_mod, "validate_scenario", counting)
+        config = write_config(tmp_path, LEARNING)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+        # Once as load_config parses the file, once as run_scenario starts.
+        assert len(calls) == 2
+
     def test_missing_config_exits_2(self, tmp_path):
         assert cmd_run(str(tmp_path / "absent.yaml")) == EXIT_CONFIG
 
@@ -482,7 +497,7 @@ class TestCmdBatch:
         run_dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
         assert run_dirs == ["scenario-seed100", "scenario-seed101", "scenario-seed102"]
         summary = (out / "summary.csv").read_text().strip().splitlines()
-        assert summary[0] == ("scenario,seed,verdict,normalized_slope,mean_episode_cost,"
+        assert summary[0] == ("config,scenario,seed,verdict,normalized_slope,mean_episode_cost,"
                               "exit_code,error")
         assert len(summary) == 4
 
@@ -498,11 +513,58 @@ class TestCmdBatch:
         assert "error: 1 of 2 runs failed" in err
         with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
             failed, passed = csv.DictReader(fh)
-        assert (failed["scenario"], failed["seed"], failed["exit_code"]) == ("bad.yaml", "5", "2")
+        assert (failed["config"], failed["scenario"], failed["seed"], failed["exit_code"]) == (
+            str(tmp_path / "bad.yaml"), "", "5", "2")
         assert failed["verdict"] == failed["normalized_slope"] == failed["mean_episode_cost"] == ""
         assert failed["error"].startswith("dt: ") and f"error: {failed['error']}" in err
-        assert (passed["scenario"], passed["seed"], passed["exit_code"]) == ("minimal", "5", "0")
+        assert (passed["config"], passed["scenario"], passed["seed"], passed["exit_code"]) == (
+            str(tmp_path / "good.yaml"), "minimal", "5", "0")
         assert passed["error"] == ""
+
+    def test_a_run_that_fails_after_parsing_keeps_its_scenario_name(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL)) | {"duration": 110.0}
+        doc["nodes"][0]["behavior"] = {
+            "kind": "active_non_purposeful", "schedule": [{"gain": 2.0}],
+        }
+        write_config(tmp_path, doc, name="diverges.yaml")
+        out = tmp_path / "batch"
+        assert cmd_batch(str(tmp_path / "*.yaml"), reps=1, out=str(out)) == EXIT_RUNTIME
+        with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
+            [row] = csv.DictReader(fh)
+        assert (row["scenario"], row["exit_code"]) == ("minimal", "1")
+
+    def test_configs_that_share_a_scenario_name_get_a_row_each(self, tmp_path):
+        for name in ("b.yaml", "a.yaml"):
+            write_config(tmp_path, MINIMAL, name=name)
+        out = tmp_path / "batch"
+        assert cmd_batch(str(tmp_path / "*.yaml"), reps=2, seed_base=3, out=str(out)) == EXIT_OK
+        with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
+            rows = [(r["config"], r["scenario"], r["seed"]) for r in csv.DictReader(fh)]
+        a, b = str(tmp_path / "a.yaml"), str(tmp_path / "b.yaml")
+        assert rows == [(a, "minimal", "3"), (a, "minimal", "4"),
+                        (b, "minimal", "3"), (b, "minimal", "4")]
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+            "a-seed3", "a-seed4", "b-seed3", "b-seed4"]
+
+    @pytest.mark.parametrize("names, pattern", [(("x.json", "x.yaml"), "*.*"),
+                                                (("a/x.yaml", "b/x.yaml"), "*/*.yaml")])
+    def test_configs_that_share_a_stem_exit_2_before_any_run(self, tmp_path, monkeypatch,
+                                                             capsys, names, pattern):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a config ran")
+
+        monkeypatch.setattr(cli, "_run", no_run)
+        for name in names:
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(json.dumps(MINIMAL))
+        out = tmp_path / "batch"
+        code = cmd_batch(str(tmp_path / pattern), reps=1, out=str(out))
+        assert code == EXIT_CONFIG
+        paths = ", ".join(str(tmp_path / name) for name in names)
+        assert capsys.readouterr().err == (
+            f"error: {paths}: configs share a file stem, so their runs would write "
+            "to the same directories\n")
+        assert not out.exists()
 
     def test_a_run_hands_back_only_its_summary_row(self, tmp_path):
         config = write_config(tmp_path, LEARNING, name="scenario.yaml")
@@ -576,6 +638,104 @@ class TestLoadFromDiskFormats:
         scenario = load_config(path)
         assert scenario.name == "minimal"
 
+    def test_json_exponent_numbers_are_floats(self, tmp_path):
+        # PyYAML's YAML 1.1 resolver reads these as strings.
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["nodes"][0]["channel"]["noise_std"] = "@noise"
+        doc["environment"]["figures"][0]["initial"] = "@initial"
+        doc["duration"] = "@duration"
+        text = json.dumps(doc)
+        for token, literal in (("@noise", "1e-05"), ("@initial", "1E5"), ("@duration", "2.5e3")):
+            text = text.replace(f'"{token}"', literal)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        scenario = load_config(path)
+        values = (scenario.nodes[0].channel.noise_std, scenario.figures[0].initial,
+                  scenario.duration)
+        assert values == (1e-05, 1e5, 2500.0)
+        assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key, expected", [("dt", "expected a finite number"),
+                                               ("name", "expected a string")])
+    def test_non_finite_json_literal_exits_2_naming_its_key(self, tmp_path, capsys, literal,
+                                                            key, expected):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(MINIMAL, **{key: "@"})).replace('"@"', literal))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        value = float(literal.replace("Infinity", "inf"))
+        assert capsys.readouterr().err == f"error: {key}: {expected}, got {value!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, where", [
+        ('{\n  "schema_version": 1,\n  "name": "x",,\n}', "line 3, column 15: Expecting "
+         "property name enclosed in double quotes"),
+        ("# a YAML comment\nschema_version: 1\n", "line 1, column 1: Expecting value"),
+        ('{"name": unquoted}', "line 1, column 10: Expecting value"),
+    ], ids=["truncated", "yaml_comment", "unquoted_string"])
+    def test_malformed_json_is_one_error_line_with_line_and_column(self, tmp_path, text,
+                                                                   where):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        code, err = run_cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert err == f"error: config: not parseable JSON ({where})\n"
+
+    def test_a_json_only_process_never_imports_yaml(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(MINIMAL))
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "from fidelitylab.cli import main\n"
+            "from fidelitylab.config import load_config\n"
+            f"load_config({str(config)!r})\n"
+            f"assert main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0\n"
+            f"assert main(['classify', '--trace', {str(out / 'ticks.csv')!r},"
+            " '--hard', '0.1']) == 0\n"
+            "print('yaml' in sys.modules)\n"
+            f"load_config({str(CONFIGS / 'demo.yaml')!r})\n"
+            "print('yaml' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert done.stdout.splitlines()[-2:] == ["False", "True"]
+
+    @staticmethod
+    def _json_and_yaml_echoes(tmp_path, doc):
+        """The echoes of ``doc`` loaded from a .json file and from its YAML dump."""
+        as_json, as_yaml = tmp_path / "doc.json", tmp_path / "doc.yaml"
+        as_json.write_text(json.dumps(doc))
+        as_yaml.write_text(yaml.safe_dump(doc))
+        return [repr(scenario_to_config(load_config(path))) for path in (as_json, as_yaml)]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_json_and_yaml_decode_alike_on_golden_scenarios(self, tmp_path, name):
+        echo, again = self._json_and_yaml_echoes(tmp_path, scenario_to_config(SCENARIOS[name]()))
+        assert echo == again
+
+    @pytest.mark.parametrize("workload", workloads.WORKLOADS)
+    def test_json_and_yaml_decode_alike_on_benchmark_documents(self, tmp_path, workload):
+        runs = workloads.generate(workload, 1, str(ROOT), str(tmp_path))
+        generated = sorted({run.config for run in runs if run.config.endswith(".json")})
+        assert generated
+        for path in generated:
+            with open(path, encoding="utf-8") as fh:
+                echo, again = self._json_and_yaml_echoes(tmp_path, json.load(fh))
+            assert echo == again, path
+
+    def test_report_echo_with_a_small_float_reloads_from_json(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["nodes"][0]["channel"]["noise_std"] = 1e-05
+        out = tmp_path / "out"
+        assert cmd_run(str(write_config(tmp_path, doc)), out=str(out)) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        echoed = tmp_path / "echo.json"
+        echoed.write_text(json.dumps(report["config"]))
+        assert "1e-05" in echoed.read_text()
+        assert scenario_to_config(load_config(echoed)) == report["config"]
+
     def test_unparseable_file_reports_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("nodes: [unclosed\n  - ]")
@@ -584,11 +744,20 @@ class TestLoadFromDiskFormats:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_pure_python_loader_rejects_it_too(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(config_mod, "SAFE_LOADER", yaml.SafeLoader)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         self.test_unparseable_file_reports_config_error(tmp_path)
 
-    def test_libyaml_loader_is_used_when_present(self):
-        assert config_mod.SAFE_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    def test_libyaml_loader_is_used_when_present(self, monkeypatch):
+        used = []
+        real = yaml.load
+
+        def recording(stream, Loader):
+            used.append(Loader)
+            return real(stream, Loader=Loader)
+
+        monkeypatch.setattr(yaml, "load", recording)
+        load_config(CONFIGS / "demo.yaml")
+        assert used == [getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
 
     @staticmethod
     def population(tmp_path, nodes=128):
@@ -624,14 +793,19 @@ class TestLoadFromDiskFormats:
         else:
             path = CONFIGS / name
         text = path.read_text()
+        decoded = [yaml.load(text, Loader=yaml.CSafeLoader), yaml.load(text, Loader=yaml.SafeLoader)]
+        if path.suffix == ".json":
+            decoded.append(json.loads(text))
         # repr tells 1 from 1.0 and keeps key order, where == would not.
-        assert (repr(yaml.load(text, Loader=yaml.CSafeLoader))
-                == repr(yaml.load(text, Loader=yaml.SafeLoader)))
-        echoes = []
-        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-            monkeypatch.setattr(config_mod, "SAFE_LOADER", loader)
-            echoes.append(repr(scenario_to_config(load_config(path))))
-        assert echoes[0] == echoes[1]
+        assert len({repr(doc) for doc in decoded}) == 1
+        # load_config reads a .json file as JSON, and the copy as YAML with
+        # libyaml's loader, then with the pure-Python one.
+        copy = tmp_path / "copy.yaml"
+        copy.write_text(text)
+        echoes = [repr(scenario_to_config(load_config(p))) for p in (path, copy)]
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        echoes.append(repr(scenario_to_config(load_config(copy))))
+        assert len(set(echoes)) == 1
 
 
 #: A small population touching every section of the schema: a regime-
