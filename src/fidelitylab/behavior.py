@@ -65,10 +65,6 @@ class Behavior:
     def act(self, obs: Observation) -> CorrectiveAction:
         raise NotImplementedError
 
-    @property
-    def order(self) -> int:
-        return 0
-
 
 @dataclass
 class Passive(Behavior):
@@ -138,10 +134,6 @@ class Predictive(Behavior):
         # range builds a ring of one, so validation can name it.
         self._history = WindowRing(max(self.window, 1), width=max(self.k, 1) + 2)
         self._staged: Optional[CorrectiveAction] = None
-
-    @property
-    def order(self) -> int:
-        return self.k
 
     def act(self, obs):
         if self._staged is None:

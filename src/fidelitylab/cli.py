@@ -7,10 +7,8 @@ configuration/validation problems, 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import glob as globmod
-import io
 import json
 import math
 import os
@@ -19,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import check_learning_state, load_config, scenario_to_config
+from .config import check_learning_state, load_config, read_text, scenario_to_config
 from .engine import RunResult, Scenario, run_scenario, validate_resume
 from .errors import ConfigurationError, FidelityLabError
 from .identity import CONTRACT_LEVELS, IdentityClass, IdentityKind, classify_trace, mean_std
@@ -38,23 +36,23 @@ def _fail(problems, code: int = EXIT_CONFIG) -> int:
 
 
 def _load_resume(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"])
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"])
     return check_learning_state(doc, path)
 
 
 def cmd_run(config_path: str, seed: Optional[int] = None, out: str = ".",
             resume: Optional[str] = None) -> int:
-    return _run(config_path, seed, out, resume)[0]
+    code, problems, _, _ = _run(config_path, seed, out, resume)
+    return _fail(problems, code)
 
 
-def _run(config_path: str, seed: Optional[int], out: str,
-         resume: Optional[str] = None) -> tuple[int, Optional[Scenario], Optional[RunResult]]:
-    """``cmd_run``'s exit code, the scenario once its file parsed, and the
-    run's result once it is exported."""
+def _run(config_path: str, seed: Optional[int], out: str, resume: Optional[str] = None
+         ) -> tuple[int, list[str], Optional[Scenario], Optional[RunResult]]:
+    """``cmd_run``'s exit code and the problems it prints, the scenario
+    once its file parsed, and the run's result once it is exported."""
     scenario = None
     try:
         # load_config has validated the scenario. The resume document is
@@ -67,54 +65,54 @@ def _run(config_path: str, seed: Optional[int], out: str,
             if problems:
                 raise ConfigurationError([f"{resume}: {p}" for p in problems])
     except ConfigurationError as exc:
-        return _fail(exc.problems), scenario, None
+        return EXIT_CONFIG, exc.problems, scenario, None
     except OSError as exc:
-        return _fail([exc]), scenario, None
+        return EXIT_CONFIG, [str(exc)], scenario, None
     try:
         os.makedirs(out, exist_ok=True)
         result = run_scenario(scenario, resume_learning=resume_doc, resume_source=resume)
         result.config_echo = scenario_to_config(scenario)
         export_run(result, out)
     except ConfigurationError as exc:
-        return _fail(exc.problems), scenario, None
+        return EXIT_CONFIG, exc.problems, scenario, None
     except FidelityLabError as exc:
-        return _fail([exc], EXIT_RUNTIME), scenario, None
+        return EXIT_RUNTIME, [str(exc)], scenario, None
     except OSError as exc:
-        return _fail([f"cannot write exports to {out}: {exc}"], EXIT_RUNTIME), scenario, None
-    return EXIT_OK, scenario, result
+        return EXIT_RUNTIME, [f"cannot write exports to {out}: {exc}"], scenario, None
+    return EXIT_OK, [], scenario, result
 
 
 def _parse_trace_csv(path: str) -> list[float]:
     """Read the deltas of a trace; needs a header with time and delta
     columns, and checks every row."""
     deltas = []
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline().strip()
-        if not header_line:
-            raise ConfigurationError([f"{path}:1: empty trace file"])
-        header = [h.strip() for h in header_line.split(",")]
-        if "time" not in header or "delta" not in header:
-            raise ConfigurationError(
-                [f"{path}:1: header must contain time and delta columns"]
-            )
-        t_idx = header.index("time")
-        d_idx = header.index("delta")
-        f_idx = header.index("figure") if "figure" in header else None
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                float(cells[t_idx])
-                if f_idx is not None:
-                    int(cells[f_idx])
-                delta = float(cells[d_idx])
-            except (IndexError, ValueError):
-                raise ConfigurationError([f"{path}:{lineno}: malformed trace row"])
-            if not math.isfinite(delta):
-                raise ConfigurationError([f"{path}:{lineno}: non-finite delta"])
-            deltas.append(delta)
+    header_line, *rows = read_text(path).split("\n")
+    header_line = header_line.strip()
+    if not header_line:
+        raise ConfigurationError([f"{path}:1: empty trace file"])
+    header = [h.strip() for h in header_line.split(",")]
+    if "time" not in header or "delta" not in header:
+        raise ConfigurationError(
+            [f"{path}:1: header must contain time and delta columns"]
+        )
+    t_idx = header.index("time")
+    d_idx = header.index("delta")
+    f_idx = header.index("figure") if "figure" in header else None
+    for lineno, line in enumerate(rows, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            float(cells[t_idx])
+            if f_idx is not None:
+                int(cells[f_idx])
+            delta = float(cells[d_idx])
+        except (IndexError, ValueError):
+            raise ConfigurationError([f"{path}:{lineno}: malformed trace row"])
+        if not math.isfinite(delta):
+            raise ConfigurationError([f"{path}:{lineno}: non-finite delta"])
+        deltas.append(delta)
     if not deltas:
         raise ConfigurationError([f"{path}: trace holds no samples"])
     return deltas
@@ -177,14 +175,11 @@ def _run_one_batch_child(args: tuple) -> tuple:
     row, which is all a batch keeps of the run. It prints the run's error
     messages, and a failed run's row holds them with empty result cells."""
     config_path, seed, outdir = args
-    with contextlib.redirect_stderr(io.StringIO()) as captured:
-        code, scenario, result = _run(config_path, seed, outdir)
-    errors = captured.getvalue()
-    sys.stderr.write(errors)
+    code, problems, scenario, result = _run(config_path, seed, outdir)
+    _fail(problems)
     name = scenario.name if scenario is not None else ""
     if result is None:
-        messages = [line[7:] for line in errors.splitlines() if line.startswith("error: ")]
-        return (config_path, name, seed, "", "", "", code, "; ".join(messages))
+        return (config_path, name, seed, "", "", "", code, "; ".join(problems))
     anti, costs = result.antifragility, [float(m.cost) for m in result.recovery]
     return (
         config_path, name, seed,

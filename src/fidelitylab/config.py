@@ -487,29 +487,42 @@ def parse_config(doc: Any, seed_override: Optional[int] = None) -> Scenario:
     return scenario
 
 
+def read_text(path) -> str:
+    """A text file's contents, decoded as UTF-8 with universal newlines;
+    raise a problem naming the file when it is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError([f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"])
+
+
 def load_config(path, seed_override: Optional[int] = None) -> Scenario:
     """Read and parse a scenario file: JSON if its name ends in ``.json``,
     YAML otherwise. Non-finite JSON literals (``NaN``, ``Infinity``) decode
     to floats that ``parse_config`` rejects under their key."""
-    with open(path, encoding="utf-8") as fh:
-        if os.fspath(path).endswith(".json"):
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError([
-                    f"config: not parseable JSON (line {exc.lineno}, column {exc.colno}: "
-                    f"{exc.msg})"
-                ])
-        else:
-            import yaml  # only here: a process that reads JSON alone never loads it
+    text = read_text(path)
+    if os.fspath(path).endswith(".json"):
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError([
+                f"config: not parseable JSON (line {exc.lineno}, column {exc.colno}: {exc.msg})"
+            ])
+    else:
+        import yaml  # only here: a process that reads JSON alone never loads it
 
-            # libyaml's safe loader where PyYAML was built with it (several
-            # times faster); both decode a document to equal objects.
-            loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-            try:
-                doc = yaml.load(fh, Loader=loader)
-            except yaml.YAMLError as exc:
-                raise ConfigurationError([f"config: not parseable YAML ({exc})"])
+        # libyaml's safe loader where PyYAML was built with it (several
+        # times faster); both decode a document to equal objects.
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        try:
+            doc = yaml.load(text, Loader=loader)
+        except yaml.YAMLError as exc:
+            # One line: the problem and its place, not PyYAML's multi-line report.
+            mark = getattr(exc, "problem_mark", None)
+            detail = (f"line {mark.line + 1}, column {mark.column + 1}: {exc.problem}"
+                      if mark is not None else str(exc).splitlines()[0])
+            raise ConfigurationError([f"config: not parseable YAML ({detail})"])
     return parse_config(doc, seed_override=seed_override)
 
 

@@ -59,12 +59,11 @@ class MonitorState:
     """O(1) smoothed view of the |delta| stream.
 
     Exponentially weighted mean plus a short ring of past means so the
-    trend over the safety horizon is one subtraction.
+    trend over the safety horizon is one subtraction. ``engine.VALUE_RULES``
+    states the range rules of both arguments.
     """
 
-    def __init__(self, smoothing: float = 0.1, horizon: int = 10):
-        if not 0 < smoothing <= 1:
-            raise ConfigurationError("smoothing factor must be in (0, 1]")
+    def __init__(self, smoothing: float, horizon: int):
         self.smoothing = smoothing
         self.ewma = 0.0
         self.last_time: Optional[float] = None
@@ -105,12 +104,11 @@ class ModeController:
     """Elastic/Resilient switch with exit hysteresis.
 
     Any unsafe verdict flips to Resilient immediately; returning to Elastic
-    requires ``hysteresis`` consecutive safe verdicts.
+    requires ``hysteresis`` consecutive safe verdicts, a count that
+    ``engine.VALUE_RULES`` keeps at least 1.
     """
 
-    def __init__(self, hysteresis: int = 10):
-        if hysteresis < 1:
-            raise ConfigurationError("hysteresis must be >= 1")
+    def __init__(self, hysteresis: int):
         self.hysteresis = hysteresis
         self.mode = Mode.ELASTIC
         self._safe_streak = 0

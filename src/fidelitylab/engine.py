@@ -37,7 +37,7 @@ from __future__ import annotations
 import bisect
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -238,8 +238,6 @@ class ChangeRecord:
     strategy_id: str
     kind: str
     ok: bool
-    pre: str
-    post: str
 
 
 @dataclass(frozen=True)
@@ -539,11 +537,6 @@ class SimNode:
         self.figure = spec.figure
         self.dt = scenario.dt
         ch = spec.channel
-        self.gain = ch.gain
-        self.bias = ch.bias
-        self.noise_std = ch.noise_std
-        self.quantization = ch.quantization
-        self.latency = ch.latency
         self.period_ticks = _period_ticks(ch.sampling_period, scenario.dt)
         self.bias_drift = copy.deepcopy(ch.bias_drift)
         self.nominal_gain = ch.nominal_gain
@@ -552,7 +545,8 @@ class SimNode:
 
         self.correction_bias = 0.0
         self.correction_gain = 1.0
-        self.channel = self.reflective_map()  # rebuilt whenever a parameter moves
+        # The channel as it now is; a restage or a drift tick replaces it.
+        self.channel = ReflectiveMap(ch.gain, ch.bias, ch.noise_std, ch.quantization, ch.latency)
         self.pending_qualia: list = []
         # Boot convention: before the first quale arrives the node reports
         # the nominal reflection of the initial raw value.
@@ -593,20 +587,9 @@ class SimNode:
 
     # -- channel ------------------------------------------------------------
 
-    def reflective_map(self) -> ReflectiveMap:
-        return ReflectiveMap(
-            figure=self.figure,
-            gain=self.gain,
-            bias=self.bias,
-            noise_std=self.noise_std,
-            quantization=self.quantization,
-            sampling_period=self.period_ticks * self.dt,
-            latency=self.latency,
-        )
-
     def drift_bias(self) -> None:
-        self.bias = self.bias_drift.step(self.bias, self.dt, self.bias_rng)
-        self.channel = self.reflective_map()
+        bias = self.bias_drift.step(self.channel.bias, self.dt, self.bias_rng)
+        self.channel = replace(self.channel, bias=bias)
 
     def sense_if_due(self, tick: int, t: float, raw: float) -> None:
         if tick % self.period_ticks == 0:
@@ -630,13 +613,11 @@ class SimNode:
             self.behavior = self.pending_behavior
             self.pending_behavior = None
         if self.pending_channel is not None:
-            for key, value in self.pending_channel.items():
-                if key == "sampling_period":
-                    self.period_ticks = _period_ticks(value, self.dt)
-                else:
-                    setattr(self, key, value)
+            changes = dict(self.pending_channel)
+            if "sampling_period" in changes:
+                self.period_ticks = _period_ticks(changes.pop("sampling_period"), self.dt)
+            self.channel = replace(self.channel, **changes)
             self.pending_channel = None
-            self.channel = self.reflective_map()
 
     def apply_action(self, action: CorrectiveAction, capacity: float) -> float:
         applied = min(max(action.bias, -capacity), capacity)
@@ -644,12 +625,7 @@ class SimNode:
         self.correction_gain *= action.gain
         if action.resample is not None:
             self.period_ticks = _period_ticks(action.resample, self.dt)
-            self.channel = self.reflective_map()
         return applied
-
-
-def _behavior_label(behavior: Behavior) -> str:
-    return type(behavior).__name__
 
 
 def enact_strategy(
@@ -658,32 +634,15 @@ def enact_strategy(
     """Stage a strategy on a node.
 
     Reconfiguration lands atomically at the next tick boundary; a social
-    action is returned for the pool stage of this tick. The change record
-    notes the pre/post shape of the node.
+    action is returned for the pool stage of this tick.
     """
-    pre = f"behavior={_behavior_label(node.behavior)} period_ticks={node.period_ticks}"
     if strategy.kind is StrategyKind.RECONFIGURE:
         if strategy.behavior is not None:
             node.pending_behavior = copy.deepcopy(strategy.behavior)
         if strategy.channel is not None:
             node.pending_channel = strategy.channel
-        next_behavior = node.pending_behavior or node.behavior
-        next_period = node.period_ticks
-        if node.pending_channel and "sampling_period" in node.pending_channel:
-            next_period = _period_ticks(node.pending_channel["sampling_period"], node.dt)
-        post = f"behavior={_behavior_label(next_behavior)} period_ticks={next_period}"
-        record = ChangeRecord(
-            time=t, node=node.name, strategy_id=strategy.id,
-            kind="reconfigure", ok=True, pre=pre, post=post,
-        )
-        return record, None
-
-    action = strategy.social
-    record = ChangeRecord(
-        time=t, node=node.name, strategy_id=strategy.id,
-        kind="social", ok=True, pre=pre, post=f"social={action.kind.value}",
-    )
-    return record, action
+        return ChangeRecord(t, node.name, strategy.id, "reconfigure", ok=True), None
+    return ChangeRecord(t, node.name, strategy.id, "social", ok=True), strategy.social
 
 
 # -- episode metrics ----------------------------------------------------------
@@ -1002,7 +961,6 @@ class _Run:
                 identity, window, margin, detector, figures=[node.figure for node in nodes]
             )
             self.groups.append((group, nodes, indices, [node.trace.deltas for node in nodes]))
-        self.unguarded = [node for node in self.nodes if node.spec.contract is None]
 
         # Initial sensing at t=0 so slow channels have a value to hold.
         for node in self.nodes:
@@ -1147,13 +1105,9 @@ class _Run:
                 pool, node.name, social_action, states=self.social_states
             )
             if not ok:
-                self.result.changes.append(
-                    ChangeRecord(
-                        time=t, node=node.name,
-                        strategy_id=node.active_strategy.id if node.active_strategy else "",
-                        kind="social", ok=False, pre="", post="infeasible",
-                    )
-                )
+                strategy_id = node.active_strategy.id if node.active_strategy else ""
+                record = ChangeRecord(t, node.name, strategy_id, "social", ok=False)
+                self.result.changes.append(record)
                 if episode is not None:
                     node.failed.add(episode)
         self.pending_social.clear()

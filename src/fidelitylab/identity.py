@@ -180,9 +180,6 @@ class WindowRing:
         """The window, oldest first. Valid until the next push."""
         return self.tail(self.count)
 
-    def clear(self) -> None:
-        self.count = self.end = 0
-
 
 def mean_std(mags: np.ndarray):
     """np.mean and np.std (ddof=0) along the last axis, to the bit, in one

@@ -30,12 +30,10 @@ TIME_EPS = 1e-9
 class ReflectiveMap:
     """Parameterized sensing channel for one figure."""
 
-    figure: int
     gain: float = 1.0
     bias: float = 0.0
     noise_std: float = 0.0
     quantization: float = 0.0  # grid step; 0 disables
-    sampling_period: float = 0.1
     latency: float = 0.0
 
 
@@ -45,7 +43,6 @@ class Quale:
 
     value: float
     acquired_at: float
-    figure: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ def sense(
             raise ConfigurationError("noisy channel needs an rng stream")
         value += cmap.noise_std * rng.standard_normal()
     value = quantize(value, cmap.quantization)
-    return Quale(value=value, acquired_at=t + cmap.latency, figure=cmap.figure)
+    return Quale(value=value, acquired_at=t + cmap.latency)
 
 
 def _deterministic_value(cmap: ReflectiveMap, raw: float) -> float:

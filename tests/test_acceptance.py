@@ -52,14 +52,14 @@ def test_criterion_1_algebraic_model_suite():
     # Dyadic raw values and parameters keep binary arithmetic exact, so the
     # affine identity q(u1+u2) - q(u1) - q(u2) = -bias holds bit-for-bit.
     for gain, bias in [(1.0, 0.25), (1.5, -0.5), (2.0, 0.0), (0.5, 3.75)]:
-        channel = ReflectiveMap(figure=0, gain=gain, bias=bias)
+        channel = ReflectiveMap(gain=gain, bias=bias)
         draws = rng.integers(-16384, 16384, size=(1000, 2)) / 256.0
         for u1, u2 in draws:
             assert preservation_distance(channel, float(u1), float(u2)) == -bias
 
     # Quantized channels: |distance| <= 1.5 Q + |bias| over a dense grid.
     for q_step, bias in [(0.5, 0.0), (0.25, 0.25), (0.125, -0.75)]:
-        channel = ReflectiveMap(figure=0, gain=1.0, bias=bias, quantization=q_step)
+        channel = ReflectiveMap(gain=1.0, bias=bias, quantization=q_step)
         bound = 1.5 * q_step + abs(bias)
         grid = np.arange(0.0, 4.0, 1.0 / 32)
         for u1 in grid:

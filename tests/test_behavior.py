@@ -42,10 +42,6 @@ class TestPassive:
         for d in (0.0, 1.0, -3.5):
             assert passive.act(obs(d)) == ZERO_ACTION
 
-    def test_order_zero(self):
-        assert Passive().order == 0
-
-
 class TestActiveNonPurposeful:
     def test_cycles_schedule_regardless_of_observation(self):
         schedule = (CorrectiveAction(bias=0.1), CorrectiveAction(bias=-0.1))
@@ -79,10 +75,6 @@ class TestReactive:
             ]
         assert behavior_problems(Reactive(gain=2.0)) == []
 
-    def test_order_zero(self):
-        assert Reactive().order == 0
-
-
 class TestPredictive:
     def test_collinear_history_extrapolates_exactly(self):
         # closed-form oracle: least squares through collinear points is the line
@@ -104,9 +96,6 @@ class TestPredictive:
         action = beh.act(obs(0.7, t=0.0))
         assert action.fallback
         assert action.bias == pytest.approx(-0.7)
-
-    def test_order_reports_k(self):
-        assert Predictive(k=2, window=5).order == 2
 
     def test_validation(self):
         assert behavior_problems(Predictive(k=0, window=3)) == [

@@ -404,6 +404,21 @@ class TestCliFailures:
         assert err == f"error: {state}:2:21: Expecting value\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, command", [
+        ("bad.yaml", ["run", "--config", "{bad}", "--out", "{out}"]),
+        ("bad.json", ["run", "--config", "{bad}", "--out", "{out}"]),
+        ("state.json", ["run", "--config", "{config}", "--out", "{out}", "--resume", "{bad}"]),
+        ("trace.csv", ["classify", "--trace", "{bad}", "--hard", "0.1"]),
+    ], ids=["run_config_yaml", "run_config_json", "run_resume", "classify_trace"])
+    def test_a_non_utf8_file_is_one_error_line_naming_it(self, tmp_path, name, command):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\n")
+        paths = {"bad": bad, "config": write_config(tmp_path, MINIMAL), "out": tmp_path / "out"}
+        code, err = run_cli(*(arg.format(**paths) for arg in command))
+        assert code == EXIT_CONFIG
+        assert err == f"error: {bad}: not UTF-8 text (byte 0: invalid start byte)\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestCmdClassify:
     def write_trace(self, tmp_path, deltas, name="trace.csv"):
@@ -746,6 +761,29 @@ class TestLoadFromDiskFormats:
     def test_pure_python_loader_rejects_it_too(self, tmp_path, monkeypatch):
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         self.test_unparseable_file_reports_config_error(tmp_path)
+
+    @pytest.mark.parametrize("text, detail", [
+        ("a: [1, 2\nb: 3\n", "line 2, column 2: did not find expected ',' or ']'"),
+        ("a: \x01\n", "unacceptable character #x0001: control characters are not allowed"),
+    ], ids=["unclosed_flow_sequence", "control_character"])
+    def test_malformed_yaml_is_one_error_line(self, tmp_path, text, detail):
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        code, err = run_cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert err == f"error: config: not parseable YAML ({detail})\n"
+
+    def test_malformed_yaml_is_the_batch_rows_one_error(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("a: [1, 2\nb: 3\n")
+        message = "config: not parseable YAML (line 2, column 2: did not find expected ',' or ']')"
+        out = tmp_path / "batch"
+        code, err = run_cli("batch", "--glob", str(path), "--reps", "1", "--out", str(out))
+        assert code == EXIT_RUNTIME
+        assert err == f"error: {message}\nerror: 1 of 1 runs failed\n"
+        with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
+            [row] = csv.DictReader(fh)
+        assert (row["exit_code"], row["error"]) == ("2", message)
 
     def test_libyaml_loader_is_used_when_present(self, monkeypatch):
         used = []

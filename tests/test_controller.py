@@ -52,11 +52,11 @@ def feed(monitor, values, start=0.0, dt=1.0):
 
 class TestMonitor:
     def test_zero_stream_is_fixed_point(self):
-        monitor = feed(MonitorState(smoothing=0.1), [0.0] * 100)
+        monitor = feed(MonitorState(0.1, 10), [0.0] * 100)
         assert monitor.ewma == 0.0
 
     def test_constant_stream_converges_monotonically(self):
-        monitor = MonitorState(smoothing=0.2)
+        monitor = MonitorState(0.2, 10)
         previous = 0.0
         for i in range(50):
             monitor_step(monitor, DeltaSample(time=float(i), figure=0, delta=3.0))
@@ -66,16 +66,16 @@ class TestMonitor:
 
     def test_three_step_recursion_by_hand(self):
         # {1, 0, 0} at alpha 0.5: 0.5, 0.25, 0.125
-        monitor = feed(MonitorState(smoothing=0.5), [1.0, 0.0, 0.0])
+        monitor = feed(MonitorState(0.5, 10), [1.0, 0.0, 0.0])
         assert monitor.ewma == pytest.approx(0.125)
 
     def test_out_of_order_sample_rejected(self):
-        monitor = feed(MonitorState(), [0.0, 0.0])
+        monitor = feed(MonitorState(0.1, 10), [0.0, 0.0])
         with pytest.raises(SequencingError):
             monitor_step(monitor, DeltaSample(time=0.5, figure=0, delta=0.0))
 
     def test_magnitude_not_sign_is_tracked(self):
-        monitor = feed(MonitorState(smoothing=0.5), [-1.0])
+        monitor = feed(MonitorState(0.5, 10), [-1.0])
         assert monitor.ewma == 0.5
 
 
@@ -84,21 +84,21 @@ class TestAssessSafety:
         return SafetyPredicate(turbulence_threshold=threshold, horizon=horizon)
 
     def test_calm_holding_is_safe(self):
-        monitor = feed(MonitorState(), [0.001] * 50)
+        monitor = feed(MonitorState(0.1, 10), [0.001] * 50)
         verdict = assess_safety(monitor, self.predicate(), ContractStatus.HOLDING)
         assert verdict is Safety.SAFE
 
     def test_contract_trigger_dominates(self):
-        monitor = MonitorState()
+        monitor = MonitorState(0.1, 10)
         assert assess_safety(monitor, self.predicate(), ContractStatus.VIOLATED) is Safety.UNSAFE
         assert assess_safety(monitor, self.predicate(), ContractStatus.AT_RISK) is Safety.UNSAFE
 
     def test_rising_trend_is_unsafe(self):
-        monitor = feed(MonitorState(smoothing=0.5, horizon=5), [0, 0, 0, 1, 2, 4, 8])
+        monitor = feed(MonitorState(0.5, 5), [0, 0, 0, 1, 2, 4, 8])
         assert assess_safety(monitor, self.predicate(horizon=5), None) is Safety.UNSAFE
 
     def test_trend_exactly_at_threshold_is_safe(self):
-        monitor = MonitorState(smoothing=1.0, horizon=1)
+        monitor = MonitorState(1.0, 1)
         monitor_step(monitor, DeltaSample(time=0.0, figure=0, delta=0.0))
         monitor_step(monitor, DeltaSample(time=1.0, figure=0, delta=0.05))
         assert monitor.trend() == pytest.approx(0.05)
@@ -106,7 +106,7 @@ class TestAssessSafety:
         assert verdict is Safety.SAFE
 
     def test_unguarded_node_judged_on_trend_alone(self):
-        monitor = feed(MonitorState(), [0.0] * 5)
+        monitor = feed(MonitorState(0.1, 10), [0.0] * 5)
         assert assess_safety(monitor, self.predicate(), None) is Safety.SAFE
 
 

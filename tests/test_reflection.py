@@ -19,8 +19,7 @@ from fidelitylab.rng import substream
 
 
 def channel(**kwargs) -> ReflectiveMap:
-    defaults = dict(figure=0, gain=1.0, bias=0.0, noise_std=0.0,
-                    quantization=0.0, sampling_period=0.1, latency=0.0)
+    defaults = dict(gain=1.0, bias=0.0, noise_std=0.0, quantization=0.0, latency=0.0)
     defaults.update(kwargs)
     return ReflectiveMap(**defaults)
 
@@ -57,7 +56,6 @@ class TestSense:
         q = sense(channel(), raw=3.7, t=1.0)
         assert q.value == 3.7
         assert q.acquired_at == 1.0
-        assert q.figure == 0
 
     def test_affine_evaluation(self):
         q = sense(channel(gain=2.0, bias=1.0), raw=3.0, t=0.0)
