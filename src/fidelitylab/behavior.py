@@ -120,8 +120,7 @@ class Predictive(Behavior):
     where deviation = observed delta minus the correction already applied.
     Before k+1 samples exist it falls back to unit-gain feedback and flags
     the action, so warm-up ticks can be excluded from comparisons.
-    ``act`` returns the action ``stage_predictions`` staged for this
-    observation; unstaged, the behavior stages itself as a group of one.
+    ``act`` stages one observation as a group of one.
     """
 
     k: int = 1
@@ -133,45 +132,49 @@ class Predictive(Behavior):
         # design matrix beside its right-hand side. An order or length out of
         # range builds a ring of one, so validation can name it.
         self._history = WindowRing(max(self.window, 1), width=max(self.k, 1) + 2)
-        self._staged: Optional[CorrectiveAction] = None
 
     def act(self, obs):
-        if self._staged is None:
-            stage_predictions([(self, obs)])
-        action, self._staged = self._staged, None
-        return action
+        latest = obs.latest
+        [bias] = stage_predictions(
+            [(self, latest.time, obs.context, latest.delta, obs.correction)]
+        )
+        return CorrectiveAction(bias=bias, fallback=self._history.count < self.k + 1)
 
 
-def stage_predictions(rows: Sequence[tuple[Predictive, Observation]]) -> None:
-    """Record each observation in its behavior's history and stage the
-    action that behavior's next ``act`` returns.
+def stage_predictions(
+    rows: Sequence[tuple[Predictive, float, Sequence[float], float, float]],
+) -> list[float]:
+    """Record each row (behavior, time, context, delta, correction) in its
+    behavior's history and return the bias increment that behavior applies.
 
     Rows whose designs have the same shape (order k and history length)
     are solved in one ``lstsq_stack`` call, each row to the bits of its own
     ``np.linalg.lstsq``. Context regressors are held at their last value
-    for the one-step look-ahead, which stays one ``np.dot`` per row.
+    for the one-step look-ahead: one stacked ``np.matmul`` per shape, which
+    gives each row the bits of its own ``np.dot``.
     """
-    shapes: dict[tuple[int, int], list[tuple[Predictive, float]]] = {}
-    for behavior, obs in rows:
-        k, history, latest = behavior.k, behavior._history, obs.latest
-        if k - 1 > len(obs.context):
+    biases = []
+    shapes: dict[tuple[int, int], list[tuple[int, WindowRing, float]]] = {}
+    for row, (behavior, time, context, delta, correction) in enumerate(rows):
+        k, history = behavior.k, behavior._history
+        if k - 1 > len(context):
             raise ConfigurationError(
                 f"order-{k} prediction needs {k - 1} context figures, "
-                f"observation carries {len(obs.context)}"
+                f"observation carries {len(context)}"
             )
-        history.push((1.0, latest.time, *obs.context[:k - 1], latest.delta - obs.correction))
-        if history.count < k + 1:
-            behavior._staged = CorrectiveAction(bias=-latest.delta, fallback=True)
-        else:
-            shapes.setdefault((k, history.count), []).append((behavior, obs.correction))
+        history.push((1.0, time, *context[:k - 1], delta - correction))
+        biases.append(-delta)  # the cold-start fallback
+        if history.count >= k + 1:
+            shapes.setdefault((k, history.count), []).append((row, history, correction))
     for (_, m), group in shapes.items():
-        entries = np.array([behavior._history.tail(m) for behavior, _ in group])
-        coef = lstsq_stack(entries[..., :-1], entries[..., -1:])[..., 0]
+        entries = np.array([history.tail(m) for _, history, _ in group])
+        coef = lstsq_stack(entries[..., :-1], entries[..., -1:])
         # The last design row, one time step on (m >= k + 1 >= 2).
-        ahead = entries[:, -1, :-1].copy()
-        ahead[:, 1] += entries[:, -1, 1] - entries[:, -2, 1]
-        for (behavior, correction), c, row in zip(group, coef, ahead):
-            behavior._staged = CorrectiveAction(bias=-(float(np.dot(c, row)) + correction))
+        ahead = entries[:, -1:, :-1].copy()
+        ahead[:, 0, 1] += entries[:, -1, 1] - entries[:, -2, 1]
+        for (row, _, correction), value in zip(group, np.matmul(ahead, coef)[:, 0, 0].tolist()):
+            biases[row] = -(value + correction)
+    return biases
 
 
 def _lstsq_failed(err, flag):

@@ -619,13 +619,14 @@ class SimNode:
             self.channel = replace(self.channel, **changes)
             self.pending_channel = None
 
-    def apply_action(self, action: CorrectiveAction, capacity: float) -> float:
-        applied = min(max(action.bias, -capacity), capacity)
-        self.correction_bias += applied
+    def apply_action(self, action: CorrectiveAction, capacity: float) -> None:
+        self.apply_bias(action.bias, capacity)
         self.correction_gain *= action.gain
         if action.resample is not None:
             self.period_ticks = _period_ticks(action.resample, self.dt)
-        return applied
+
+    def apply_bias(self, bias: float, capacity: float) -> None:
+        self.correction_bias += min(max(bias, -capacity), capacity)
 
 
 def enact_strategy(
@@ -649,18 +650,24 @@ def enact_strategy(
 
 
 def episode_cost(
-    times: Sequence[float], deltas: Sequence[float], start: float, end: float
-) -> float:
-    """Trapezoid-rule integral of |delta| over [start, end]."""
-    pts = [
-        (t, abs(d))
-        for t, d in zip(times, deltas)
-        if start - TIME_EPS <= t <= end + TIME_EPS
-    ]
-    total = 0.0
-    for (t0, d0), (t1, d1) in zip(pts[:-1], pts[1:]):
-        total += 0.5 * (d0 + d1) * (t1 - t0)
-    return total
+    times: Sequence[float], deltas: Sequence[Sequence[float]], start: float, end: float
+) -> list[float]:
+    """Trapezoid-rule integral of |delta| over [start, end], for each row
+    of ``deltas`` on the shared ascending ``times``.
+
+    The terms are ``0.5 * (d0 + d1) * (t1 - t0)`` elementwise, and
+    ``np.add.accumulate`` sums each row in order, so every cost has the bits
+    of a sequential ``total +=`` over that row's points.
+    """
+    lo, hi = _window(times, start, end)
+    if hi - lo < 2:
+        return [0.0] * len(deltas)
+    block = np.array([row[lo:hi] for row in deltas])
+    mags = np.abs(block, out=block)
+    terms = np.add(mags[:, :-1], mags[:, 1:])
+    terms *= 0.5
+    terms *= np.diff(times[lo:hi])
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].tolist()
 
 
 def restoration_time(
@@ -698,34 +705,37 @@ def restoration_time(
 
 def compute_recovery_metrics(
     times: Sequence[float],
-    deltas: Sequence[float],
-    statuses: Sequence[Optional[ContractStatus]],
+    deltas: Sequence[Sequence[float]],
+    statuses: Optional[Sequence[Sequence[Optional[ContractStatus]]]],
     shocks: Sequence[ShockEvent],
-    node: str = "",
-    strategies: Optional[dict[int, Optional[str]]] = None,
+    nodes: Sequence[str],
+    strategies: Optional[Sequence[dict[int, str]]] = None,
 ) -> list[RecoveryMetrics]:
-    """Per-episode cost and restoration for one node's recorded trace.
+    """Per-episode cost and restoration of each node, node by node in
+    episode order. Row i of ``deltas``, ``statuses`` and ``strategies`` is
+    node ``nodes[i]``, and every row shares the ascending ``times``, as the
+    nodes of one run do.
 
-    ``times`` must be ascending (as a recorded trace is): each episode
-    hands ``episode_cost`` and ``restoration_time`` only the slice of the
-    trace they can read, so the cost per episode is O(window), not O(trace).
+    Each episode's costs come from one ``episode_cost`` call over every row,
+    and each restoration scan reads only its episode's slice, so the cost
+    per episode is O(window), not O(trace). Without ``statuses`` nothing is
+    scanned and every restoration time is None.
     """
-    metrics = []
-    for index, shock in enumerate(shocks):
+    episodes = []
+    for shock in shocks:
         end = shock.at + shock.recovery_window
         lo, hi = _window(times, shock.at, end)
-        cost = episode_cost(times[lo:hi], deltas[lo:hi], shock.at, end)
         # A restoring streak may run on past the window end, by at most
         # RESTORATION_STREAK - 1 samples.
         tail = hi + RESTORATION_STREAK - 1
-        restored = restoration_time(times[lo:tail], statuses[lo:tail], shock.at, end)
-        strategy = (strategies or {}).get(index)
-        metrics.append(
-            RecoveryMetrics(
-                episode=index, node=node, cost=cost,
-                restoration_time=restored, strategy=strategy,
-            )
-        )
+        episodes.append((shock.at, end, lo, tail, episode_cost(times, deltas, shock.at, end)))
+    metrics = []
+    for row, node in enumerate(nodes):
+        for index, (at, end, lo, tail, costs) in enumerate(episodes):
+            restored = None if statuses is None else restoration_time(
+                times[lo:tail], statuses[row][lo:tail], at, end)
+            strategy = strategies[row].get(index) if strategies else None
+            metrics.append(RecoveryMetrics(index, node, costs[row], restored, strategy))
     return metrics
 
 
@@ -868,8 +878,9 @@ def _execute(
     the behavior stage no node ever corrects, and without the identity,
     controller and collective stages none is guarded, reconfigured or
     social, so every node runs as a passive one would. That result carries
-    episode costs only: its traces hold times, raws, quales and deltas, and
-    its restoration times are None.
+    episode costs only: its traces hold times, raws, quales and deltas, its
+    restoration times are None, and it has no learning documents, overhead
+    counters or antifragility verdicts.
     """
     run = _Run(scenario, baselines, resume_learning)
     # A diverging node's window overflows in numpy before its delta turns
@@ -891,7 +902,7 @@ def _execute(
             run.behavior(samples)
             run.collective(t)
             run.metrics(t)
-    return run.wrap_up()
+    return run.wrap_up(passive_override)
 
 
 class _Run:
@@ -1014,7 +1025,7 @@ class _Run:
             raise DivergenceError(
                 f"node {node.name!r} diverged: non-finite delta at tick {tick} (t={t})"
             )
-        sample = DeltaSample(time=t, figure=node.figure, delta=delta)
+        sample = DeltaSample(time=t, delta=delta)
         trace.times.append(t)
         trace.deltas.append(delta)
         return sample
@@ -1078,22 +1089,25 @@ class _Run:
     def behavior(self, samples: list[DeltaSample]) -> None:
         """Every node acts on its observation, its correction capped by its
         pool allocation (solo capacity for a non-member, none without a
-        pool). Predictive nodes act last, once ``stage_predictions`` has
-        solved their fits together."""
+        pool). Predictive nodes act last: ``stage_predictions`` solves their
+        fits together and returns their bias increments."""
         figures, pool = self.env.figures, self.pool
         allocations = {} if pool is None else pool.float_allocations
         solo = math.inf if pool is None else self.pool_spec.solo_capacity
         predictive = []
         for node, sample in zip(self.nodes, samples):
-            obs = Observation(latest=sample, context=figures, correction=node.correction_bias)
             if isinstance(node.behavior, Predictive):
-                predictive.append((node, obs))
+                predictive.append((node, sample))
             else:
+                obs = Observation(latest=sample, context=figures, correction=node.correction_bias)
                 node.apply_action(node.behavior.act(obs), allocations.get(node.name, solo))
         if predictive:
-            stage_predictions([(node.behavior, obs) for node, obs in predictive])
-            for node, obs in predictive:
-                node.apply_action(node.behavior.act(obs), allocations.get(node.name, solo))
+            biases = stage_predictions([
+                (node.behavior, sample.time, figures, sample.delta, node.correction_bias)
+                for node, sample in predictive
+            ])
+            for (node, _), bias in zip(predictive, biases):
+                node.apply_bias(bias, allocations.get(node.name, solo))
 
     def collective(self, t: float) -> None:
         pool, spec = self.pool, self.pool_spec
@@ -1143,41 +1157,45 @@ class _Run:
         self.open = still_open
 
     def _close(self, index: int, start: float, end: float) -> None:
-        for node in self.nodes:
-            credit = node.credit.get(index)
-            if credit is None:
-                continue
-            strategy, regime = credit
-            if node.learning is not None and node.controller_spec.learning.enabled:
-                node.overhead += 1
-                if index in node.failed:
-                    reward = 0.0
-                else:
-                    times, deltas = node.trace.times, node.trace.deltas
-                    lo, hi = _window(times, start, end)
-                    cost = episode_cost(times[lo:hi], deltas[lo:hi], start, end)
-                    reward = compute_reward(cost, self.baselines.get(node.name, 1.0))
-                node.learning.update(regime, strategy.id, reward, index)
-            # The episode's outcome is measured: while conditions stay unsafe
-            # the loop plans again, so a still-resilient node reselects on the
-            # next tick.
+        credited = [node for node in self.nodes if index in node.credit]
+        learning = [node for node in credited
+                    if node.learning is not None and node.controller_spec.learning.enabled]
+        priced = [node for node in learning if index not in node.failed]
+        rewards = {}
+        if priced:
+            costs = episode_cost(
+                priced[0].trace.times, [node.trace.deltas for node in priced], start, end
+            )
+            for node, cost in zip(priced, costs):
+                rewards[node.name] = compute_reward(cost, self.baselines.get(node.name, 1.0))
+        for node in learning:
+            strategy, regime = node.credit[index]
+            node.overhead += 1
+            # A node whose social action the pool rejected earns nothing.
+            node.learning.update(regime, strategy.id, rewards.get(node.name, 0.0), index)
+        # The episode's outcome is measured: while conditions stay unsafe the
+        # loop plans again, so a still-resilient node reselects on the next tick.
+        for node in credited:
             node.active_strategy = None
 
-    def wrap_up(self) -> RunResult:
-        result, shocks = self.result, self.shocks
-        for node in self.nodes:
-            trace = result.traces[node.name] = node.trace
+    def wrap_up(self, passive: bool) -> RunResult:
+        """The run's result; of the calibration pre-run (``passive``), its
+        traces and episode costs alone."""
+        result, shocks, nodes = self.result, self.shocks, self.nodes
+        result.traces = {node.name: node.trace for node in nodes}
+        result.recovery = compute_recovery_metrics(
+            nodes[0].trace.times if nodes else [], [node.trace.deltas for node in nodes],
+            None if passive else [node.trace.statuses for node in nodes], shocks, self.names,
+            [{i: s.id for i, (s, _) in node.credit.items()} for node in nodes],
+        )
+        if passive:
+            return result
+        for node in nodes:
             result.overhead_counters[node.name] = node.overhead
             if node.learning is not None:
                 result.learning_docs[node.name] = node.learning.to_document()
-            result.recovery.extend(
-                compute_recovery_metrics(
-                    trace.times, trace.deltas, trace.statuses, shocks, node=node.name,
-                    strategies={i: s.id for i, (s, _) in node.credit.items()},
-                )
-            )
 
-        if len(shocks) >= 4 and self.nodes:
+        if len(shocks) >= 4 and nodes:
             threshold = self.scenario.antifragility_threshold
             costs = _costs_by_node(result.recovery)
             # Each episode's mean over the nodes, in node order.

@@ -50,7 +50,6 @@ class DeltaSample:
     """Signed per-tick fidelity error for one figure."""
 
     time: float
-    figure: int
     delta: float
 
     def __post_init__(self):
@@ -111,7 +110,6 @@ def preservation_distance(cmap: ReflectiveMap, u1: float, u2: float) -> float:
 def tracking_error(
     ideal: Sequence[tuple[float, float]],
     qualia: Sequence[tuple[float, float]],
-    figure: int = 0,
 ) -> list[DeltaSample]:
     """Per-tick error between reported values and the ideal reflection.
 
@@ -127,7 +125,7 @@ def tracking_error(
     for (t_i, ideal_value), (t_q, quale_value) in zip(ideal, qualia):
         if abs(t_i - t_q) > TIME_EPS:
             raise GridAlignmentError(f"time grids diverge at t={t_i} vs {t_q}")
-        trace.append(DeltaSample(time=t_i, figure=figure, delta=quale_value - ideal_value))
+        trace.append(DeltaSample(time=t_i, delta=quale_value - ideal_value))
     return trace
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fidelitylab.behavior import (
     ActiveNonPurposeful,
@@ -30,10 +32,16 @@ def behavior_problems(behavior, figures=1):
 
 def obs(delta, t=0.0, correction=0.0, context=()):
     return Observation(
-        latest=DeltaSample(time=t, figure=0, delta=delta),
+        latest=DeltaSample(time=t, delta=delta),
         correction=correction,
         context=tuple(context),
     )
+
+
+def staged(behavior, observation):
+    """An observation as a ``stage_predictions`` row."""
+    latest = observation.latest
+    return behavior, latest.time, observation.context, latest.delta, observation.correction
 
 
 class TestPassive:
@@ -155,14 +163,15 @@ class ReferencePredictive:
         return CorrectiveAction(bias=-(float(np.dot(coef, ahead)) + obs.correction))
 
 
-def random_stream(seed, ticks, figures=2):
+def random_stream(seed, ticks, figures=2, scale=1.0):
     """Observations of a noisy drifting deviation with a random correction
-    and random-walk context figures, one per tick of 0.1 s."""
+    and random-walk context figures, one per tick of 0.1 s; ``scale``
+    multiplies deviations and corrections."""
     rng = np.random.default_rng(seed)
     context = np.cumsum(rng.normal(size=(ticks, figures)), axis=0)
     return [
-        obs(0.05 * i + rng.normal(scale=0.01), t=0.1 * i,
-            correction=rng.normal(scale=0.1), context=context[i - 1])
+        obs(scale * (0.05 * i + rng.normal(scale=0.01)), t=0.1 * i,
+            correction=scale * rng.normal(scale=0.1), context=context[i - 1])
         for i in range(1, ticks + 1)
     ]
 
@@ -186,18 +195,33 @@ class TestPredictiveGroups:
             live = [(behavior, reference, stream[tick])
                     for (behavior, reference, ticks), stream in zip(rows, streams)
                     if tick in ticks]
-            stage_predictions([(behavior, observation) for behavior, _, observation in live])
-            for behavior, reference, observation in live:
-                assert behavior.act(observation) == reference.act(observation)
+            biases = stage_predictions([staged(behavior, observation)
+                                        for behavior, _, observation in live])
+            assert biases == [reference.act(observation).bias for _, reference, observation in live]
 
-    def test_a_staged_action_is_used_once(self):
+    def test_staged_rows_and_act_share_one_history(self):
         behavior, reference = Predictive(k=1, window=3), ReferencePredictive(1, 3)
         first, second = obs(0.1, t=0.1), obs(0.3, t=0.2)
-        stage_predictions([(behavior, first)])
-        assert behavior.act(first) == reference.act(first)
-        # Nothing staged: act records the observation itself.
+        assert stage_predictions([staged(behavior, first)]) == [reference.act(first).bias]
         action = behavior.act(second)
         assert action == reference.act(second) and not action.fallback
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(1, 6),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2**16))
+def test_the_stacked_look_ahead_has_the_bits_of_a_dot_per_row(k, extra, rows, scale, seed):
+    """Each shape's rows are extrapolated by one stacked matmul; each bias
+    must have the bits of the reference's own ``np.lstsq`` and ``np.dot``."""
+    window, ticks = k + 1 + extra, k + 4 + extra
+    behaviors = [Predictive(k=k, window=window) for _ in range(rows)]
+    references = [ReferencePredictive(k, window) for _ in range(rows)]
+    streams = [random_stream(seed + row, ticks, figures=k, scale=scale) for row in range(rows)]
+    for tick in range(ticks):
+        observations = [stream[tick] for stream in streams]
+        biases = stage_predictions([staged(b, o) for b, o in zip(behaviors, observations)])
+        expected = [r.act(o).bias for r, o in zip(references, observations)]
+        assert np.array(biases).tobytes() == np.array(expected).tobytes()
 
 
 class TestLstsqStack:

@@ -46,7 +46,7 @@ from fidelitylab.rng import substream
 
 def feed(monitor, values, start=0.0, dt=1.0):
     for i, v in enumerate(values):
-        monitor_step(monitor, DeltaSample(time=start + i * dt, figure=0, delta=v))
+        monitor_step(monitor, DeltaSample(time=start + i * dt, delta=v))
     return monitor
 
 
@@ -59,7 +59,7 @@ class TestMonitor:
         monitor = MonitorState(0.2, 10)
         previous = 0.0
         for i in range(50):
-            monitor_step(monitor, DeltaSample(time=float(i), figure=0, delta=3.0))
+            monitor_step(monitor, DeltaSample(time=float(i), delta=3.0))
             assert monitor.ewma > previous
             previous = monitor.ewma
         assert monitor.ewma == pytest.approx(3.0, abs=1e-4)
@@ -72,7 +72,7 @@ class TestMonitor:
     def test_out_of_order_sample_rejected(self):
         monitor = feed(MonitorState(0.1, 10), [0.0, 0.0])
         with pytest.raises(SequencingError):
-            monitor_step(monitor, DeltaSample(time=0.5, figure=0, delta=0.0))
+            monitor_step(monitor, DeltaSample(time=0.5, delta=0.0))
 
     def test_magnitude_not_sign_is_tracked(self):
         monitor = feed(MonitorState(0.5, 10), [-1.0])
@@ -99,8 +99,8 @@ class TestAssessSafety:
 
     def test_trend_exactly_at_threshold_is_safe(self):
         monitor = MonitorState(1.0, 1)
-        monitor_step(monitor, DeltaSample(time=0.0, figure=0, delta=0.0))
-        monitor_step(monitor, DeltaSample(time=1.0, figure=0, delta=0.05))
+        monitor_step(monitor, DeltaSample(time=0.0, delta=0.0))
+        monitor_step(monitor, DeltaSample(time=1.0, delta=0.05))
         assert monitor.trend() == pytest.approx(0.05)
         verdict = assess_safety(monitor, self.predicate(threshold=0.05, horizon=1), None)
         assert verdict is Safety.SAFE

@@ -6,6 +6,7 @@ from fractions import Fraction
 from statistics import median
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from test_behavior import ReferencePredictive
 from test_golden import DEMO, _ladder_cut, predictive_groups, social_edges
 
 from fidelitylab import engine
-from fidelitylab.behavior import CorrectiveAction, Passive, Predictive, Reactive
+from fidelitylab.behavior import CorrectiveAction, Observation, Passive, Predictive, Reactive
 from fidelitylab.collective import ResourcePool, SocialAction, SocialBehavior
 from fidelitylab.config import load_config
 from fidelitylab.controller import (
@@ -25,6 +26,7 @@ from fidelitylab.controller import (
     StrategyKind,
 )
 from fidelitylab.engine import (
+    TIME_EPS,
     ChannelSpec,
     ContractSpec,
     ControllerSpec,
@@ -46,6 +48,7 @@ from fidelitylab.engine import (
 from fidelitylab.environment import Constant, LinearDrift, RandomWalk, ShockEvent
 from fidelitylab.errors import ConfigurationError, InsufficientDataError
 from fidelitylab.identity import ContractStatus, DetectorConfig, IdentityClass
+from fidelitylab.reflection import DeltaSample
 from fidelitylab.reporting import TICKS_HEADER, export_run
 from fidelitylab.rng import substream
 
@@ -180,37 +183,42 @@ class TestRunBasics:
         run_scenario(scenario)
         assert stage_log == expected_tick * 2  # two ticks
 
-    def test_predictive_nodes_act_once_a_tick_as_a_per_node_loop_would(self, monkeypatch):
-        # Each behavior stage calls Predictive.act once for every node whose
-        # behavior is predictive, in node order, and each action equals a
-        # per-node reference loop's over the same observations. The
-        # reference rides on the behavior object, so a deepcopy of a
-        # behavior (an arm enacted, the elastic design restored) carries
-        # the reference's history exactly as it carries the ring.
-        expected, acted, joined = [], [], []
-        stage, staged_act = engine._Run.behavior, Predictive.act
+    def test_predictive_nodes_are_staged_once_a_tick_as_a_per_node_loop_would(
+        self, monkeypatch
+    ):
+        # Each behavior stage makes one stage_predictions call with a row for
+        # every node whose behavior is predictive, in node order, and each
+        # bias equals a per-node reference loop's over the same observations.
+        # The reference rides on the behavior object, so a deepcopy of a
+        # behavior (an arm enacted, the elastic design restored) carries the
+        # reference's history exactly as it carries the ring.
+        expected, staged_rows, joined = [], [], []
+        stage, stage_predictions = engine._Run.behavior, engine.stage_predictions
 
         def behavior(run, samples):
             expected.extend(id(n.behavior) for n in run.nodes
                             if isinstance(n.behavior, Predictive))
             stage(run, samples)
 
-        def act(self, obs):
-            action = staged_act(self, obs)
-            reference = self.__dict__.setdefault(
-                "_reference", ReferencePredictive(self.k, self.window)
-            )
-            assert action == reference.act(obs)
-            acted.append(id(self))
-            if action.fallback and obs.latest.time > 1.0:
-                joined.append(obs.latest.time)
-            return action
+        def staged(rows):
+            biases = stage_predictions(rows)
+            for (behavior, time, context, delta, correction), bias in zip(rows, biases):
+                reference = behavior.__dict__.setdefault(
+                    "_reference", ReferencePredictive(behavior.k, behavior.window)
+                )
+                observation = Observation(DeltaSample(time, delta), tuple(context), correction)
+                action = reference.act(observation)
+                assert bias == action.bias
+                staged_rows.append(id(behavior))
+                if action.fallback and time > 1.0:
+                    joined.append(time)
+            return biases
 
         monkeypatch.setattr(engine._Run, "behavior", behavior)
-        monkeypatch.setattr(Predictive, "act", act)
+        monkeypatch.setattr(engine, "stage_predictions", staged)
         run_scenario(predictive_groups())
-        assert acted == expected
-        assert len(acted) > 600 * 6  # six nodes predictive throughout 600 ticks
+        assert staged_rows == expected
+        assert len(staged_rows) > 600 * 6  # six nodes predictive throughout 600 ticks
         assert joined  # arms enacted mid-run start from an empty history
 
     def test_same_tick_failures_of_different_groups_in_node_order(self):
@@ -321,7 +329,7 @@ class TestEpisodeMetrics:
         deltas = [0.0] * 100
         statuses = [ContractStatus.HOLDING] * 100
         shock = ShockEvent(at=2.0, figure=0, magnitude=0.0, recovery_window=3.0)
-        metrics = compute_recovery_metrics(times, deltas, statuses, [shock], node="n")
+        metrics = compute_recovery_metrics(times, [deltas], [statuses], [shock], ["n"])
         assert metrics[0].cost == 0.0
         assert metrics[0].restoration_time == pytest.approx(0.1)
 
@@ -329,7 +337,7 @@ class TestEpisodeMetrics:
         times = [0.1 * i for i in range(1, 101)]
         deltas = [0.5] * 100
         shock = ShockEvent(at=2.0, figure=0, magnitude=0.0, recovery_window=4.0)
-        cost = episode_cost(times, deltas, shock.at, shock.at + shock.recovery_window)
+        [cost] = episode_cost(times, [deltas], shock.at, shock.at + shock.recovery_window)
         assert cost == pytest.approx(0.5 * 4.0)
 
     def test_triangular_decay_integrates_to_half_rectangle(self):
@@ -340,7 +348,7 @@ class TestEpisodeMetrics:
             peak * max(0.0, 1.0 - (t - shock_at) / window) if t >= shock_at else 0.0
             for t in times
         ]
-        cost = episode_cost(times, deltas, shock_at, shock_at + window)
+        [cost] = episode_cost(times, [deltas], shock_at, shock_at + window)
         assert cost == pytest.approx(peak * window / 2, abs=peak * 0.1 / 2)
 
     def test_restoration_needs_five_consecutive_holding(self):
@@ -367,26 +375,53 @@ class TestEpisodeMetrics:
         h, v = ContractStatus.HOLDING, ContractStatus.VIOLATED
         statuses = [v] * 8 + [h] * 22
         shock = ShockEvent(at=0.0, figure=0, magnitude=1.0, recovery_window=9.0)
-        metrics = compute_recovery_metrics(times, [0.0] * 30, statuses, [shock])
+        metrics = compute_recovery_metrics(times, [[0.0] * 30], [statuses], [shock], ["n"])
         assert metrics[0].restoration_time == 8.0
 
 
+def scalar_episode_cost(times, deltas, start, end):
+    """The trapezoid integral of one row's |delta| as a sequential loop over
+    its points: ``episode_cost`` must give each row these bits."""
+    pts = [
+        (t, abs(d))
+        for t, d in zip(times, deltas)
+        if start - TIME_EPS <= t <= end + TIME_EPS
+    ]
+    total = 0.0
+    for (t0, d0), (t1, d1) in zip(pts[:-1], pts[1:]):
+        total += 0.5 * (d0 + d1) * (t1 - t0)
+    return total
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
 _STATUSES = st.sampled_from([*ContractStatus, None])
+_DELTAS = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _grid(draw, max_tick=120, max_size=80):
+    """Ascending times on a 0.1 s grid, repeats allowed."""
+    return [0.1 * k for k in sorted(draw(st.lists(st.integers(0, max_tick), max_size=max_size)))]
 
 
 @st.composite
 def _traces(draw):
-    """A sorted trace on a 0.1 s grid (repeats allowed) and some shocks.
+    """A sorted trace, one to three rows of deltas and statuses on it, and
+    some shocks.
 
     Statuses come in runs, so restoring streaks start, break and straddle
     window ends."""
-    ticks = sorted(draw(st.lists(st.integers(0, 120), max_size=80)))
-    times = [0.1 * k for k in ticks]
-    deltas = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(times), max_size=len(times)))
-    statuses = []
-    while len(statuses) < len(times):
-        statuses += [draw(_STATUSES)] * draw(st.integers(1, 12))
-    del statuses[len(times):]
+    times = draw(_grid())
+    deltas, statuses = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        deltas.append(draw(st.lists(_DELTAS, min_size=len(times), max_size=len(times))))
+        row = []
+        while len(row) < len(times):
+            row += [draw(_STATUSES)] * draw(st.integers(1, 12))
+        statuses.append(row[:len(times)])
     shocks = [
         ShockEvent(at=0.1 * at, figure=0, magnitude=1.0, recovery_window=0.1 * width)
         for at, width in draw(st.lists(
@@ -399,17 +434,40 @@ def _traces(draw):
 @given(_traces())
 def test_windowed_recovery_metrics_equal_a_full_scan(trace):
     times, deltas, statuses, shocks = trace
+    nodes = [f"n{row}" for row in range(len(deltas))]
     full_scan = [
         RecoveryMetrics(
-            episode=index, node="n",
-            cost=episode_cost(times, deltas, s.at, s.at + s.recovery_window),
+            episode=index, node=node,
+            cost=scalar_episode_cost(times, row_deltas, s.at, s.at + s.recovery_window),
             restoration_time=restoration_time(
-                times, statuses, s.at, s.at + s.recovery_window),
+                times, row_statuses, s.at, s.at + s.recovery_window),
             strategy=None,
         )
+        for node, row_deltas, row_statuses in zip(nodes, deltas, statuses)
         for index, s in enumerate(shocks)
     ]
-    assert compute_recovery_metrics(times, deltas, statuses, shocks, node="n") == full_scan
+    assert compute_recovery_metrics(times, deltas, statuses, shocks, nodes) == full_scan
+    # Without statuses, the same costs and no restoration scan.
+    assert compute_recovery_metrics(times, deltas, None, shocks, nodes) == [
+        replace(m, restoration_time=None) for m in full_scan
+    ]
+
+
+# A window edge on a tick of the grid, nudged to either side of TIME_EPS.
+_EDGES = st.builds(lambda tick, nudge: 0.1 * tick + nudge * TIME_EPS,
+                   st.integers(-2, 42), st.sampled_from([-2, -1, 0, 1, 2]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid(max_tick=40, max_size=30), st.integers(1, 4), _EDGES, _EDGES, st.data())
+def test_batched_episode_cost_has_the_bits_of_the_scalar_loop(times, rows, start, end, data):
+    """Random rows on one grid, windows of any number of points (none, one,
+    or all) with edges on either side of the tolerance."""
+    deltas = [data.draw(st.lists(_DELTAS, min_size=len(times), max_size=len(times)))
+              for _ in range(rows)]
+    costs = episode_cost(times, deltas, start, end)
+    assert all(type(cost) is float for cost in costs)
+    assert _bits(costs) == _bits([scalar_episode_cost(times, row, start, end) for row in deltas])
 
 
 class TestAntifragilityScore:
@@ -687,6 +745,20 @@ class TestCalibration:
             assert trace.statuses == trace.modes == trace.verdicts == trace.identities == []
         assert len(result.recovery) == len(scenario.nodes) * len(scenario.shocks)
 
+    def test_calibration_keeps_only_episode_costs(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("called by the calibration pre-run")
+
+        for name in ("restoration_time", "antifragility_score"):
+            monkeypatch.setattr(engine, name, unexpected)
+        monkeypatch.setattr(engine.LearningState, "to_document", unexpected)
+        scenario = _pool_social_scenario()
+        assert len(scenario.shocks) >= 4  # enough for a verdict in a main run
+        result = engine._execute(scenario, baselines={}, passive_override=True)
+        assert [m.restoration_time for m in result.recovery] == [None] * len(result.recovery)
+        assert result.learning_docs == result.overhead_counters == {}
+        assert result.antifragility is None and result.node_antifragility == {}
+
     def test_the_pre_run_is_released_before_the_main_run(self, monkeypatch):
         """A run holds one tick history at a time: by the time the main run
         starts, no trace, recovery row or result of the pre-run is alive."""
@@ -961,6 +1033,21 @@ def test_an_unpooled_node_leaves_every_other_node_as_it_was(scenario, data):
     for name in names:
         assert more.traces[name] == base.traces[name]
     assert _rows(more, names) == base.recovery
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_scenarios(), st.lists(st.sampled_from([0.0, 0.1, 0.25]), min_size=2, max_size=2))
+def test_every_node_of_a_run_records_the_same_times(scenario, latencies):
+    """Episode costs are integrated over one time grid for all nodes: every
+    node of the main run and of the calibration pre-run records each tick's
+    time, whatever its sampling period, restaged period or latency."""
+    nodes = [replace(node, channel=replace(node.channel, latency=latency))
+             for node, latency in zip(scenario.nodes, latencies)]
+    scenario = replace(scenario, nodes=nodes)
+    ticks = [tick * scenario.dt for tick in range(1, round(scenario.duration / scenario.dt) + 1)]
+    for passive in (False, True):
+        result = engine._execute(scenario, baselines={}, passive_override=passive)
+        assert [trace.times for trace in result.traces.values()] == [ticks] * len(nodes)
 
 
 @settings(max_examples=40, deadline=None)

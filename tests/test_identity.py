@@ -35,7 +35,7 @@ from fidelitylab.reflection import DeltaSample
 
 def samples(deltas, start=0.0, dt=1.0):
     return [
-        DeltaSample(time=start + i * dt, figure=0, delta=float(d))
+        DeltaSample(time=start + i * dt, delta=float(d))
         for i, d in enumerate(deltas)
     ]
 
@@ -246,9 +246,9 @@ class TestFailureDetector:
 
     def test_out_of_order_rejected(self):
         group = guard(IdentityClass.hard(0.1), self.config())
-        feed(group, DeltaSample(time=1.0, figure=0, delta=0.0))
+        feed(group, DeltaSample(time=1.0, delta=0.0))
         with pytest.raises(SequencingError):
-            feed(group, DeltaSample(time=0.5, figure=0, delta=0.0))
+            feed(group, DeltaSample(time=0.5, delta=0.0))
 
     def test_non_rt_cannot_be_guarded(self):
         with pytest.raises(ContractFreeError):
@@ -502,8 +502,7 @@ class TestRingMatchesListOracle:
                 mags = _oracle_window(stream[: i + 1], window)
                 assert statuses[row] is _oracle_status(mags, contract, margin)
                 assert _bits(utilizations[row]) == _bits(_oracle_utilization(mags, contract))
-                expected = oracles[row].update(DeltaSample(time=float(i), figure=row,
-                                                           delta=stream[i]))
+                expected = oracles[row].update(DeltaSample(time=float(i), delta=stream[i]))
                 event = fired.get(row)
                 if expected is None:
                     assert event is None

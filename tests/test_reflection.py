@@ -159,4 +159,4 @@ class TestInvariants:
 
     def test_delta_sample_rejects_non_finite(self):
         with pytest.raises(Exception):
-            DeltaSample(time=0.0, figure=0, delta=math.nan)
+            DeltaSample(time=0.0, delta=math.nan)
