@@ -19,8 +19,13 @@ Two corpora, each a SHA-256 digest of every file ``export_run`` writes:
   shapes beside learning nodes whose arms move them between shapes, and the
   social layer's edge cases (neutral non-members that join and leave, tied
   best-effort recipients, donors that owe a benefactor, a grab from other
-  members' slack, a noise stream first drawn mid-run). These are
-  exported as ``fidelity-lab run`` writes them, with the config echo in
+  members' slack, a noise stream first drawn mid-run), the specs that
+  carry run state (elastic active and predictive designs that return
+  after channel-only and behavior arms, an active arm enacted again and
+  again, a regime-switching figure nested in another and a
+  regime-switching bias drift), and the sensing edges (latency,
+  quantization, a purposeful-non-teleological servo, epsilon-greedy
+  learning, controllers on every figure of three). These are exported as ``fidelity-lab run`` writes them, with the config echo in
   ``report.json``.
 
 Runs that record the identity timeline also pin it, under ``identities``.
@@ -46,10 +51,16 @@ import pytest
 
 from test_acceptance import _determinism_scenario, _ladder_scenario, _two_arm_scenario
 
-from fidelitylab.behavior import ActiveNonPurposeful, CorrectiveAction, Predictive, Reactive
+from fidelitylab.behavior import (
+    ActiveNonPurposeful,
+    CorrectiveAction,
+    Predictive,
+    PurposefulNonTeleological,
+    Reactive,
+)
 from fidelitylab.collective import SocialBehavior
 from fidelitylab.config import load_config, scenario_to_config
-from fidelitylab.controller import Strategy, StrategyKind
+from fidelitylab.controller import LearningSpec, Strategy, StrategyKind
 from fidelitylab.engine import (
     ChannelSpec,
     ContractSpec,
@@ -60,7 +71,7 @@ from fidelitylab.engine import (
     Scenario,
     run_scenario,
 )
-from fidelitylab.environment import LinearDrift, RandomWalk, ShockEvent
+from fidelitylab.environment import Constant, LinearDrift, RandomWalk, RegimeSwitching, ShockEvent
 from fidelitylab.identity import DetectorConfig, IdentityClass
 from fidelitylab.reporting import export_run
 
@@ -353,6 +364,109 @@ def social_edges():
     )
 
 
+def stateful_specs():
+    """The specs that carry run state through a run: an elastic active
+    design and an elastic predictive one, each with a catalog that mixes a
+    channel-only arm (the elastic design keeps acting) with a behavior arm
+    (it is replaced), each returning to its elastic design several times;
+    an active arm enacted again and again; a regime-switching figure whose
+    calm sub-process switches regimes itself; and a regime-switching bias
+    drift."""
+    def node(name, figure, behavior, catalog, **kwargs):
+        return NodeSpec(
+            name=name, figure=figure,
+            channel=kwargs.pop("channel", ChannelSpec(gain=1.1, nominal_gain=1.0,
+                                                      noise_std=0.01, sampling_period=0.1)),
+            contract=ContractSpec(identity=IdentityClass.hard(0.1), window=20),
+            behavior=behavior,
+            controller=None if catalog is None else ControllerSpec(hysteresis=5, catalog=catalog),
+            **kwargs,
+        )
+
+    cycle = ActiveNonPurposeful(schedule=(
+        CorrectiveAction(bias=0.03), CorrectiveAction(bias=-0.01), CorrectiveAction(bias=-0.02),
+    ))
+    active = (
+        Strategy(id="retune", kind=StrategyKind.RECONFIGURE, channel={"gain": 1.02}),
+        Strategy(id="firm", kind=StrategyKind.RECONFIGURE, behavior=Reactive(gain=0.8)),
+    )
+    predictive = (
+        Strategy(id="noisy", kind=StrategyKind.RECONFIGURE, channel={"noise_std": 0.03}),
+        Strategy(id="firm", kind=StrategyKind.RECONFIGURE, behavior=Reactive(gain=1.0)),
+    )
+    cycling = (
+        Strategy(id="cycle", kind=StrategyKind.RECONFIGURE, behavior=cycle),
+        Strategy(id="gentle", kind=StrategyKind.RECONFIGURE, behavior=Reactive(gain=0.1)),
+    )
+    nested = RegimeSwitching(
+        calm=RegimeSwitching(calm=Constant(), turbulent=RandomWalk(std=0.02), hazard=0.4),
+        turbulent=RandomWalk(std=0.1), hazard=0.2,
+    )
+    return Scenario(
+        name="stateful_specs", duration=60.0, dt=0.1, seed=19,
+        figures=[FigureSpec(name="load", initial=0.0, process=nested),
+                 FigureSpec(name="heat", initial=0.0, process=LinearDrift(rate=0.01))],
+        shocks=[ShockEvent(at=3.0 + 7.0 * i, figure=i % 2, magnitude=3.0 - 6.0 * (i % 4 > 1),
+                           recovery_window=5.0) for i in range(8)],
+        nodes=[
+            node("active", 0, cycle, active),
+            node("predictor", 1, Predictive(k=1, window=8), predictive),
+            node("cycler", 0, Reactive(gain=0.5), cycling),
+            node("drifting", 1, Reactive(gain=0.5), None,
+                 channel=ChannelSpec(noise_std=0.01, sampling_period=0.1, bias_drift=RegimeSwitching(
+                     calm=Constant(), turbulent=RandomWalk(std=0.05), hazard=0.5))),
+        ],
+    )
+
+
+def sensing_edges():
+    """The sensing and control paths no other scenario pins: channels with
+    latency and quantization (restaged by a catalog arm), a
+    purposeful-non-teleological servo that resamples its channel,
+    epsilon-greedy learning, and controllers on every figure of three."""
+    def node(name, figure, behavior, channel, catalog=None, learning=LearningSpec()):
+        return NodeSpec(
+            name=name, figure=figure, channel=channel,
+            contract=ContractSpec(identity=IdentityClass.soft(0.05, 0.05), window=20),
+            behavior=behavior,
+            controller=None if catalog is None else ControllerSpec(
+                hysteresis=4, learning=learning, catalog=catalog),
+        )
+
+    arms = (
+        Strategy(id="firm", kind=StrategyKind.RECONFIGURE, behavior=Reactive(gain=0.7)),
+        Strategy(id="sharp", kind=StrategyKind.RECONFIGURE,
+                 channel={"latency": 0.0, "quantization": 0.0}),
+        Strategy(id="gentle", kind=StrategyKind.RECONFIGURE, behavior=Reactive(gain=0.2)),
+    )
+    greedy = LearningSpec(algorithm="epsilon_greedy", epsilon=0.3)
+    return Scenario(
+        name="sensing_edges", duration=50.0, dt=0.1, seed=23,
+        figures=[FigureSpec(name="a", initial=0.0, process=RandomWalk(std=0.02)),
+                 FigureSpec(name="b", initial=1.0),
+                 FigureSpec(name="c", initial=0.5, process=LinearDrift(rate=-0.01))],
+        shocks=[ShockEvent(at=2.0 + 6.0 * i, figure=i % 3, magnitude=2.0 - 4.0 * (i % 2),
+                           recovery_window=5.0) for i in range(8)],
+        nodes=[
+            node("lagging", 0, Reactive(gain=0.6),
+                 ChannelSpec(gain=1.1, nominal_gain=1.0, noise_std=0.01, latency=0.3),
+                 arms, greedy),
+            node("coarse", 1, Reactive(gain=0.6),
+                 ChannelSpec(gain=1.1, nominal_gain=1.0, quantization=0.05), arms),
+            node("both", 2, Predictive(k=2, window=8),
+                 ChannelSpec(gain=1.05, nominal_gain=1.0, noise_std=0.005, quantization=0.01,
+                             sampling_period=0.2, latency=0.2), arms, greedy),
+            node("servo", 1, PurposefulNonTeleological(
+                     policy=CorrectiveAction(bias=-0.0005, resample=0.2)),
+                 ChannelSpec(gain=1.1, nominal_gain=1.0, quantization=0.02, latency=0.1)),
+            node("servo2", 2, PurposefulNonTeleological(
+                     policy=CorrectiveAction(bias=0.0002)),
+                 ChannelSpec(gain=0.95, nominal_gain=1.0, latency=0.4), arms,
+                 LearningSpec(algorithm="epsilon_greedy", epsilon=1.0)),
+        ],
+    )
+
+
 def _ladder_cut(seed, learning_enabled):
     scenario = _ladder_scenario(seed, learning_enabled)
     return replace(scenario, duration=225.0, shocks=scenario.shocks[:8])
@@ -372,6 +486,8 @@ SCENARIOS = {
     "contract_groups": contract_groups,
     "predictive_groups": predictive_groups,
     "social_edges": social_edges,
+    "stateful_specs": stateful_specs,
+    "sensing_edges": sensing_edges,
 }
 
 
