@@ -25,7 +25,7 @@ proportional feedback settles at drift_rate * dt / gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,92 +60,98 @@ class Observation:
 
 
 class Behavior:
-    """Base class; subclasses implement act()."""
+    """Base class of the frozen behavior specs: ``start`` builds the run
+    state one design acts on (None: it keeps none), and ``act`` advances it."""
 
-    def act(self, obs: Observation) -> CorrectiveAction:
+    def start(self):
+        return None
+
+    def act(self, obs: Observation, state) -> CorrectiveAction:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Passive(Behavior):
     """Inert: produces no output energy."""
 
-    def act(self, obs):
+    def act(self, obs, state):
         return ZERO_ACTION
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActiveNonPurposeful(Behavior):
-    """Emits a fixed cyclic schedule of actions regardless of observations."""
+    """Emits a fixed cyclic schedule of actions regardless of observations.
+    Its run state is a cursor: a one-item list, the count of its acts."""
 
     schedule: tuple[CorrectiveAction, ...]
-    _cursor: int = field(default=0, repr=False)
 
-    def act(self, obs):
+    def start(self):
+        return [0]
+
+    def act(self, obs, cursor):
         if not self.schedule:
             return ZERO_ACTION
-        action = self.schedule[self._cursor % len(self.schedule)]
-        self._cursor += 1
+        action = self.schedule[cursor[0] % len(self.schedule)]
+        cursor[0] += 1
         return action
 
 
-@dataclass
+@dataclass(frozen=True)
 class PurposefulNonTeleological(Behavior):
     """Servo: a fixed policy of the setpoint, deaf to the error signal."""
 
     policy: CorrectiveAction = ZERO_ACTION
 
-    def act(self, obs):
+    def act(self, obs, state):
         return self.policy
 
 
-@dataclass
+@dataclass(frozen=True)
 class Reactive(Behavior):
     """Proportional feedback on the latest error sample."""
 
     gain: float = 1.0
 
-    def act(self, obs):
+    def act(self, obs, state):
         correction = -self.gain * obs.latest.delta
         if correction == 0.0:
             return ZERO_ACTION
         return CorrectiveAction(bias=correction)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Predictive(Behavior):
     """Order-k extrapolation of the channel's intrinsic deviation.
 
-    Keeps its own bounded history of (time, deviation, context) samples,
-    where deviation = observed delta minus the correction already applied.
-    Before k+1 samples exist it falls back to unit-gain feedback and flags
-    the action, so warm-up ticks can be excluded from comparisons.
+    Its run state is a bounded history of (time, deviation, context)
+    samples, where deviation = observed delta minus the correction already
+    applied. Before k+1 samples exist it falls back to unit-gain feedback
+    and flags the action, so warm-up ticks can be excluded from comparisons.
     ``act`` stages one observation as a group of one.
     """
 
     k: int = 1
     window: int = 8  # history length m >= k + 1
 
-    def __post_init__(self):
+    def start(self):
         # One row per remembered tick: 1 (the intercept), time, the k-1
         # context figures, then the deviation. The newest rows are the
-        # design matrix beside its right-hand side. An order or length out of
-        # range builds a ring of one, so validation can name it.
-        self._history = WindowRing(max(self.window, 1), width=max(self.k, 1) + 2)
+        # design matrix beside its right-hand side.
+        return WindowRing(self.window, width=self.k + 2)
 
-    def act(self, obs):
+    def act(self, obs, history):
         latest = obs.latest
         [bias] = stage_predictions(
-            [(self, latest.time, obs.context, latest.delta, obs.correction)]
+            [(self, history, latest.time, obs.context, latest.delta, obs.correction)]
         )
-        return CorrectiveAction(bias=bias, fallback=self._history.count < self.k + 1)
+        return CorrectiveAction(bias=bias, fallback=history.count < self.k + 1)
 
 
 def stage_predictions(
-    rows: Sequence[tuple[Predictive, float, Sequence[float], float, float]],
+    rows: Sequence[tuple[Predictive, WindowRing, float, Sequence[float], float, float]],
 ) -> list[float]:
-    """Record each row (behavior, time, context, delta, correction) in its
-    behavior's history and return the bias increment that behavior applies.
+    """Record each row (behavior, history, time, context, delta, correction)
+    in its history ring and return the bias increment the behavior applies.
 
     Rows whose designs have the same shape (order k and history length)
     are solved in one ``lstsq_stack`` call, each row to the bits of its own
@@ -155,8 +161,8 @@ def stage_predictions(
     """
     biases = []
     shapes: dict[tuple[int, int], list[tuple[int, WindowRing, float]]] = {}
-    for row, (behavior, time, context, delta, correction) in enumerate(rows):
-        k, history = behavior.k, behavior._history
+    for row, (behavior, history, time, context, delta, correction) in enumerate(rows):
+        k = behavior.k
         if k - 1 > len(context):
             raise ConfigurationError(
                 f"order-{k} prediction needs {k - 1} context figures, "

@@ -202,6 +202,8 @@ def cmd_batch(
         return _fail(["--reps must be >= 1"])
     if jobs < 1:
         return _fail(["--jobs must be >= 1"])
+    if seed_base < 0:
+        return _fail(["--seed-base must be >= 0"])
     # Each run writes to {stem}-seed{seed}, so configs that share a stem
     # would overwrite each other's exports.
     stems: dict[str, list[str]] = {}

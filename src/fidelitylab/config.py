@@ -74,17 +74,17 @@ _FLOAT_MAX = sys.float_info.max
 
 @cache
 def _keys(cls) -> frozenset:
-    """The document keys of a spec dataclass: its constructor's fields."""
-    return frozenset(f.name for f in dataclasses.fields(cls) if f.init)
+    """The document keys of a spec dataclass: its fields."""
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
 @cache
 def _scalars(cls) -> tuple[tuple[str, Callable, Any], ...]:
-    """(name, _Parser reader, default) of each scalar constructor field of cls."""
+    """(name, _Parser reader, default) of each scalar field of cls."""
     return tuple(
         (f.name, getattr(_Parser, _READERS[f.type]), f.default)
         for f in dataclasses.fields(cls)
-        if f.init and f.type in _READERS
+        if f.type in _READERS
     )
 
 
@@ -480,7 +480,7 @@ def parse_config(doc: Any, seed_override: Optional[int] = None) -> Scenario:
         pool=None if pool is None else p.spec(PoolSpec, pool, "pool"),
     )
     if seed_override is not None:
-        scenario.seed = seed_override
+        scenario = dataclasses.replace(scenario, seed=seed_override)
     problems = p.errors + _unreported(validate_scenario(scenario), p.errors)
     if problems:
         raise ConfigurationError(problems)

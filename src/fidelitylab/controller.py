@@ -137,10 +137,10 @@ class StrategyKind(Enum):
 class Strategy:
     """One catalog entry: either reshape the node itself or act socially.
 
-    A reconfiguration restages the node's ``behavior`` (a prototype, which
-    the engine copies at each enactment), its ``channel`` (channel key ->
-    new value, for the keys in ``engine.RESTAGEABLE``), or both. A social
-    strategy hands its ``social`` action to the pool.
+    A reconfiguration restages the node's ``behavior`` (a spec, started
+    afresh at each enactment), its ``channel`` (channel key -> new value,
+    for the keys in ``engine.RESTAGEABLE``), or both. A social strategy
+    hands its ``social`` action to the pool.
     """
 
     id: str

@@ -123,7 +123,7 @@ RESTORATION_STREAK = 5
 # -- scenario description ---------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class FigureSpec:
     name: str
     unit: str = ""
@@ -131,7 +131,7 @@ class FigureSpec:
     process: DriftProcess = field(default_factory=Constant)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelSpec:
     """Actual channel parameters plus the contract's nominal ones."""
 
@@ -150,14 +150,14 @@ class ChannelSpec:
 RESTAGEABLE = ("gain", "bias", "noise_std", "quantization", "sampling_period", "latency")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContractSpec:
     identity: IdentityClass
     window: int = 100
     at_risk_margin: float = 0.8
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerSpec:
     smoothing: float = 0.1
     safety: SafetyPredicate = field(default_factory=SafetyPredicate)
@@ -166,7 +166,7 @@ class ControllerSpec:
     catalog: tuple[Strategy, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeSpec:
     name: str
     figure: int = 0
@@ -179,7 +179,7 @@ class NodeSpec:
     controller: Optional[ControllerSpec] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoolSpec:
     total: float = 1.0
     join_allocation: float = 1.0
@@ -190,7 +190,7 @@ class PoolSpec:
     calm_window: int = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str = "scenario"
     duration: float = 10.0
@@ -312,7 +312,7 @@ _AT_LEAST_ONE = ("must be >= 1", 1, math.inf)
 #: part names; an IdentityClass key, its field in ``CONTRACT_LEVELS``.
 VALUE_RULES = {
     Scenario: {"dt": ("must be finite and > 0", _TINY, _FLOAT_MAX),
-               "duration": ("must be finite and >= 0", 0.0, _FLOAT_MAX),
+               "duration": ("must be finite and >= 0", 0.0, _FLOAT_MAX), "seed": _NON_NEGATIVE,
                "environment.turbulence_threshold": _POSITIVE,
                "environment.regime_window": _AT_LEAST_ONE},
     RandomWalk: {"std": _NON_NEGATIVE},
@@ -538,7 +538,8 @@ class SimNode:
         self.dt = scenario.dt
         ch = spec.channel
         self.period_ticks = _period_ticks(ch.sampling_period, scenario.dt)
-        self.bias_drift = copy.deepcopy(ch.bias_drift)
+        self.bias_drift = ch.bias_drift
+        self.bias_state = None if ch.bias_drift is None else ch.bias_drift.start()
         self.nominal_gain = ch.nominal_gain
         self.nominal_bias = ch.nominal_bias
         self.seed = scenario.seed
@@ -552,17 +553,16 @@ class SimNode:
         # the nominal reflection of the initial raw value.
         self.current_value: Optional[float] = None
 
-        self.elastic_behavior = copy.deepcopy(spec.behavior)
-        self.behavior: Behavior = self.elastic_behavior
-        self.pending_behavior: Optional[Behavior] = None
+        self.elastic_state = spec.behavior.start()  # the elastic design's run state
+        self.behavior, self.state = spec.behavior, self.elastic_state
+        self.pending_behavior: Optional[tuple[Behavior, object]] = None
         self.pending_channel: Optional[dict] = None
 
-        self.controller_spec = spec.controller
         self.monitor: Optional[MonitorState] = None
         self.mode_controller: Optional[ModeController] = None
         self.learning: Optional[LearningState] = None
-        if self.controller_spec is not None:
-            ctrl = self.controller_spec
+        ctrl = spec.controller
+        if ctrl is not None:
             self.monitor = MonitorState(ctrl.smoothing, ctrl.safety.horizon)
             self.mode_controller = ModeController(ctrl.hysteresis)
             if ctrl.catalog:
@@ -588,7 +588,7 @@ class SimNode:
     # -- channel ------------------------------------------------------------
 
     def drift_bias(self) -> None:
-        bias = self.bias_drift.step(self.channel.bias, self.dt, self.bias_rng)
+        bias = self.bias_drift.step(self.channel.bias, self.dt, self.bias_rng, self.bias_state)
         self.channel = replace(self.channel, bias=bias)
 
     def sense_if_due(self, tick: int, t: float, raw: float) -> None:
@@ -610,7 +610,7 @@ class SimNode:
 
     def apply_pending(self) -> None:
         if self.pending_behavior is not None:
-            self.behavior = self.pending_behavior
+            self.behavior, self.state = self.pending_behavior
             self.pending_behavior = None
         if self.pending_channel is not None:
             changes = dict(self.pending_channel)
@@ -639,7 +639,7 @@ def enact_strategy(
     """
     if strategy.kind is StrategyKind.RECONFIGURE:
         if strategy.behavior is not None:
-            node.pending_behavior = copy.deepcopy(strategy.behavior)
+            node.pending_behavior = (strategy.behavior, strategy.behavior.start())
         if strategy.channel is not None:
             node.pending_channel = strategy.channel
         return ChangeRecord(t, node.name, strategy.id, "reconfigure", ok=True), None
@@ -919,7 +919,8 @@ class _Run:
         self.result = RunResult(scenario_name=scenario.name, seed=scenario.seed)
         self.env = EnvState(time=0.0, figures=tuple(f.initial for f in scenario.figures))
         self.initial_figures = self.env.figures
-        self.processes = [copy.deepcopy(f.process) for f in scenario.figures]
+        self.processes = [f.process for f in scenario.figures]
+        self.process_states = [process.start() for process in self.processes]
         self.figure_rngs = [
             substream(scenario.seed, "figure", i, "drift")
             for i in range(len(scenario.figures))
@@ -983,7 +984,7 @@ class _Run:
 
     def environment(self, t: float) -> None:
         env = step_environment(
-            self.env, self.processes, self.scenario.dt, self.figure_rngs
+            self.env, self.processes, self.process_states, self.scenario.dt, self.figure_rngs
         )
         landed = self.next_shock
         while (
@@ -1048,7 +1049,7 @@ class _Run:
     def controller(self, node: SimNode, t: float, sample: DeltaSample) -> None:
         mode: Optional[Mode] = None
         if node.monitor is not None:
-            ctrl = node.controller_spec
+            ctrl = node.spec.controller
             monitor_step(node.monitor, sample)
             verdict = assess_safety(node.monitor, ctrl.safety, node.status)
             node.trace.verdicts.append(verdict)
@@ -1058,13 +1059,14 @@ class _Run:
                 if node.active_strategy is None and ctrl.catalog:
                     self._select(node, t)
             elif previous is Mode.RESILIENT:
-                # Back to the cheap path: restore the elastic design.
-                node.pending_behavior = copy.deepcopy(node.elastic_behavior)
+                # Back to the cheap path: restore the elastic design, with a copy
+                # of its state as first replaced (ROADMAP item 5's decision).
+                node.pending_behavior = (node.spec.behavior, copy.deepcopy(node.elastic_state))
                 node.active_strategy = None
         node.trace.modes.append(mode)
 
     def _select(self, node: SimNode, t: float) -> None:
-        ctrl = node.controller_spec
+        ctrl = node.spec.controller
         regime = self.regime.value
         node.overhead += 1
         if ctrl.learning.enabled:
@@ -1100,10 +1102,12 @@ class _Run:
                 predictive.append((node, sample))
             else:
                 obs = Observation(latest=sample, context=figures, correction=node.correction_bias)
-                node.apply_action(node.behavior.act(obs), allocations.get(node.name, solo))
+                node.apply_action(node.behavior.act(obs, node.state),
+                                  allocations.get(node.name, solo))
         if predictive:
             biases = stage_predictions([
-                (node.behavior, sample.time, figures, sample.delta, node.correction_bias)
+                (node.behavior, node.state, sample.time, figures, sample.delta,
+                 node.correction_bias)
                 for node, sample in predictive
             ])
             for (node, _), bias in zip(predictive, biases):
@@ -1159,7 +1163,7 @@ class _Run:
     def _close(self, index: int, start: float, end: float) -> None:
         credited = [node for node in self.nodes if index in node.credit]
         learning = [node for node in credited
-                    if node.learning is not None and node.controller_spec.learning.enabled]
+                    if node.learning is not None and node.spec.controller.learning.enabled]
         priced = [node for node in learning if index not in node.failed]
         rewards = {}
         if priced:

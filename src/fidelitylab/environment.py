@@ -9,7 +9,7 @@ its strategy statistics on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -36,37 +36,42 @@ class EnvState:
 
 
 class DriftProcess:
-    """One figure's per-step evolution rule. Subclasses override step()."""
+    """One figure's per-step evolution rule, a frozen spec: ``start`` builds
+    the run state one figure steps (None: it keeps none), ``step`` advances it."""
 
-    def step(self, value: float, dt: float, rng: Optional[np.random.Generator]) -> float:
+    def start(self):
+        return None
+
+    def step(self, value: float, dt: float, rng: Optional[np.random.Generator], state) -> float:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constant(DriftProcess):
-    def step(self, value, dt, rng):
+    def step(self, value, dt, rng, state):
         return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearDrift(DriftProcess):
     rate: float = 0.0  # figure units per second
 
-    def step(self, value, dt, rng):
+    def step(self, value, dt, rng, state):
         return value + self.rate * dt
 
 
-@dataclass
+@dataclass(frozen=True)
 class RandomWalk(DriftProcess):
     std: float = 0.0  # increment standard deviation per unit time
 
-    def step(self, value, dt, rng):
+    def step(self, value, dt, rng, state):
         return value + self.std * np.sqrt(dt) * rng.standard_normal()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegimeSwitching(DriftProcess):
-    """Alternates between a calm and a turbulent sub-process.
+    """Alternates between a calm and a turbulent sub-process. Its run state
+    is ``[turbulent now, the calm one's state, the turbulent one's]``.
 
     The switch draw is consumed every step regardless of the hazard so the
     stream layout stays fixed when the hazard changes.
@@ -75,13 +80,15 @@ class RegimeSwitching(DriftProcess):
     calm: DriftProcess
     turbulent: DriftProcess
     hazard: float = 0.0  # switch probability per second
-    active_turbulent: bool = field(default=False, init=False)
 
-    def step(self, value, dt, rng):
+    def start(self):
+        return [False, self.calm.start(), self.turbulent.start()]
+
+    def step(self, value, dt, rng, state):
         if rng.uniform() < self.hazard * dt:
-            self.active_turbulent = not self.active_turbulent
-        sub = self.turbulent if self.active_turbulent else self.calm
-        return sub.step(value, dt, rng)
+            state[0] = not state[0]
+        sub, sub_state = (self.turbulent, state[2]) if state[0] else (self.calm, state[1])
+        return sub.step(value, dt, rng, sub_state)
 
 
 @dataclass(frozen=True)
@@ -101,13 +108,14 @@ class ShockEvent:
 def step_environment(
     state: EnvState,
     processes: Sequence[DriftProcess],
+    states: Sequence,
     dt: float,
     rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
 ) -> EnvState:
     """Advance every figure by one step of dt seconds.
 
-    ``rngs`` holds one stream per figure (None is fine for draw-free
-    processes); separate streams keep figures independent.
+    ``states`` holds each process's run state, ``rngs`` one stream per figure
+    (None for draw-free processes); separate streams keep figures independent.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be > 0")
@@ -118,8 +126,8 @@ def step_environment(
     if rngs is None:
         rngs = [None] * len(processes)
     figures = tuple(
-        proc.step(value, dt, rng)
-        for proc, value, rng in zip(processes, state.figures, rngs)
+        proc.step(value, dt, rng, run_state)
+        for proc, run_state, value, rng in zip(processes, states, state.figures, rngs)
     )
     return EnvState(time=state.time + dt, figures=figures)
 

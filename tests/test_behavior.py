@@ -38,42 +38,45 @@ def obs(delta, t=0.0, correction=0.0, context=()):
     )
 
 
-def staged(behavior, observation):
+def staged(behavior, history, observation):
     """An observation as a ``stage_predictions`` row."""
     latest = observation.latest
-    return behavior, latest.time, observation.context, latest.delta, observation.correction
+    return (behavior, history, latest.time, observation.context, latest.delta,
+            observation.correction)
 
 
 class TestPassive:
     def test_always_zero(self):
         passive = Passive()
         for d in (0.0, 1.0, -3.5):
-            assert passive.act(obs(d)) == ZERO_ACTION
+            assert passive.act(obs(d), passive.start()) == ZERO_ACTION
 
 class TestActiveNonPurposeful:
     def test_cycles_schedule_regardless_of_observation(self):
         schedule = (CorrectiveAction(bias=0.1), CorrectiveAction(bias=-0.1))
         beh = ActiveNonPurposeful(schedule=schedule)
-        seen = [beh.act(obs(d)).bias for d in (5.0, -5.0, 0.0, 1.0)]
+        cursor = beh.start()
+        seen = [beh.act(obs(d), cursor).bias for d in (5.0, -5.0, 0.0, 1.0)]
         assert seen == [0.1, -0.1, 0.1, -0.1]
 
     def test_empty_schedule_is_inert(self):
-        assert ActiveNonPurposeful(schedule=()).act(obs(1.0)) == ZERO_ACTION
+        beh = ActiveNonPurposeful(schedule=())
+        assert beh.act(obs(1.0), beh.start()) == ZERO_ACTION
 
 
 class TestPurposefulNonTeleological:
     def test_fixed_policy_ignores_feedback(self):
         beh = PurposefulNonTeleological(policy=CorrectiveAction(bias=0.05))
-        assert beh.act(obs(10.0)).bias == 0.05
-        assert beh.act(obs(-10.0)).bias == 0.05
+        assert beh.act(obs(10.0), beh.start()).bias == 0.05
+        assert beh.act(obs(-10.0), beh.start()).bias == 0.05
 
 
 class TestReactive:
     def test_zero_delta_zero_action(self):
-        assert Reactive(gain=1.0).act(obs(0.0)) == ZERO_ACTION
+        assert Reactive(gain=1.0).act(obs(0.0), None) == ZERO_ACTION
 
     def test_proportional_correction(self):
-        action = Reactive(gain=0.5).act(obs(0.4))
+        action = Reactive(gain=0.5).act(obs(0.4), None)
         assert action.bias == pytest.approx(-0.2)
 
     def test_gain_bounds(self):
@@ -91,17 +94,18 @@ class TestPredictive:
         assert np.polyval(coef, 3.0) == pytest.approx(0.4)
 
         beh = Predictive(k=1, window=3)
-        first = beh.act(obs(0.1, t=0.0))
+        history = beh.start()
+        first = beh.act(obs(0.1, t=0.0), history)
         assert first.fallback
-        second = beh.act(obs(0.2, t=1.0))
+        second = beh.act(obs(0.2, t=1.0), history)
         assert not second.fallback
-        third = beh.act(obs(0.3, t=2.0))
+        third = beh.act(obs(0.3, t=2.0), history)
         assert third.bias == pytest.approx(-0.4)
         assert not third.fallback
 
     def test_fallback_matches_unit_gain_feedback(self):
         beh = Predictive(k=1, window=4)
-        action = beh.act(obs(0.7, t=0.0))
+        action = beh.act(obs(0.7, t=0.0), beh.start())
         assert action.fallback
         assert action.bias == pytest.approx(-0.7)
 
@@ -123,14 +127,15 @@ class TestPredictive:
     def test_missing_context_rejected_at_act(self):
         beh = Predictive(k=3, window=6)
         with pytest.raises(ConfigurationError):
-            beh.act(obs(0.1, context=(1.0,)))
+            beh.act(obs(0.1, context=(1.0,)), beh.start())
 
     def test_prediction_accounts_for_applied_correction(self):
         # same intrinsic line, but a correction of -0.15 is already in force
         beh = Predictive(k=1, window=3)
-        beh.act(obs(0.1, t=0.0, correction=0.0))
-        beh.act(obs(0.05, t=1.0, correction=-0.15))  # intrinsic 0.2
-        action = beh.act(obs(0.15, t=2.0, correction=-0.15))  # intrinsic 0.3
+        history = beh.start()
+        beh.act(obs(0.1, t=0.0, correction=0.0), history)
+        beh.act(obs(0.05, t=1.0, correction=-0.15), history)  # intrinsic 0.2
+        action = beh.act(obs(0.15, t=2.0, correction=-0.15), history)  # intrinsic 0.3
         # predicted intrinsic 0.4, current correction -0.15 -> cancel the rest
         assert action.bias == pytest.approx(-0.25)
 
@@ -180,8 +185,9 @@ class TestPredictiveGroups:
     @pytest.mark.parametrize("k, window", [(1, 8), (2, 6), (3, 10), (1, 2)])
     def test_alone_matches_the_reference_loop(self, k, window):
         behavior, reference = Predictive(k=k, window=window), ReferencePredictive(k, window)
+        history = behavior.start()
         for observation in random_stream(k, 40):
-            assert behavior.act(observation) == reference.act(observation)
+            assert behavior.act(observation, history) == reference.act(observation)
 
     def test_staged_rows_match_the_reference_loop(self):
         # Rows of three orders act over different spans of ticks, so each
@@ -190,20 +196,24 @@ class TestPredictiveGroups:
                  (2, 6, 0, 30), (2, 6, 3, 30), (3, 10, 7, 30)]
         rows = [(Predictive(k=k, window=w), ReferencePredictive(k, w), range(start, stop))
                 for k, w, start, stop in spans]
+        histories = [behavior.start() for behavior, _, _ in rows]
         streams = [random_stream(seed, 30, figures=3) for seed in range(len(rows))]
         for tick in range(30):
-            live = [(behavior, reference, stream[tick])
-                    for (behavior, reference, ticks), stream in zip(rows, streams)
+            live = [(behavior, history, reference, stream[tick])
+                    for (behavior, reference, ticks), history, stream
+                    in zip(rows, histories, streams)
                     if tick in ticks]
-            biases = stage_predictions([staged(behavior, observation)
-                                        for behavior, _, observation in live])
-            assert biases == [reference.act(observation).bias for _, reference, observation in live]
+            biases = stage_predictions([staged(behavior, history, observation)
+                                        for behavior, history, _, observation in live])
+            assert biases == [reference.act(observation).bias
+                              for _, _, reference, observation in live]
 
     def test_staged_rows_and_act_share_one_history(self):
         behavior, reference = Predictive(k=1, window=3), ReferencePredictive(1, 3)
+        history = behavior.start()
         first, second = obs(0.1, t=0.1), obs(0.3, t=0.2)
-        assert stage_predictions([staged(behavior, first)]) == [reference.act(first).bias]
-        action = behavior.act(second)
+        assert stage_predictions([staged(behavior, history, first)]) == [reference.act(first).bias]
+        action = behavior.act(second, history)
         assert action == reference.act(second) and not action.fallback
 
 
@@ -214,12 +224,13 @@ def test_the_stacked_look_ahead_has_the_bits_of_a_dot_per_row(k, extra, rows, sc
     """Each shape's rows are extrapolated by one stacked matmul; each bias
     must have the bits of the reference's own ``np.lstsq`` and ``np.dot``."""
     window, ticks = k + 1 + extra, k + 4 + extra
-    behaviors = [Predictive(k=k, window=window) for _ in range(rows)]
+    behavior = Predictive(k=k, window=window)
+    histories = [behavior.start() for _ in range(rows)]
     references = [ReferencePredictive(k, window) for _ in range(rows)]
     streams = [random_stream(seed + row, ticks, figures=k, scale=scale) for row in range(rows)]
     for tick in range(ticks):
         observations = [stream[tick] for stream in streams]
-        biases = stage_predictions([staged(b, o) for b, o in zip(behaviors, observations)])
+        biases = stage_predictions([staged(behavior, h, o) for h, o in zip(histories, observations)])
         expected = [r.act(o).bias for r, o in zip(references, observations)]
         assert np.array(biases).tobytes() == np.array(expected).tobytes()
 
@@ -278,7 +289,7 @@ class TestLstsqStack:
 def run_loop(behavior, rate=0.01, dt=0.1, steps=1000, context_fn=None, disturbance=None):
     """Reference plant: intrinsic deviation grows, corrections accumulate
     with a one-step delay — the same recurrence the engine realizes."""
-    correction = 0.0
+    correction, state = 0.0, behavior.start()
     deltas = []
     for i in range(1, steps + 1):
         t = i * dt
@@ -286,7 +297,7 @@ def run_loop(behavior, rate=0.01, dt=0.1, steps=1000, context_fn=None, disturban
         delta = d + correction
         deltas.append(delta)
         context = context_fn(t) if context_fn else ()
-        action = behavior.act(obs(delta, t=t, correction=correction, context=context))
+        action = behavior.act(obs(delta, t=t, correction=correction, context=context), state)
         correction += action.bias
     return np.array(deltas)
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,28 @@ class TestParseConfig:
         scenario = parse_config(MINIMAL, seed_override=123)
         assert scenario.seed == 123
 
+    def test_parsing_allocates_no_run_state(self):
+        # A history ring of 10**9 rows would take 44.7 GiB; parsing builds
+        # none, so the demo parses under a 1.5 GB address-space limit, set
+        # in the child process alone. Running such a window is not tested.
+        script = (
+            "import sys, yaml\n"
+            "from fidelitylab.config import parse_config\n"
+            "doc = yaml.safe_load(open(sys.argv[1], encoding='utf-8'))\n"
+            "doc['nodes'][0]['controller']['catalog'][2]['behavior']['window'] = 10**9\n"
+            "print(parse_config(doc).nodes[0].controller.catalog[2].behavior)\n"
+        )
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, resource.RLIM_INFINITY))
+
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", script, str(CONFIGS / "demo.yaml")],
+                              capture_output=True, text=True, env=env, timeout=120,
+                              preexec_fn=limit)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "Predictive(k=1, window=1000000000)\n"
+
     @pytest.mark.parametrize("source", ["learning", *sorted(SCENARIOS), *workloads.WORKLOADS])
     def test_echo_round_trips_exactly(self, source, tmp_path):
         if source == "learning":
@@ -280,6 +303,34 @@ def run_cli(*args):
     done = subprocess.run([sys.executable, "-m", "fidelitylab.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
     return done.returncode, done.stderr
+
+
+class TestNegativeSeeds:
+    """np.random.SeedSequence takes no negative seed, so every entry point
+    rejects one as input, before anything runs."""
+
+    def test_a_negative_document_seed_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, MINIMAL | {"seed": -1})
+        out = tmp_path / "out"
+        assert cmd_run(str(config), out=str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed: must be >= 0\n"
+        assert not out.exists()
+
+    def test_run_seed_minus_one_exits_2_and_leaves_no_out(self, tmp_path):
+        config = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        code, err = run_cli("run", "--config", str(config), "--seed", "-1", "--out", str(out))
+        assert (code, err) == (EXIT_CONFIG, "error: seed: must be >= 0\n")
+        assert not out.exists()
+
+    def test_batch_refuses_a_negative_seed_base_before_any_run(self, tmp_path, capsys):
+        write_config(tmp_path, MINIMAL)
+        out = tmp_path / "batch"
+        argv = ["batch", "--glob", str(tmp_path / "*.yaml"), "--reps", "2",
+                "--seed-base", "-1", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --seed-base must be >= 0\n"
+        assert not out.exists()
 
 
 class TestCliFailures:
@@ -1040,6 +1091,7 @@ class TestConfigMutations:
     RANGE_CASES = {
         ("Scenario", "dt"): ("social", ("dt",), -0.1),
         ("Scenario", "duration"): ("minimal", ("duration",), -1.0),
+        ("Scenario", "seed"): ("demo", ("seed",), -1),
         ("Scenario", "environment.turbulence_threshold"):
             ("social", ("environment", "turbulence_threshold"), 0.0),
         ("Scenario", "environment.regime_window"):

@@ -1,7 +1,8 @@
 import itertools
 import math
+import pickle
 import weakref
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from fractions import Fraction
 from statistics import median
 from unittest import mock
@@ -11,10 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_behavior import ReferencePredictive
-from test_golden import DEMO, _ladder_cut, predictive_groups, social_edges
+from test_golden import DEMO, _ladder_cut, digests, predictive_groups, social_edges, stateful_specs
 
 from fidelitylab import engine
-from fidelitylab.behavior import CorrectiveAction, Observation, Passive, Predictive, Reactive
+from fidelitylab.behavior import (
+    Behavior,
+    CorrectiveAction,
+    Observation,
+    Passive,
+    Predictive,
+    Reactive,
+)
 from fidelitylab.collective import ResourcePool, SocialAction, SocialBehavior
 from fidelitylab.config import load_config
 from fidelitylab.controller import (
@@ -45,9 +53,9 @@ from fidelitylab.engine import (
     theil_sen_slope,
     validate_scenario,
 )
-from fidelitylab.environment import Constant, LinearDrift, RandomWalk, ShockEvent
+from fidelitylab.environment import Constant, DriftProcess, LinearDrift, RandomWalk, ShockEvent
 from fidelitylab.errors import ConfigurationError, InsufficientDataError
-from fidelitylab.identity import ContractStatus, DetectorConfig, IdentityClass
+from fidelitylab.identity import ContractStatus, DetectorConfig, IdentityClass, WindowRing
 from fidelitylab.reflection import DeltaSample
 from fidelitylab.reporting import TICKS_HEADER, export_run
 from fidelitylab.rng import substream
@@ -189,31 +197,34 @@ class TestRunBasics:
         # Each behavior stage makes one stage_predictions call with a row for
         # every node whose behavior is predictive, in node order, and each
         # bias equals a per-node reference loop's over the same observations.
-        # The reference rides on the behavior object, so a deepcopy of a
-        # behavior (an arm enacted, the elastic design restored) carries the
-        # reference's history exactly as it carries the ring.
+        # The reference rides on the run's history ring, so a copy of a ring
+        # (the elastic design restored) carries the reference's history
+        # exactly as it carries the ring's.
+        class ReferenceRing(WindowRing):
+            def __init__(self, size, width):
+                super().__init__(size, width)
+                self.reference = ReferencePredictive(width - 2, size)
+
         expected, staged_rows, joined = [], [], []
         stage, stage_predictions = engine._Run.behavior, engine.stage_predictions
 
         def behavior(run, samples):
-            expected.extend(id(n.behavior) for n in run.nodes
+            expected.extend(id(n.state) for n in run.nodes
                             if isinstance(n.behavior, Predictive))
             stage(run, samples)
 
         def staged(rows):
             biases = stage_predictions(rows)
-            for (behavior, time, context, delta, correction), bias in zip(rows, biases):
-                reference = behavior.__dict__.setdefault(
-                    "_reference", ReferencePredictive(behavior.k, behavior.window)
-                )
+            for (_, history, time, context, delta, correction), bias in zip(rows, biases):
                 observation = Observation(DeltaSample(time, delta), tuple(context), correction)
-                action = reference.act(observation)
+                action = history.reference.act(observation)
                 assert bias == action.bias
-                staged_rows.append(id(behavior))
+                staged_rows.append(id(history))
                 if action.fallback and time > 1.0:
                     joined.append(time)
             return biases
 
+        monkeypatch.setattr(Predictive, "start", lambda p: ReferenceRing(p.window, p.k + 2))
         monkeypatch.setattr(engine._Run, "behavior", behavior)
         monkeypatch.setattr(engine, "stage_predictions", staged)
         run_scenario(predictive_groups())
@@ -665,6 +676,42 @@ class TestStrategyEnactment:
         for node, episode in credited:
             history = result.learning_docs[node]["history"]
             assert [h["episode"] for h in history] == [episode]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestSpecsAreValues:
+    """A spec holds no run state: the run builds the cursors, history rings
+    and regime flags it needs from the specs and keeps them itself, so a
+    scenario is the same value before and after any number of runs."""
+
+    SCENARIOS = {"stateful_specs": stateful_specs, "predictive_groups": predictive_groups,
+                 "demo": lambda: load_config(DEMO)}
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_a_scenario_pickles_without_an_array(self, name):
+        assert b"numpy" not in pickle.dumps(self.SCENARIOS[name]())
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_a_run_leaves_its_scenario_unchanged(self, name):
+        scenario = self.SCENARIOS[name]()
+        before = pickle.dumps(scenario)
+        run_scenario(scenario)
+        assert pickle.dumps(scenario) == before
+
+    def test_one_scenario_object_runs_twice_to_the_same_exports(self):
+        scenario = stateful_specs()
+        assert digests(scenario) == digests(scenario)
+
+    def test_every_spec_class_is_a_frozen_dataclass(self):
+        classes = {*_subclasses(Behavior), *_subclasses(DriftProcess), *engine.VALUE_RULES}
+        assert len(classes) > 15
+        assert sorted(cls.__name__ for cls in classes
+                      if not (is_dataclass(cls) and cls.__dataclass_params__.frozen)) == []
 
 
 def _pool_social_scenario():

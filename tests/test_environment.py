@@ -28,12 +28,12 @@ def state(*figures, time=0.0):
 
 class TestStepEnvironment:
     def test_constant_is_identity(self):
-        out = step_environment(state(5.0), [Constant()], dt=1.0)
+        out = step_environment(state(5.0), [Constant()], [None], dt=1.0)
         assert out.figures == (5.0,)
         assert out.time == 1.0
 
     def test_linear_drift_rate_times_dt(self):
-        out = step_environment(state(0.0), [LinearDrift(rate=0.5)], dt=4.0)
+        out = step_environment(state(0.0), [LinearDrift(rate=0.5)], [None], dt=4.0)
         assert out.figures[0] == pytest.approx(2.0)
 
     def test_random_walk_variance_matches_declared(self):
@@ -42,37 +42,39 @@ class TestStepEnvironment:
         s = state(0.0)
         values = [0.0]
         for _ in range(10_000):
-            s = step_environment(s, [RandomWalk(std=1.0)], dt=1.0, rngs=[rng])
+            s = step_environment(s, [RandomWalk(std=1.0)], [None], dt=1.0, rngs=[rng])
             values.append(s.figures[0])
         increments = np.diff(values)
         assert np.var(increments) == pytest.approx(1.0, rel=0.10)
 
     def test_mismatched_process_count_rejected(self):
         with pytest.raises(ConfigurationError):
-            step_environment(state(1.0, 2.0), [Constant()], dt=0.1)
+            step_environment(state(1.0, 2.0), [Constant()], [None], dt=0.1)
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ConfigurationError):
-            step_environment(state(1.0), [Constant()], dt=0.0)
+            step_environment(state(1.0), [Constant()], [None], dt=0.0)
 
     def test_time_advances_by_dt(self):
-        out = step_environment(state(1.0, time=3.0), [Constant()], dt=0.25)
+        out = step_environment(state(1.0, time=3.0), [Constant()], [None], dt=0.25)
         assert out.time == 3.25
 
     def test_regime_switching_delegates_to_active_subprocess(self):
         rng = substream(3, "figure", 0, "drift")
         proc = RegimeSwitching(calm=Constant(), turbulent=LinearDrift(rate=1.0), hazard=0.0)
-        out = step_environment(state(1.0), [proc], dt=1.0, rngs=[rng])
+        run = proc.start()
+        out = step_environment(state(1.0), [proc], [run], dt=1.0, rngs=[rng])
         assert out.figures[0] == 1.0  # calm is active, constant
-        proc.active_turbulent = True
-        out = step_environment(out, [proc], dt=1.0, rngs=[rng])
+        run[0] = True  # the turbulent flag
+        out = step_environment(out, [proc], [run], dt=1.0, rngs=[rng])
         assert out.figures[0] == pytest.approx(2.0)
 
     def test_regime_switching_flips_with_certain_hazard(self):
         rng = substream(3, "figure", 0, "drift")
         proc = RegimeSwitching(calm=Constant(), turbulent=Constant(), hazard=1.0)
-        step_environment(state(0.0), [proc], dt=1.0, rngs=[rng])
-        assert proc.active_turbulent is True
+        run = proc.start()
+        step_environment(state(0.0), [proc], [run], dt=1.0, rngs=[rng])
+        assert run[0] is True
 
 
 class TestDeterminism:
@@ -82,7 +84,7 @@ class TestDeterminism:
         s = state(*([0.0] * n_figures))
         history = [s]
         for _ in range(steps):
-            s = step_environment(s, procs, dt=0.1, rngs=rngs)
+            s = step_environment(s, procs, [None] * n_figures, dt=0.1, rngs=rngs)
             history.append(s)
         return history
 
@@ -99,17 +101,17 @@ class TestDeterminism:
 
     @given(st.floats(-1e6, 1e6), st.floats(0.01, 100.0))
     def test_constant_fixed_point_bit_identical(self, value, dt):
-        out = step_environment(state(value), [Constant()], dt=dt)
+        out = step_environment(state(value), [Constant()], [None], dt=dt)
         assert out.figures[0] == value
 
     @given(st.floats(-100, 100), st.floats(-10, 10), st.floats(0.01, 10.0))
     @settings(max_examples=50)
     def test_linear_drift_composes(self, start, rate, dt):
         twice = step_environment(
-            step_environment(state(start), [LinearDrift(rate)], dt),
-            [LinearDrift(rate)], dt,
+            step_environment(state(start), [LinearDrift(rate)], [None], dt),
+            [LinearDrift(rate)], [None], dt,
         )
-        once = step_environment(state(start), [LinearDrift(rate)], 2 * dt)
+        once = step_environment(state(start), [LinearDrift(rate)], [None], 2 * dt)
         assert twice.figures[0] == pytest.approx(once.figures[0], abs=1e-9, rel=1e-12)
 
 
