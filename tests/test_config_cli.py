@@ -180,7 +180,9 @@ class TestParseConfig:
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, resource.RLIM_INFINITY))
 
-        env = dict(os.environ, PYTHONPATH=str(SRC))
+        # One BLAS thread, so the child's address space does not grow with
+        # the host's core count.
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
         done = subprocess.run([sys.executable, "-c", script, str(CONFIGS / "demo.yaml")],
                               capture_output=True, text=True, env=env, timeout=120,
                               preexec_fn=limit)
