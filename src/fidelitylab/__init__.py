@@ -65,7 +65,6 @@ from .engine import (
 from .environment import (
     Constant,
     DriftProcess,
-    EnvState,
     LinearDrift,
     RandomWalk,
     Regime,

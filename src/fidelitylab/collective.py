@@ -110,9 +110,7 @@ class ResourcePool:
             q.numerator * (self.denominator // q.denominator) for q in scalars
         )
         self._allocations: dict[str, int] = {}
-        self.units = MappingProxyType(self._allocations)
         self._float_allocations: dict[str, float] = {}
-        self.float_allocations = MappingProxyType(self._float_allocations)
         self._reserve = self._total
         self._float_reserve = float(self.total)
         self._slack: dict[str, int] = {}  # allocation - floor, where positive
@@ -120,6 +118,17 @@ class ResourcePool:
         self._capacity = self._total  # reserve + slack total
 
     # -- views ------------------------------------------------------------
+    # Each read wraps the live dict: a stored proxy would not pickle.
+
+    @property
+    def units(self) -> MappingProxyType:
+        """The allocations' numerators over D, read-only."""
+        return MappingProxyType(self._allocations)
+
+    @property
+    def float_allocations(self) -> MappingProxyType:
+        """Each allocation's float ``n / D``, read-only."""
+        return MappingProxyType(self._float_allocations)
 
     @property
     def allocations(self) -> MappingProxyType:

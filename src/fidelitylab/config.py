@@ -375,7 +375,8 @@ def _strategy(p: _Parser, raw: Any, path: str) -> Optional[Strategy]:
         cpath = f"{path}.channel"
         given = p.mapping(section["channel"], cpath, RESTAGEABLE)
         restaged = [key for key in RESTAGEABLE if given.get(key) is not None]
-        channel = p.scalars(ChannelSpec, given, cpath, names=restaged)
+        values = p.scalars(ChannelSpec, given, cpath, names=restaged)
+        channel = tuple((key, values[key]) for key in restaged)
     return Strategy(
         sid, StrategyKind.RECONFIGURE,
         behavior=behavior_from_spec(p, section.get("behavior"), f"{path}.behavior"),
@@ -468,15 +469,15 @@ def parse_config(doc: Any, seed_override: Optional[int] = None) -> Scenario:
     pool = doc.get("pool")
     scenario = Scenario(
         **values,
-        figures=figures,
-        shocks=[
+        figures=tuple(figures),
+        shocks=tuple(
             p.spec(ShockEvent, raw, f"shocks[{i}]")
             for i, raw in enumerate(p.sequence(doc.get("shocks"), "shocks"))
-        ],
-        nodes=[
+        ),
+        nodes=tuple(
             _node(p, raw, f"nodes[{i}]", i)
             for i, raw in enumerate(p.sequence(doc.get("nodes"), "nodes"))
-        ],
+        ),
         pool=None if pool is None else p.spec(PoolSpec, pool, "pool"),
     )
     if seed_override is not None:

@@ -138,15 +138,15 @@ class Strategy:
     """One catalog entry: either reshape the node itself or act socially.
 
     A reconfiguration restages the node's ``behavior`` (a spec, started
-    afresh at each enactment), its ``channel`` (channel key -> new value,
-    for the keys in ``engine.RESTAGEABLE``), or both. A social strategy
+    afresh at each enactment), its ``channel`` (``(key, new value)`` pairs
+    in ``engine.RESTAGEABLE`` order), or both. A social strategy
     hands its ``social`` action to the pool.
     """
 
     id: str
     kind: StrategyKind
     behavior: Optional[Behavior] = None
-    channel: Optional[dict[str, float]] = None
+    channel: Optional[tuple[tuple[str, float], ...]] = None
     social: Optional[SocialAction] = None
 
 

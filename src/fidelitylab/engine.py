@@ -85,7 +85,6 @@ from .controller import (
 from .environment import (
     Constant,
     DriftProcess,
-    EnvState,
     RandomWalk,
     Regime,
     RegimeSwitching,
@@ -115,6 +114,9 @@ from .reflection import DeltaSample, ReflectiveMap, ideal_reflection, sense
 from .rng import substream
 
 TIME_EPS = 1e-9
+
+#: The most ticks (``duration / dt``) a run may have.
+MAX_TICKS = 10**7
 
 #: Consecutive holding ticks required before a contract counts as restored.
 RESTORATION_STREAK = 5
@@ -196,9 +198,9 @@ class Scenario:
     duration: float = 10.0
     dt: float = 0.1
     seed: int = 0
-    figures: list[FigureSpec] = field(default_factory=list)
-    shocks: list[ShockEvent] = field(default_factory=list)
-    nodes: list[NodeSpec] = field(default_factory=list)
+    figures: tuple[FigureSpec, ...] = ()
+    shocks: tuple[ShockEvent, ...] = ()
+    nodes: tuple[NodeSpec, ...] = ()
     pool: Optional[PoolSpec] = None
     turbulence_threshold: float = 0.05
     regime_window: int = 20
@@ -406,9 +408,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     ``VALUE_RULES``, then the rules that relate several values."""
     problems = _range_problems(scenario, "")
     dt = scenario.dt if 0 < scenario.dt < math.inf else None
-    if (dt is not None and 0 <= scenario.duration < math.inf
-            and _whole_ticks(scenario.duration, dt) is None):
-        problems.append("duration: must be an integer number of dt ticks")
+    if dt is not None and 0 <= scenario.duration < math.inf:
+        ticks = _whole_ticks(scenario.duration, dt)
+        if ticks is None:
+            problems.append("duration: must be an integer number of dt ticks")
+        elif ticks > MAX_TICKS:
+            problems.append(f"duration: must be at most {MAX_TICKS} ticks of dt")
     if not scenario.figures:
         problems.append("environment.figures: at least one figure is required")
 
@@ -486,9 +491,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                             strategy.behavior, f"{sp}.behavior", 1 + n
                         )
                     if strategy.channel is not None:
-                        problems += _channel_problems(strategy.channel, dt, f"{sp}.channel")
+                        problems += _channel_problems(dict(strategy.channel), dt, f"{sp}.channel")
                         problems += [f"{sp}.channel.{key}: not restageable"
-                                     for key in strategy.channel if key not in RESTAGEABLE]
+                                     for key in dict(strategy.channel) if key not in RESTAGEABLE]
                 elif strategy.social is None:
                     problems.append(f"{sp}: social strategy needs an action")
                 elif node.social is None:
@@ -556,7 +561,7 @@ class SimNode:
         self.elastic_state = spec.behavior.start()  # the elastic design's run state
         self.behavior, self.state = spec.behavior, self.elastic_state
         self.pending_behavior: Optional[tuple[Behavior, object]] = None
-        self.pending_channel: Optional[dict] = None
+        self.pending_channel: Optional[tuple[tuple[str, float], ...]] = None
 
         self.monitor: Optional[MonitorState] = None
         self.mode_controller: Optional[ModeController] = None
@@ -812,33 +817,23 @@ def run_scenario(
     resume_learning: Optional[dict[str, dict]] = None,
     resume_source: str = "resume state",
 ) -> RunResult:
-    """Validate (``check_run``), calibrate if learning needs a reward
-    baseline, execute, and label the identity timeline if the scenario
-    records it."""
+    """Validate (``check_run``), calibrate, and execute."""
     check_run(scenario, resume_learning, resume_source)
-    needs_baseline = scenario.shocks and any(
-        node.controller is not None
-        and node.controller.catalog
-        and node.controller.learning.enabled
-        for node in scenario.nodes
-    )
-    baselines = _calibrate(scenario) if needs_baseline else {}
-    result = _execute(
-        scenario, baselines=baselines, passive_override=False,
-        resume_learning=resume_learning,
-    )
-    result.baselines = baselines
-    if scenario.record_identity:
-        for spec in scenario.nodes:
-            trace = result.traces[spec.name]
-            trace.identities = identity_timeline(trace.deltas, spec.contract)
-    return result
+    return _execute(scenario, baselines=_calibrate(scenario), passive_override=False,
+                    resume_learning=resume_learning)
 
 
 def _calibrate(scenario: Scenario) -> dict[str, float]:
     """Each node's reward baseline: its worst episode cost in the calibration
-    pre-run, or 1.0 for a node with none. The pre-run's result dies when
+    pre-run, or 1.0 for a node with none; none at all, and no pre-run, unless
+    a learning node has a shock to learn from. The pre-run's result dies when
     this returns, so the main run never holds a second tick history."""
+    if not scenario.shocks or not any(
+        node.controller is not None and node.controller.catalog
+        and node.controller.learning.enabled
+        for node in scenario.nodes
+    ):
+        return {}
     costs = _costs_by_node(_execute(scenario, baselines={}, passive_override=True).recovery)
     return {node.name: max(costs.get(node.name, ()), default=1.0) for node in scenario.nodes}
 
@@ -871,64 +866,50 @@ def _execute(
     passive_override: bool,
     resume_learning: Optional[dict[str, dict]] = None,
 ) -> RunResult:
-    """Run the tick loop once.
+    """Run the tick loop once, start to end; ``passive_override`` makes it
+    the calibration pre-run (``_Run``)."""
+    run = _Run(scenario, baselines, resume_learning, passive_override)
+    run.advance(run.ticks)
+    return run.wrap_up()
 
-    ``passive_override`` makes it the calibration pre-run: the loop runs
-    only ``boundary``, ``environment``, ``sensing`` and ``delta``. Without
-    the behavior stage no node ever corrects, and without the identity,
+
+class _Run:
+    """State of one execution, at tick ``tick`` of ``ticks``. Its methods
+    are the tick stages, in order; ``advance`` runs them. It holds no view
+    or alias of its own state, so a copy (``pickle``, ``copy.deepcopy``)
+    taken between ticks and advanced gives the bytes the run gives.
+
+    ``passive`` makes it the calibration pre-run: the loop runs only
+    ``boundary``, ``environment``, ``sensing`` and ``delta``. Without the
+    behavior stage no node ever corrects, and without the identity,
     controller and collective stages none is guarded, reconfigured or
     social, so every node runs as a passive one would. That result carries
     episode costs only: its traces hold times, raws, quales and deltas, its
     restoration times are None, and it has no learning documents, overhead
-    counters or antifragility verdicts.
+    counters, baselines, identity timeline or antifragility verdicts.
     """
-    run = _Run(scenario, baselines, resume_learning)
-    # A diverging node's window overflows in numpy before its delta turns
-    # non-finite; that surfaces as the DivergenceError from `delta`.
-    with np.errstate(over="ignore"):
-        for tick in range(1, round(scenario.duration / scenario.dt) + 1):
-            t = tick * scenario.dt
-            run.boundary()
-            run.environment(t)
-            samples = []
-            for node in run.nodes:
-                run.sensing(node, tick, t)
-                samples.append(run.delta(node, tick, t))
-            if passive_override:
-                continue
-            run.identity(t)
-            for node, sample in zip(run.nodes, samples):
-                run.controller(node, t, sample)
-            run.behavior(samples)
-            run.collective(t)
-            run.metrics(t)
-    return run.wrap_up(passive_override)
-
-
-class _Run:
-    """State of one execution. Its methods are the tick stages, in order."""
 
     def __init__(
         self,
         scenario: Scenario,
         baselines: dict[str, float],
         resume_learning: Optional[dict[str, dict]],
+        passive: bool = False,
     ):
         self.scenario = scenario
         self.baselines = baselines
+        self.passive = passive
+        self.tick, self.ticks = 0, round(scenario.duration / scenario.dt)
         self.result = RunResult(scenario_name=scenario.name, seed=scenario.seed)
-        self.env = EnvState(time=0.0, figures=tuple(f.initial for f in scenario.figures))
-        self.initial_figures = self.env.figures
+        self.figures = self.initial_figures = tuple(f.initial for f in scenario.figures)
         self.processes = [f.process for f in scenario.figures]
         self.process_states = [process.start() for process in self.processes]
         self.figure_rngs = [
             substream(scenario.seed, "figure", i, "drift")
             for i in range(len(scenario.figures))
         ]
-        # |figure increments| of the last regime_window steps, one row each,
-        # and the window at each end the ring can reach.
+        # |figure increments| of the last regime_window steps, one row each.
         self.increments = WindowRing(scenario.regime_window, len(scenario.figures))
-        self.regime_windows = self.increments.windows(scenario.regime_window)
         self.regime = Regime.CALM
         self.shocks = scenario.shocks
         self.next_shock = 0  # shocks before this index have landed
@@ -976,28 +957,51 @@ class _Run:
 
         # Initial sensing at t=0 so slow channels have a value to hold.
         for node in self.nodes:
-            node.sense_if_due(0, 0.0, self.env.figures[node.figure])
+            node.sense_if_due(0, 0.0, self.figures[node.figure])
+
+    def advance(self, to: int) -> None:
+        """Run every tick after ``tick`` up to ``to``: the stage order."""
+        dt = self.scenario.dt
+        # A diverging node's window overflows in numpy before its delta turns
+        # non-finite; that surfaces as a DivergenceError from `delta`, or
+        # from `identity` when a fired detector's window statistic overflows.
+        with np.errstate(over="ignore"):
+            while self.tick < to:
+                self.tick = tick = self.tick + 1
+                t = tick * dt
+                self.boundary()
+                self.environment(t)
+                samples = []
+                for node in self.nodes:
+                    self.sensing(node, tick, t)
+                    samples.append(self.delta(node, tick, t))
+                if self.passive:
+                    continue
+                self.identity(t)
+                for node, sample in zip(self.nodes, samples):
+                    self.controller(node, t, sample)
+                self.behavior(samples)
+                self.collective(t)
+                self.metrics(t)
 
     def boundary(self) -> None:
         for node in self.nodes:
             node.apply_pending()
 
     def environment(self, t: float) -> None:
-        env = step_environment(
-            self.env, self.processes, self.process_states, self.scenario.dt, self.figure_rngs
+        figures = step_environment(
+            self.figures, self.processes, self.process_states, self.scenario.dt, self.figure_rngs
         )
         landed = self.next_shock
         while (
             self.next_shock < len(self.shocks)
             and self.shocks[self.next_shock].at <= t + TIME_EPS
         ):
-            env = apply_shock(env, self.shocks[self.next_shock])
+            figures = apply_shock(figures, self.shocks[self.next_shock])
             self.next_shock += 1
-        self.increments.push([abs(b - a) for a, b in zip(self.env.figures, env.figures)])
-        self.env = env
-        self.regime = label_regime(
-            self.regime_windows[self.increments.end], self.scenario.turbulence_threshold
-        )
+        self.increments.push([abs(b - a) for a, b in zip(self.figures, figures)])
+        self.figures = figures
+        self.regime = label_regime(self.increments.view(), self.scenario.turbulence_threshold)
         for index in range(landed, self.next_shock):
             self.open.append(index)
             # A strategy already in force when the shock lands owns the episode.
@@ -1009,7 +1013,7 @@ class _Run:
     def sensing(self, node: SimNode, tick: int, t: float) -> None:
         if node.bias_drift is not None:
             node.drift_bias()
-        raw = self.env.figures[node.figure]
+        raw = self.figures[node.figure]
         node.sense_if_due(tick, t, raw)
         node.trace.raws.append(raw)
         node.trace.quales.append(
@@ -1044,6 +1048,10 @@ class _Run:
             node.trace.statuses.append(node.status)
         if fired:
             fired.sort()  # by node index, unique: scenario node order across groups
+            for _, name, event in fired:
+                if not (math.isfinite(event.window_mean) and math.isfinite(event.window_std)):
+                    raise DivergenceError(f"node {name!r} diverged: non-finite detector "
+                                          f"window statistic at tick {self.tick} (t={t})")
             self.result.failure_events += [(name, event) for _, name, event in fired]
 
     def controller(self, node: SimNode, t: float, sample: DeltaSample) -> None:
@@ -1093,7 +1101,7 @@ class _Run:
         pool allocation (solo capacity for a non-member, none without a
         pool). Predictive nodes act last: ``stage_predictions`` solves their
         fits together and returns their bias increments."""
-        figures, pool = self.env.figures, self.pool
+        figures, pool = self.figures, self.pool
         allocations = {} if pool is None else pool.float_allocations
         solo = math.inf if pool is None else self.pool_spec.solo_capacity
         predictive = []
@@ -1182,22 +1190,24 @@ class _Run:
         for node in credited:
             node.active_strategy = None
 
-    def wrap_up(self, passive: bool) -> RunResult:
-        """The run's result; of the calibration pre-run (``passive``), its
-        traces and episode costs alone."""
+    def wrap_up(self) -> RunResult:
+        """The run's result, once it has advanced to ``ticks``."""
         result, shocks, nodes = self.result, self.shocks, self.nodes
         result.traces = {node.name: node.trace for node in nodes}
         result.recovery = compute_recovery_metrics(
             nodes[0].trace.times if nodes else [], [node.trace.deltas for node in nodes],
-            None if passive else [node.trace.statuses for node in nodes], shocks, self.names,
-            [{i: s.id for i, (s, _) in node.credit.items()} for node in nodes],
+            None if self.passive else [node.trace.statuses for node in nodes], shocks,
+            self.names, [{i: s.id for i, (s, _) in node.credit.items()} for node in nodes],
         )
-        if passive:
+        if self.passive:
             return result
+        result.baselines = self.baselines
         for node in nodes:
             result.overhead_counters[node.name] = node.overhead
             if node.learning is not None:
                 result.learning_docs[node.name] = node.learning.to_document()
+            if self.scenario.record_identity:
+                node.trace.identities = identity_timeline(node.trace.deltas, node.spec.contract)
 
         if len(shocks) >= 4 and nodes:
             threshold = self.scenario.antifragility_threshold

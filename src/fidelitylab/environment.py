@@ -23,18 +23,6 @@ class Regime(Enum):
     TURBULENT = "turbulent"
 
 
-@dataclass(frozen=True)
-class EnvState:
-    """Snapshot of the raw-fact vector at one instant."""
-
-    time: float
-    figures: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.figures) == 0:
-            raise ConfigurationError("environment needs at least one figure")
-
-
 class DriftProcess:
     """One figure's per-step evolution rule, a frozen spec: ``start`` builds
     the run state one figure steps (None: it keeps none), ``step`` advances it."""
@@ -106,39 +94,36 @@ class ShockEvent:
 
 
 def step_environment(
-    state: EnvState,
+    figures: tuple[float, ...],
     processes: Sequence[DriftProcess],
     states: Sequence,
     dt: float,
     rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
-) -> EnvState:
-    """Advance every figure by one step of dt seconds.
+) -> tuple[float, ...]:
+    """The figures after one step of dt seconds.
 
     ``states`` holds each process's run state, ``rngs`` one stream per figure
     (None for draw-free processes); separate streams keep figures independent.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be > 0")
-    if len(processes) != len(state.figures):
-        raise ConfigurationError(
-            f"{len(processes)} drift processes for {len(state.figures)} figures"
-        )
+    if len(processes) != len(figures):
+        raise ConfigurationError(f"{len(processes)} drift processes for {len(figures)} figures")
     if rngs is None:
         rngs = [None] * len(processes)
-    figures = tuple(
+    return tuple(
         proc.step(value, dt, rng, run_state)
-        for proc, run_state, value, rng in zip(processes, states, state.figures, rngs)
+        for proc, run_state, value, rng in zip(processes, states, figures, rngs)
     )
-    return EnvState(time=state.time + dt, figures=figures)
 
 
-def apply_shock(state: EnvState, shock: ShockEvent) -> EnvState:
-    """Add the shock magnitude to its target figure."""
-    if not 0 <= shock.figure < len(state.figures):
+def apply_shock(figures: tuple[float, ...], shock: ShockEvent) -> tuple[float, ...]:
+    """The figures with the shock magnitude added to its target."""
+    if not 0 <= shock.figure < len(figures):
         raise ConfigurationError(f"shock figure index {shock.figure} out of range")
-    figures = list(state.figures)
-    figures[shock.figure] += shock.magnitude
-    return EnvState(time=state.time, figures=tuple(figures))
+    shocked = list(figures)
+    shocked[shock.figure] += shock.magnitude
+    return tuple(shocked)
 
 
 def label_regime(increments: np.ndarray, threshold: float) -> Regime:

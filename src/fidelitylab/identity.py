@@ -138,7 +138,7 @@ class WindowRing:
     the bits it would get over its own 1-D window.
     """
 
-    __slots__ = ("size", "count", "end", "_buf", "_entries", "_rows")
+    __slots__ = ("size", "count", "end", "_buf", "_rows")
 
     def __init__(self, size: int, width: Optional[int] = None, rows: Optional[int] = None):
         self.size = size
@@ -146,14 +146,12 @@ class WindowRing:
         self.end = 0  # one past the newest entry
         self._rows = rows is not None
         if self._rows:
-            self._buf = np.zeros((rows, 2 * size))
-            self._entries = self._buf.T  # entry i is column i
+            self._buf = np.zeros((rows, 2 * size))  # entry i is column i
         else:
             self._buf = np.zeros((2 * size,) if width is None else (2 * size, width))
-            self._entries = self._buf
 
     def push(self, entry) -> None:
-        end, entries = self.end, self._entries
+        end, entries = self.end, self._buf.T if self._rows else self._buf  # entry i is row i
         if end == len(entries):
             keep = self.size - 1
             entries[:keep] = entries[end - keep:end]
@@ -167,11 +165,6 @@ class WindowRing:
         """The newest ``n`` entries (at most ``count``), oldest first; for a
         ring of rows, ``(rows, n)``. Valid until the next push."""
         return self._slice(self.end - n, self.end)
-
-    def windows(self, n: int) -> list[np.ndarray]:
-        """``tail(min(n, count))`` for every ``end`` the ring can reach,
-        indexed by it: a reader of a fixed window slices once, up front."""
-        return [self._slice(max(0, end - n), end) for end in range(len(self._entries) + 1)]
 
     def _slice(self, start: int, end: int) -> np.ndarray:
         return self._buf[:, start:end] if self._rows else self._buf[start:end]
@@ -409,8 +402,8 @@ class ContractGroup:
         self.contract = contract
         self.at_risk_margin = at_risk_margin
         size = window if detector is None else max(window, detector.window)
+        self.window = window
         self.ring = WindowRing(size, rows=len(figures))
-        self._windows = self.ring.windows(window)
         self.detector = (
             None if detector is None else IdentityFailureDetector(contract, detector, figures)
         )
@@ -428,7 +421,7 @@ class ContractGroup:
         ring = self.ring
         ring.push(mags)
         statuses, utilizations = check_contract(
-            self._windows[ring.end], self.contract, self.at_risk_margin
+            ring.tail(min(self.window, ring.count)), self.contract, self.at_risk_margin
         )
         events = None if self.detector is None else self.detector.update(time, mags, ring)
         return statuses, utilizations, events

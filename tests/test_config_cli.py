@@ -96,6 +96,18 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_limited(*args):
+    """``python *args`` in a child whose address space alone is capped at
+    1.5 GB, with one BLAS thread, so that its address space does not grow
+    with the host's core count."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, resource.RLIM_INFINITY))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120, preexec_fn=limit)
+
+
 #: Each contract kind with valid values of its own levels.
 CONTRACT_LEVELS = {
     "hard": {"threshold": 0.1},
@@ -176,16 +188,7 @@ class TestParseConfig:
             "doc['nodes'][0]['controller']['catalog'][2]['behavior']['window'] = 10**9\n"
             "print(parse_config(doc).nodes[0].controller.catalog[2].behavior)\n"
         )
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, resource.RLIM_INFINITY))
-
-        # One BLAS thread, so the child's address space does not grow with
-        # the host's core count.
-        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-        done = subprocess.run([sys.executable, "-c", script, str(CONFIGS / "demo.yaml")],
-                              capture_output=True, text=True, env=env, timeout=120,
-                              preexec_fn=limit)
+        done = run_limited("-c", script, str(CONFIGS / "demo.yaml"))
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == "Predictive(k=1, window=1000000000)\n"
 
@@ -305,6 +308,54 @@ def run_cli(*args):
     done = subprocess.run([sys.executable, "-m", "fidelitylab.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
     return done.returncode, done.stderr
+
+
+class TestRunBounds:
+    """A run has at most ``engine.MAX_TICKS`` ticks, a window longer than
+    the run costs no memory per entry, and a fired detector's window
+    statistic that overflows is a divergence, not an ``Infinity`` export."""
+
+    def test_the_most_ticks_parse(self):
+        assert engine.MAX_TICKS == 10**7
+        assert parse_config(MINIMAL | {"duration": 1e6}).duration == 1e6  # dt 0.1
+
+    def test_one_tick_more_is_rejected(self):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(MINIMAL | {"duration": 1e6 + 0.1})
+        assert exc.value.problems == ["duration: must be at most 10000000 ticks of dt"]
+
+    def test_an_endless_run_exits_2_and_leaves_no_out(self, tmp_path):
+        config = write_config(tmp_path, MINIMAL | {"duration": 1e300})
+        out = tmp_path / "out"
+        code, err = run_cli("run", "--config", str(config), "--out", str(out))
+        assert (code, err) == (EXIT_CONFIG, "error: duration: must be at most 10000000 ticks of dt\n")
+        assert not out.exists()
+
+    def test_windows_beyond_the_run_export_what_the_run_length_exports(self, tmp_path):
+        # The demo runs 2,000 ticks. At 10**7 a list of views per ring end
+        # (2 * 10**7 + 1 of them) took the child past its limit.
+        doc = yaml.safe_load((CONFIGS / "demo.yaml").read_text(encoding="utf-8"))
+        outs = []
+        for window in (10**7, 2000):
+            doc["environment"]["regime_window"] = doc["nodes"][0]["contract"]["window"] = window
+            config = write_config(tmp_path, doc, name=f"demo{window}.yaml")
+            outs.append(tmp_path / f"out{window}")
+            done = run_limited("-m", "fidelitylab.cli", "run", "--config", str(config),
+                               "--out", str(outs[-1]))
+            assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        for name in ("ticks.csv", "episodes.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_an_overflowing_detector_window_exits_1_naming_node_and_tick(self, tmp_path):
+        # Deltas of about 1e299 stay finite; the fired detector's window std
+        # does not.
+        doc = yaml.safe_load((CONFIGS / "demo.yaml").read_text(encoding="utf-8"))
+        doc["shocks"][0]["magnitude"] = 1e300
+        config = write_config(tmp_path, doc)
+        code, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert code == EXIT_RUNTIME
+        assert err == ("error: node 'n0' diverged: non-finite detector window statistic "
+                       "at tick 200 (t=20.0)\n")
 
 
 class TestNegativeSeeds:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import pickle
@@ -12,7 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_behavior import ReferencePredictive
-from test_golden import DEMO, _ladder_cut, digests, predictive_groups, social_edges, stateful_specs
+from test_golden import (
+    DEMO,
+    SCENARIO_GOLDEN,
+    _ladder_cut,
+    _load,
+    channel_changes,
+    digests,
+    predictive_groups,
+    result_digests,
+    social_edges,
+    stateful_specs,
+)
+from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 from fidelitylab import engine
 from fidelitylab.behavior import (
@@ -24,7 +37,7 @@ from fidelitylab.behavior import (
     Reactive,
 )
 from fidelitylab.collective import ResourcePool, SocialAction, SocialBehavior
-from fidelitylab.config import load_config
+from fidelitylab.config import load_config, parse_config, scenario_to_config
 from fidelitylab.controller import (
     LearningSpec,
     ModeController,
@@ -712,6 +725,45 @@ class TestSpecsAreValues:
         assert len(classes) > 15
         assert sorted(cls.__name__ for cls in classes
                       if not (is_dataclass(cls) and cls.__dataclass_params__.frozen)) == []
+
+    def test_two_loads_of_a_scenario_are_one_hashable_value(self):
+        first, second = load_config(DEMO), load_config(DEMO)
+        assert first == second and hash(first) == hash(second)
+
+    def test_a_restaged_channel_parses_to_pairs_in_restageable_order(self):
+        scenario = parse_config(scenario_to_config(channel_changes()))
+        hash(scenario)
+        assert [strategy.channel for strategy in scenario.nodes[1].controller.catalog] == [
+            (("gain", 1.3), ("sampling_period", 0.2)),
+            (("gain", 1.05), ("sampling_period", 0.1)),
+        ]
+
+    def test_a_parsed_scenario_cannot_be_changed_in_place(self):
+        scenario = load_config(DEMO)
+        for column in (scenario.figures, scenario.shocks, scenario.nodes):
+            with pytest.raises(AttributeError):
+                column.append(column[0])
+
+
+class TestForkedRuns:
+    """A run is one value: a copy of it (``pickle``, ``copy.deepcopy``)
+    taken between two ticks and continued exports the bytes the run
+    exports, and so does the run itself."""
+
+    DEEPCOPIED = ("demo", "social_edges", "stateful_specs")
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_a_copy_taken_mid_run_continues_to_the_golden_bytes(self, name):
+        scenario = GOLDEN_SCENARIOS[name]()
+        run = engine._Run(scenario, engine._calibrate(scenario), None)
+        run.advance(int(substream(0, "fork", name).integers(1, run.ticks)))
+        runs = {"run": run, "pickle": pickle.loads(pickle.dumps(run))}
+        if name in self.DEEPCOPIED:
+            runs["deepcopy"] = copy.deepcopy(run)
+        golden = _load(SCENARIO_GOLDEN)[name]
+        for kind, each in runs.items():
+            each.advance(each.ticks)
+            assert result_digests(scenario, each.wrap_up(), echo=True) == golden, kind
 
 
 def _pool_social_scenario():

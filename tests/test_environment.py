@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fidelitylab.environment import (
     Constant,
-    EnvState,
     LinearDrift,
     RandomWalk,
     Regime,
@@ -22,19 +21,18 @@ from fidelitylab.identity import WindowRing
 from fidelitylab.rng import substream
 
 
-def state(*figures, time=0.0):
-    return EnvState(time=time, figures=tuple(figures))
+def state(*figures):
+    return tuple(figures)
 
 
 class TestStepEnvironment:
     def test_constant_is_identity(self):
         out = step_environment(state(5.0), [Constant()], [None], dt=1.0)
-        assert out.figures == (5.0,)
-        assert out.time == 1.0
+        assert out == (5.0,)
 
     def test_linear_drift_rate_times_dt(self):
         out = step_environment(state(0.0), [LinearDrift(rate=0.5)], [None], dt=4.0)
-        assert out.figures[0] == pytest.approx(2.0)
+        assert out[0] == pytest.approx(2.0)
 
     def test_random_walk_variance_matches_declared(self):
         # Monte-Carlo check: 10k unit steps, std 1 -> increment variance ~ 1
@@ -43,7 +41,7 @@ class TestStepEnvironment:
         values = [0.0]
         for _ in range(10_000):
             s = step_environment(s, [RandomWalk(std=1.0)], [None], dt=1.0, rngs=[rng])
-            values.append(s.figures[0])
+            values.append(s[0])
         increments = np.diff(values)
         assert np.var(increments) == pytest.approx(1.0, rel=0.10)
 
@@ -55,19 +53,15 @@ class TestStepEnvironment:
         with pytest.raises(ConfigurationError):
             step_environment(state(1.0), [Constant()], [None], dt=0.0)
 
-    def test_time_advances_by_dt(self):
-        out = step_environment(state(1.0, time=3.0), [Constant()], [None], dt=0.25)
-        assert out.time == 3.25
-
     def test_regime_switching_delegates_to_active_subprocess(self):
         rng = substream(3, "figure", 0, "drift")
         proc = RegimeSwitching(calm=Constant(), turbulent=LinearDrift(rate=1.0), hazard=0.0)
         run = proc.start()
         out = step_environment(state(1.0), [proc], [run], dt=1.0, rngs=[rng])
-        assert out.figures[0] == 1.0  # calm is active, constant
+        assert out[0] == 1.0  # calm is active, constant
         run[0] = True  # the turbulent flag
         out = step_environment(out, [proc], [run], dt=1.0, rngs=[rng])
-        assert out.figures[0] == pytest.approx(2.0)
+        assert out[0] == pytest.approx(2.0)
 
     def test_regime_switching_flips_with_certain_hazard(self):
         rng = substream(3, "figure", 0, "drift")
@@ -91,18 +85,18 @@ class TestDeterminism:
     def test_same_seed_same_sequence(self):
         a = self.run_walk(42)
         b = self.run_walk(42)
-        assert [s.figures for s in a] == [s.figures for s in b]
+        assert [s for s in a] == [s for s in b]
 
     def test_substreams_independent_of_figure_count(self):
         # Adding a figure never perturbs the first figure's draws.
         one = self.run_walk(42, n_figures=1)
         three = self.run_walk(42, n_figures=3)
-        assert [s.figures[0] for s in one] == [s.figures[0] for s in three]
+        assert [s[0] for s in one] == [s[0] for s in three]
 
     @given(st.floats(-1e6, 1e6), st.floats(0.01, 100.0))
     def test_constant_fixed_point_bit_identical(self, value, dt):
         out = step_environment(state(value), [Constant()], [None], dt=dt)
-        assert out.figures[0] == value
+        assert out[0] == value
 
     @given(st.floats(-100, 100), st.floats(-10, 10), st.floats(0.01, 10.0))
     @settings(max_examples=50)
@@ -112,18 +106,18 @@ class TestDeterminism:
             [LinearDrift(rate)], [None], dt,
         )
         once = step_environment(state(start), [LinearDrift(rate)], [None], 2 * dt)
-        assert twice.figures[0] == pytest.approx(once.figures[0], abs=1e-9, rel=1e-12)
+        assert twice[0] == pytest.approx(once[0], abs=1e-9, rel=1e-12)
 
 
 class TestApplyShock:
     def test_additive_jump(self):
         out = apply_shock(state(1.0), ShockEvent(at=0.0, figure=0, magnitude=3.0, recovery_window=1.0))
-        assert out.figures == (4.0,)
+        assert out == (4.0,)
 
     def test_zero_magnitude_is_noop(self):
         s = state(1.5)
         out = apply_shock(s, ShockEvent(at=0.0, figure=0, magnitude=0.0, recovery_window=1.0))
-        assert out.figures == s.figures
+        assert out == s
 
     def test_disjoint_shocks_commute(self):
         a = ShockEvent(at=0.0, figure=0, magnitude=2.0, recovery_window=1.0)
@@ -141,11 +135,11 @@ class TestLabelRegime:
     def increments(history):
         """|figure increments| between consecutive states, one row per pair:
         the rows the engine's regime ring holds."""
-        figures = np.array([s.figures for s in history], dtype=float)
+        figures = np.array(history, dtype=float)
         return np.abs(figures[1:] - figures[:-1])
 
     def make_history(self, values):
-        return self.increments([state(v, time=float(i)) for i, v in enumerate(values)])
+        return self.increments([state(v) for i, v in enumerate(values)])
 
     def test_constant_history_is_calm(self):
         history = self.make_history([2.0] * 10)
@@ -176,7 +170,7 @@ class TestLabelRegime:
         increments = [
             abs(b - a)
             for prev, cur in zip(history[:-1], history[1:])
-            for a, b in zip(prev.figures, cur.figures)
+            for a, b in zip(prev, cur)
         ]
         return float(np.mean(increments))
 
@@ -189,11 +183,11 @@ class TestLabelRegime:
         window = data.draw(st.integers(1, 12))
         rows = data.draw(st.lists(
             st.tuples(*[st.floats(-1e6, 1e6)] * width), min_size=2, max_size=30))
-        states = [state(*row, time=float(i)) for i, row in enumerate(rows)]
+        states = [state(*row) for i, row in enumerate(rows)]
         ring = WindowRing(window, width)
         for step in range(1, len(states)):
             prev, cur = states[step - 1], states[step]
-            ring.push([abs(b - a) for a, b in zip(prev.figures, cur.figures)])
+            ring.push([abs(b - a) for a, b in zip(prev, cur)])
             history = states[max(0, step - window):step + 1]
             mean = self.flat_mean(history)
             # The threshold sits exactly on the mean, one ulp either side of

@@ -492,10 +492,15 @@ SCENARIOS = {
 
 
 def digests(scenario, echo=False):
-    """SHA-256 of every exported file, plus ``identities`` for a run that
-    records the identity timeline, which no export carries."""
+    """SHA-256 of every file a run of the scenario exports, plus
+    ``identities`` for a run that records the identity timeline, which no
+    export carries."""
+    return result_digests(scenario, run_scenario(scenario), echo)
+
+
+def result_digests(scenario, result, echo=False):
+    """``digests`` of a finished run's result."""
     with tempfile.TemporaryDirectory() as outdir:
-        result = run_scenario(scenario)
         if echo:
             result.config_echo = scenario_to_config(scenario)
         found = {
